@@ -13,8 +13,8 @@ let row = Stats.row
 let header = Stats.header
 let pp = Setup.pp_secs
 
-(* [--incr-budget N] override for the incremental-repair work budget
-   (relabel operations before a point falls back to a full solve). [None]
+(* [--incr-budget N] override for the incremental-repair budget (most
+   excess nodes a round may carry and still try repair). [None]
    keeps the scheduler default; the sweep experiment threads it into the
    round config and records it in the JSON output. *)
 let incr_budget : int option ref = ref None
@@ -1029,15 +1029,18 @@ let sweep ~scale () =
         @ List.map (fun (p, m) -> ("phase_" ^ p ^ "_mean_s", m)) phase_means))
     points
 
-(* {1 Incremental delta-solve vs full race (ISSUE 7 tentpole)} *)
+(* {1 Incremental delta-solve vs full race} *)
 
-(* Small-delta rounds — a fixed handful of task events against the whole
-   cluster, the regime the O(changes) repair path targets. Unlike
-   [measure_sched_rounds]'s fractional churn, the event count here stays
-   constant as machines grow, so the delta-vs-graph-size gap is what the
-   series shows. Runs each ladder point twice on identically settled
-   clusters: repair disabled (full-race baseline), then enabled. *)
-let measure_small_delta_rounds s ~rounds ~events =
+(* Rounds of a fixed shape against a settled cluster — the regime the
+   O(changes) repair path targets. [`Events n] holds the delta at [n] task
+   events (half finishes, half submissions) as machines grow, so the
+   delta-vs-graph-size gap is what the series shows; [`Churn f] finishes
+   a fraction [f] of the live tasks and submits as many, the steady-state
+   round whose delta grows with the cluster. Runs each ladder point twice
+   on identically settled clusters: repair disabled (full-race baseline),
+   then enabled. Returns round times, solve mean, repaired rounds and
+   mean events per round. *)
+let measure_delta_rounds s ~rounds ~delta =
   let reg = Telemetry.Metrics.global () in
   let hist name =
     match Telemetry.Metrics.find reg name with
@@ -1048,22 +1051,31 @@ let measure_small_delta_rounds s ~rounds ~events =
     Option.map (fun id -> Telemetry.Metrics.value reg id) (Telemetry.Metrics.find reg name)
   in
   let solve_id = hist "sched_phase_solve_ns" in
-  let repairs0 = counter "mcmf_race_wins_repair_total" in
+  let feed ~now =
+    let n =
+      match delta with
+      | `Events e -> e / 2
+      | `Churn f ->
+          max 1 (int_of_float (f *. float_of_int (Cluster.State.live_task_count s.Setup.cluster)))
+    in
+    Setup.finish_random s ~n ~now;
+    Setup.submit_batch s ~n ~now;
+    2 * n
+  in
   (* Two warm rounds: reach the adopted-optimal steady state the repair
      path starts from. *)
   for i = 1 to 2 do
     let now = float_of_int i in
-    Setup.finish_random s ~n:(events / 2) ~now;
-    Setup.submit_batch s ~n:(events / 2) ~now;
+    ignore (feed ~now);
     ignore (Setup.schedule s ~now)
   done;
   let solve0 = Telemetry.Metrics.hist_sum reg solve_id in
-  let repairs1 = counter "mcmf_race_wins_repair_total" in
+  let repairs0 = counter "mcmf_race_wins_repair_total" in
   let times = ref [] in
+  let events = ref 0 in
   for i = 3 to rounds + 2 do
     let now = float_of_int i in
-    Setup.finish_random s ~n:(events / 2) ~now;
-    Setup.submit_batch s ~n:(events / 2) ~now;
+    events := !events + feed ~now;
     let t0 = Unix.gettimeofday () in
     ignore (Setup.schedule s ~now);
     times := (Unix.gettimeofday () -. t0) :: !times
@@ -1073,14 +1085,14 @@ let measure_small_delta_rounds s ~rounds ~events =
     *. 1e-9 /. float_of_int rounds
   in
   let repair_rounds =
-    match (counter "mcmf_race_wins_repair_total", repairs1, repairs0) with
-    | Some now, Some warm, Some _ -> now - warm
+    match (counter "mcmf_race_wins_repair_total", repairs0) with
+    | Some now, Some warm -> now - warm
     | _ -> 0
   in
-  (!times, solve_mean, repair_rounds)
+  (!times, solve_mean, repair_rounds, float_of_int !events /. float_of_int rounds)
 
 let incr ~scale () =
-  header "Incremental repair: small-delta rounds, delta-solve vs full race";
+  header "Incremental repair: fixed-delta and 1%-churn rounds, delta-solve vs full race";
   let ladder = [ 1_000; 5_000; 12_500; 50_000 ] in
   let budget = max 1_000 (int_of_float (50_000. *. scale)) in
   let points = List.filter (fun mch -> mch <= budget) ladder in
@@ -1089,43 +1101,51 @@ let incr ~scale () =
   | skipped ->
       Printf.printf "skipping %s machines (raise --scale to include)\n"
         (String.concat ", " (List.map string_of_int skipped)));
-  let events = 32 in
   row
     [
-      "machines"; "solve full"; "solve incr"; "speedup"; "round incr"; "repair rounds";
+      "machines"; "delta"; "events"; "solve full"; "solve incr"; "speedup"; "round incr";
+      "repair rounds";
     ];
   List.iter
     (fun machines ->
       let rounds = if machines >= 12_500 then 10 else 20 in
-      let run ~incremental =
-        let config = { Firmament.Scheduler.default_config with incremental } in
-        let s = Setup.settle ~config ~machines ~util:0.5 ~policy:Setup.Quincy ~seed:42 () in
-        measure_small_delta_rounds s ~rounds ~events
-      in
-      let _, solve_full, _ = run ~incremental:false in
-      let times_incr, solve_incr, repair_rounds = run ~incremental:true in
-      let speedup = solve_full /. Float.max 1e-9 solve_incr in
-      row
-        [
-          string_of_int machines;
-          pp solve_full;
-          pp solve_incr;
-          Printf.sprintf "%.1fx" speedup;
-          pp (Stats.mean times_incr);
-          Printf.sprintf "%d/%d" repair_rounds rounds;
-        ];
-      Json_out.record ~experiment:"incr" ~scale
-        [
-          ("machines", float_of_int machines);
-          ("delta_events", float_of_int events);
-          ("rounds", float_of_int rounds);
-          ("solve_full_mean_s", solve_full);
-          ("solve_incr_mean_s", solve_incr);
-          ("solve_speedup", speedup);
-          ("round_incr_mean_s", Stats.mean times_incr);
-          ("round_incr_p99_s", Stats.percentile times_incr 99.);
-          ("repair_rounds", float_of_int repair_rounds);
-        ])
+      List.iter
+        (fun (label, delta, churn_frac) ->
+          let run ~incremental =
+            let config = { Firmament.Scheduler.default_config with incremental } in
+            let s =
+              Setup.settle ~config ~machines ~util:0.5 ~policy:Setup.Quincy ~seed:42 ()
+            in
+            measure_delta_rounds s ~rounds ~delta
+          in
+          let _, solve_full, _, _ = run ~incremental:false in
+          let times_incr, solve_incr, repair_rounds, events = run ~incremental:true in
+          let speedup = solve_full /. Float.max 1e-9 solve_incr in
+          row
+            [
+              string_of_int machines;
+              label;
+              Printf.sprintf "%.0f" events;
+              pp solve_full;
+              pp solve_incr;
+              Printf.sprintf "%.1fx" speedup;
+              pp (Stats.mean times_incr);
+              Printf.sprintf "%d/%d" repair_rounds rounds;
+            ];
+          Json_out.record ~experiment:"incr" ~scale
+            [
+              ("machines", float_of_int machines);
+              ("churn_frac", churn_frac);
+              ("delta_events", events);
+              ("rounds", float_of_int rounds);
+              ("solve_full_mean_s", solve_full);
+              ("solve_incr_mean_s", solve_incr);
+              ("solve_speedup", speedup);
+              ("round_incr_mean_s", Stats.mean times_incr);
+              ("round_incr_p99_s", Stats.percentile times_incr 99.);
+              ("repair_rounds", float_of_int repair_rounds);
+            ])
+        [ ("32 events", `Events 32, 0.); ("1% churn", `Churn 0.01, 0.01) ])
     points
 
 (* {1 Crash recovery} *)

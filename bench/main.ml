@@ -8,7 +8,7 @@ let usage () =
   print_endline "  --scale S : machine-count multiplier (1.0 = paper size; default 0.2)";
   print_endline "  --json FILE : also write machine-readable results (JSON array)";
   print_endline
-    "  --incr-budget N : incremental-repair work budget override (sweep experiment)";
+    "  --incr-budget N : incremental-repair budget override, in excess nodes (sweep experiment)";
   print_endline "";
   List.iter
     (fun (name, descr, _) -> Printf.printf "  %-8s %s\n" name descr)

@@ -180,9 +180,9 @@ let cmd =
       & opt (some int) None
       & info [ "incremental-budget" ] ~docv:"N"
           ~doc:
-            "Work budget (relabel operations) for the O(changes) incremental repair \
-             path before falling back to a full solve. Default: the scheduler's \
-             built-in budget.")
+            "Most excess nodes a round may carry and still take the O(changes) \
+             incremental repair path instead of a full solve. Default: the \
+             scheduler's built-in budget.")
   in
   let pipelined =
     Arg.(

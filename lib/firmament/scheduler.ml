@@ -257,16 +257,26 @@ type t = {
     option;
 }
 
-let create ?(config = default_config) cluster ~policy =
-  (* Pre-size the flow graph from the cluster's shape so steady-state
-     rounds never pay growth doublings: one node per machine/rack plus
-     roughly one task per slot (with aggregator and churn headroom), and
-     a few arcs per node (task→aggregator→machine→sink chains). *)
+(* Pre-size the flow graph from the cluster's shape so steady-state
+   rounds rarely pay growth doublings: one node per machine/rack plus
+   roughly one task per slot (with aggregator and churn headroom), and two
+   arcs per hinted node. That covers Quincy and load-spread graphs up to
+   full utilization (1.0 and 1.8 arcs per hinted node at 95%, 1,000
+   machines); network-aware graphs can reach 2.8 and grow once. The hint
+   sizes the canonical graph and both pooled scratch copies, and a
+   forward arc of headroom is ~20 resident words in each (two residual
+   slots across ten per-arc arrays): at 4 arcs per hinted node the
+   2,500-machine Quincy cluster carried ~65 MB of never-used arc
+   storage. *)
+let size_hints cluster =
   let topo = Cluster.State.topology cluster in
   let machines = Cluster.Topology.machine_count topo in
   let slots = Cluster.Topology.total_slots topo in
   let node_hint = (2 * (machines + slots)) + 64 in
-  let arc_hint = 4 * node_hint in
+  (node_hint, 2 * node_hint)
+
+let create ?(config = default_config) cluster ~policy =
+  let node_hint, arc_hint = size_hints cluster in
   let net = FN.create ~node_hint ~arc_hint () in
   let p = policy ~drain:config.drain_on_removal net cluster in
   {
@@ -295,11 +305,7 @@ let create ?(config = default_config) cluster ~policy =
    network, where its ensure-style installers find every structure
    already present and leave the warm graph untouched. *)
 let of_restored ?(config = default_config) cluster ~net ~policy =
-  let topo = Cluster.State.topology cluster in
-  let machines = Cluster.Topology.machine_count topo in
-  let slots = Cluster.Topology.total_slots topo in
-  let node_hint = (2 * (machines + slots)) + 64 in
-  let arc_hint = 4 * node_hint in
+  let node_hint, arc_hint = size_hints cluster in
   let p = policy ~drain:config.drain_on_removal net cluster in
   let assigned = Hashtbl.create 1024 in
   Cluster.State.iter_tasks cluster (fun task ->
@@ -635,11 +641,9 @@ let commit_diff ?fin_prev t ~now placements =
     List.rev !discarded,
     !replayed )
 
-(* Per-round delta of the graph's cumulative change summary. Clamped at
-   zero: adopting a different graph object can lower the totals. Returns
-   the excess-creating part of the delta (structural + capacity + supply
-   changes — cost changes alone shift reduced costs but mint no excess),
-   the size heuristic for the incremental-repair path choice. *)
+(* Per-round delta of the graph's cumulative change summary, exported as
+   telemetry. Clamped at zero: adopting a different graph object can
+   lower the totals. *)
 let record_changes t =
   let open Flowgraph.Graph in
   let s = peek_changes (FN.graph t.net) in
@@ -652,8 +656,7 @@ let record_changes t =
   Telemetry.Metrics.add m m_chg_cost (d s.cost_changes prev.cost_changes);
   Telemetry.Metrics.add m m_chg_capacity capacity;
   Telemetry.Metrics.add m m_chg_supply supply;
-  t.last_changes <- s;
-  structural + capacity + supply
+  t.last_changes <- s
 
 let begin_round ?stop t ~now =
   (match t.pending with
@@ -666,7 +669,7 @@ let begin_round ?stop t ~now =
   let ck1 = Telemetry.Clock.now_ns () in
   Telemetry.Trace.span tr ~phase:t_refresh ~t0:ck0 ~t1:ck1;
   Telemetry.Metrics.observe m m_refresh_ns (ck1 - ck0);
-  let excess_delta = record_changes t in
+  record_changes t;
   (* The round deadline covers the whole round, retry included: the stop
      predicate is armed here and shared by every solve of this round. *)
   let stop =
@@ -679,16 +682,12 @@ let begin_round ?stop t ~now =
      relative to the cluster state as of this instant, and any event that
      bumps the epoch past the stamp marks its task/machine stale. *)
   Cluster.State.stamp_round t.cluster;
-  (* Path choice: vouch for the O(changes) repair only when enabled and
-     the round's excess-creating change delta is small. The vouch is a
-     hint — the repair kernel still enforces the budget on the actual
-     excess-node and augmentation counts and falls back to the full race
-     on any doubt. Cost-only churn (policy refresh) is deliberately not
-     counted: it mints no excess, only shortest-path re-routes. *)
+  (* Path choice: with repair enabled, the race counts the graph's actual
+     excess nodes against the budget and tries the O(changes) repair when
+     they fit; the kernel gives up on any doubt (or once its searches
+     outgrow the graph) and the full race runs instead. *)
   let delta_budget =
-    if t.config.incremental && excess_delta <= 4 * t.config.incremental_budget
-    then Some t.config.incremental_budget
-    else None
+    if t.config.incremental then Some t.config.incremental_budget else None
   in
   let handle = Mcmf.Race.submit ~stop ?delta_budget t.race (FN.graph t.net) in
   let ck2 = Telemetry.Clock.now_ns () in
@@ -897,10 +896,20 @@ let commit_round t p ~now =
       t.last_changes <- Flowgraph.Graph.peek_changes (FN.graph t.net);
       (* Snapshot the certified-optimal solution for the observer before
          the placement diff reroutes started tasks' arcs. Copy only on
-         demand: the hook is a debug facility, off in production. *)
+         demand: the hook is a debug facility, off in production. The
+         canonical potentials may be in cost scaling's scaled units (a
+         repaired round keeps them there), so the copy is re-priced in
+         cost units, which is what the validators check. A negative cycle
+         leaves the potentials as they were, so the observer's validators
+         reject the copy too. *)
       let certified =
         match t.observer with
-        | Some _ -> Some (Flowgraph.Graph.copy (FN.graph t.net))
+        | Some _ ->
+            let c = Flowgraph.Graph.copy (FN.graph t.net) in
+            if not (Mcmf.Price_refine.run ~scale:1 c) then
+              Log.err (fun m ->
+                  m "round@%.3f: adopted flow has a negative residual cycle" now);
+            Some c
         | None -> None
       in
       let ck3 = Telemetry.Clock.now_ns () in

@@ -64,16 +64,16 @@ type config = {
   incremental : bool;
       (** enable the O(changes) incremental-repair path (default [true]):
           when the previous round's adopted solution is certified optimal
-          and this round's change set is small, the round is solved by
+          and this round's excess nodes fit the budget, the round is solved by
           {!Mcmf.Incremental.repair} on the warm graph instead of running
           the full solver race; any repair give-up falls back to the
           configured [mode] untouched *)
   incremental_budget : int;
-      (** repair budget (default 512): the per-round cap on excess nodes
-          and augmentations the repair may perform before giving up. The
-          repair path is only attempted when the round's
-          structural+capacity+supply change count is at most 4× this
-          (cost-only churn mints no excess and does not count) *)
+      (** repair budget (default 512): the most excess nodes a round may
+          carry and still take the repair path. The race counts them on the
+          canonical graph before copying it; the kernel counts again after
+          its saturation pass, and separately gives up once its searches
+          have scanned 32 times as many arcs as the graph has live arcs *)
 }
 
 val default_config : config
@@ -268,7 +268,12 @@ val decomposition : t -> Placement.assignment list option
     additionally carries a private copy of that solution taken {e before}
     the placement diff rerouted started tasks' arcs — the snapshot on
     which feasibility/optimality validation is meaningful; it is [None] on
-    reconciled, partial and failed rounds. The fuzz harness uses the hook
+    reconciled, partial and failed rounds. Its potentials are re-priced in
+    cost units ({!Mcmf.Price_refine.run} [~scale:1]), whatever units the
+    canonical graph carries, so {!Flowgraph.Validate.is_reduced_cost_optimal}
+    applies directly; a flow with a negative residual cycle keeps its
+    potentials (so that check rejects it) and is logged as an error.
+    The fuzz harness uses the hook
     to validate every round and to dump the pre-failure graph into repro
     artifacts. The observer must not mutate the canonical graph (the
     certified copy is the observer's to keep). [None] uninstalls. *)

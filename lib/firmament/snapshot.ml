@@ -98,8 +98,13 @@ let parse_task ~prefix toks =
 
 (* The base image: everything needed to rebuild scheduler state at the
    moment of the dump. Cluster state is stored as facts (topology
-   parameters, jobs and task attributes, who runs where, who finished,
-   which machines are dead) and replayed through the normal constructors;
+   parameters, every job with the attributes of its live tasks, who runs
+   where, which machines are dead) and replayed through the normal
+   constructors. Finished tasks are history, not state: the image lists
+   each job (so a resumed replay still knows it was submitted) but only
+   its waiting and running tasks, which keeps the image, and the time and
+   memory a restore takes, proportional to the live cluster rather than
+   to every task it has ever run;
    the flow network is stored as a DIMACS state dump (structure + flow +
    potentials — the warm start) plus side-band node-kind records keyed by
    the same dense renumbering {!Flowgraph.Dimacs.emit_state} uses. The
@@ -128,17 +133,25 @@ let emit_base sched ~now =
     if not (Cluster.State.machine_is_live cluster m) then
       Buffer.add_string buf (Printf.sprintf "dead %d\n" m)
   done;
-  Cluster.State.iter_jobs cluster (fun j -> Buffer.add_string buf (job_lines ~prefix:"" j));
+  Cluster.State.iter_jobs cluster (fun j ->
+      let live =
+        List.filter
+          (fun (task : Cluster.Workload.task) ->
+            match task.Cluster.Workload.state with
+            | Cluster.Types.Finished _ -> false
+            | Cluster.Types.Waiting | Cluster.Types.Running _ | Cluster.Types.Failed ->
+                true)
+          (Array.to_list j.Cluster.Workload.tasks)
+      in
+      Buffer.add_string buf
+        (job_lines ~prefix:"" { j with Cluster.Workload.tasks = Array.of_list live }));
   Cluster.State.iter_tasks cluster (fun task ->
       match task.Cluster.Workload.state with
       | Cluster.Types.Running { machine; started_at } ->
           Buffer.add_string buf
             (Printf.sprintf "run %d %d %s\n" task.Cluster.Workload.tid machine
                (f2s started_at))
-      | Cluster.Types.Finished { response_time } ->
-          Buffer.add_string buf
-            (Printf.sprintf "fin %d %s\n" task.Cluster.Workload.tid (f2s response_time))
-      | Cluster.Types.Waiting | Cluster.Types.Failed -> ());
+      | Cluster.Types.Waiting | Cluster.Types.Finished _ | Cluster.Types.Failed -> ());
   let g = FN.graph net in
   let ids = Flowgraph.Dimacs.dense_ids g in
   G.iter_nodes g (fun n ->
@@ -290,6 +303,7 @@ let restore_lines ?config ~policy lines =
         runs := (int_tok tid, int_tok m, float_tok at) :: !runs;
         base_loop ()
     | [ "fin"; tid; rt ] ->
+        (* Images written before finished tasks were left out. *)
         fins := (int_tok tid, float_tok rt) :: !fins;
         base_loop ()
     | "node" :: id :: kind ->

@@ -5,9 +5,12 @@
     one batch per cluster event or committed round. The base image
     stores:
     {ul
-    {- cluster facts: topology parameters, dead machines, every job and
-       task with the attributes policies consume, who runs where (with
-       original start times) and who finished;}
+    {- cluster facts: topology parameters, dead machines, every job with
+       the attributes policies consume of its waiting and running tasks,
+       and who runs where (with original start times). Finished tasks are
+       left out, so the image is proportional to the live cluster, not to
+       its history: a restored cluster knows every job but only the tasks
+       still live;}
     {- the flow network as a {!Flowgraph.Dimacs.emit_state} dump —
        structure {e plus} flow and potentials, i.e. the warm start — with
        side-band [node] records mapping the dump's dense node ids back to

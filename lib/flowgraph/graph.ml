@@ -391,6 +391,33 @@ let iter_arcs g f =
     a := !a + 2
   done
 
+(* The dual-feasibility scan, on the incremental repair's O(arcs) path:
+   the per-arc arrays are hoisted once so the loop makes no accessor
+   calls. [f] may push flow and move potentials — neither grows the
+   arrays — and every value is re-read per arc, so it sees its own
+   updates. *)
+let iter_negative g ~scale f =
+  let live = Vec.unsafe_data g.arc_live and head = Vec.unsafe_data g.head in
+  let cost = Vec.unsafe_data g.arc_cost and rescap = Vec.unsafe_data g.rescap in
+  let pot = Vec.unsafe_data g.potential in
+  let bound = arc_bound g in
+  let a = ref 0 in
+  while !a < bound do
+    let a0 = !a in
+    if Array.unsafe_get live a0 then begin
+      let rc =
+        (Array.unsafe_get cost a0 * scale)
+        - Array.unsafe_get pot (Array.unsafe_get head (a0 + 1))
+        + Array.unsafe_get pot (Array.unsafe_get head a0)
+      in
+      if rc < 0 then begin
+        if Array.unsafe_get rescap a0 > 0 then f a0 rc
+      end
+      else if rc > 0 && Array.unsafe_get rescap (a0 + 1) > 0 then f (a0 + 1) (- rc)
+    end;
+    a := a0 + 2
+  done
+
 let out_degree g n =
   let d = ref 0 in
   iter_out g n (fun _ -> incr d);

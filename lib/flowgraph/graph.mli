@@ -164,6 +164,15 @@ val next_active : t -> arc -> arc
 (** [iter_arcs g f] applies [f] to every live forward arc. *)
 val iter_arcs : t -> (arc -> unit) -> unit
 
+(** [iter_negative g ~scale f] applies [f a rc] to every residual arc [a]
+    with spare capacity whose scaled reduced cost
+    [rc = cost a · scale − potential (src a) + potential (dst a)] is
+    negative: the arcs that break dual feasibility. [f] may push flow or
+    move potentials (later arcs see the updates) but must not add or
+    remove nodes or arcs. A tight loop over the arc arrays, for the
+    repair and certification passes that scan every arc. *)
+val iter_negative : t -> scale:int -> (arc -> int -> unit) -> unit
+
 val out_degree : t -> node -> int
 
 (** {1 Whole-graph operations} *)

@@ -23,6 +23,7 @@ let set v i x =
    [0 <= i < length v] by construction; see DESIGN.md "Memory discipline". *)
 let unsafe_get v i = Array.unsafe_get v.data i
 let unsafe_set v i x = Array.unsafe_set v.data i x
+let unsafe_data v = v.data
 
 let ensure_capacity v n =
   let cap = Array.length v.data in

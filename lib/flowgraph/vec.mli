@@ -31,6 +31,11 @@ val unsafe_get : 'a t -> int -> 'a
 
 val unsafe_set : 'a t -> int -> 'a -> unit
 
+(** [unsafe_data v] is the backing array itself, [length v] valid
+    elements long, for a kernel that hoists it out of a loop. It stays
+    [v]'s storage only until the next operation that grows [v]. *)
+val unsafe_data : 'a t -> 'a array
+
 (** [push v x] appends [x] and returns its index. *)
 val push : 'a t -> 'a -> int
 

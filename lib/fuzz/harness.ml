@@ -396,12 +396,10 @@ let run_mode config mode events =
   let sched =
     (* [force_incremental] lifts the repair budget so every eligible round
        takes the incremental path regardless of change-set size — the
-       checks then exercise the repair kernel instead of the full race.
-       (max_int/4 and not max_int: the scheduler's size gate multiplies
-       the budget by 4.) *)
+       checks then exercise the repair kernel instead of the full race. *)
     let sched_config =
       if config.force_incremental then
-        { S.default_config with mode; incremental_budget = max_int / 4 }
+        { S.default_config with mode; incremental_budget = max_int }
       else { S.default_config with mode }
     in
     S.create ~config:sched_config cluster

@@ -76,9 +76,13 @@ let insert h e prio =
     sift_up h i
   end
 
+let min_prio h =
+  if h.size = 0 then invalid_arg "Heap.min_prio: empty";
+  h.prios.(0)
+
 let pop_min h =
   if h.size = 0 then invalid_arg "Heap.pop_min: empty";
-  let e = h.elts.(0) and p = h.prios.(0) in
+  let e = h.elts.(0) in
   h.size <- h.size - 1;
   if h.size > 0 then begin
     h.elts.(0) <- h.elts.(h.size);
@@ -88,7 +92,7 @@ let pop_min h =
   h.pos.(e) <- -1;
   h.elts.(h.size) <- -1;
   if h.size > 0 then sift_down h 0;
-  (e, p)
+  e
 
 let clear h =
   for i = 0 to h.size - 1 do

@@ -15,9 +15,14 @@ val size : t -> int
     ignored. *)
 val insert : t -> int -> int -> unit
 
-(** [pop_min h] removes and returns [(elt, prio)] with minimal priority.
+(** [min_prio h] is the minimal priority, without removing its element.
     @raise Invalid_argument on an empty heap. *)
-val pop_min : t -> int * int
+val min_prio : t -> int
+
+(** [pop_min h] removes and returns the element with minimal priority
+    (read {!min_prio} first for its priority). Allocation-free.
+    @raise Invalid_argument on an empty heap. *)
+val pop_min : t -> int
 
 val mem : t -> int -> bool
 val clear : t -> unit

@@ -11,21 +11,35 @@ module G = Flowgraph.Graph
    reduced-cost violations and excesses appear only where the round
    touched the graph.
 
-   Repair restores optimality locally:
-   1. saturate every residual arc whose scaled reduced cost went
-      negative (re-establishes dual feasibility; creates excesses only
-      at endpoints of changed arcs);
+   Repair restores optimality locally with primal-dual phases:
+   1. re-establish dual feasibility: repair every residual arc whose
+      scaled reduced cost went negative by a free local potential shift,
+      or else saturate it (creating excesses only at endpoints of
+      changed arcs);
    2. collect the excess nodes — if there are more than [budget], the
       delta was not small and the caller should run the full race;
-   3. route each excess to a deficit with potential-guided Dijkstra
-      over scaled reduced costs (all nonnegative after step 1), updating
-      potentials only on the nodes the search actually settled:
-      p(v) += dt − dist(v) for settled v keeps every reduced cost
-      nonnegative while touching O(dirty region) nodes, unlike the full
-      solvers' O(n) relabel;
-   4. certify: zero excess everywhere and {!Price_refine.certified} at
+   3. per phase, raise each remaining excess node's potential until its
+      cheapest residual arc is tight, then run one multi-source Dijkstra
+      over scaled reduced costs (all nonnegative after step 1) from all
+      of them, until the settled deficits can absorb the whole excess.
+      The potential update touches only the settled nodes: p(v) += D −
+      dist(v), with D the last settled label, keeps every reduced cost
+      nonnegative and makes each shortest path zero-cost, unlike the
+      full solvers' O(n) relabel;
+   4. per phase, a blocking flow from all excesses to all deficits over
+      the settled region's zero-reduced-cost arcs (DFS with current-arc
+      pointers), so one search routes the whole batch instead of one
+      unit per search;
+   5. certify: zero excess everywhere and {!Price_refine.certified} at
       the caller's scale. Any failure returns the reason and the caller
       falls back to the untouched full race.
+
+   Work cap: once the searches have scanned [scan_factor] times as many
+   arcs as the graph has live arcs, the repair gives up [Oversized]: past
+   that point a full race is likely the cheaper way out. The factor is
+   measured, not derived — one graph's worth sent hard but repairable
+   rounds of a 200-machine, 80%-utilization replay to full races that
+   took far longer than the repairs they replaced (DESIGN.md).
 
    The kernel mutates [g] (flows and potentials) — callers hand it a
    scratch copy so a give-up can discard the partial repair. *)
@@ -40,19 +54,30 @@ let reason_name = function
 
 type outcome = Repaired of Solver_intf.stats | Gave_up of reason
 
-(* Persistent scratch: Ssp's Dijkstra arrays plus a [touched] stack of the
-   nodes settled this augmentation (the only ones whose potentials move)
-   and a [sources] stack of the round's excess nodes (collected once —
-   augmentations only shrink excesses, never mint new ones). *)
+(* Per-node search state within a phase, as an offset from the phase's
+   base [4 · epoch]: a smaller value means untouched this phase. Stamping
+   instead of clearing keeps a phase O(nodes it reaches). *)
+let labelled = 0 (* [dist] is valid: in the heap or settled *)
+let settled = 1
+let on_path = 2 (* settled, on the blocking-flow DFS path *)
+let dead = 3 (* settled, no admissible way on to a deficit this phase *)
+
+(* Persistent scratch: Dijkstra labels and [state], the [touched] stack of
+   the phase's settled nodes (the only ones whose potentials move), the
+   [sources] stack of the round's excess nodes (collected once — phases
+   only shrink excesses, never mint new ones), a current-arc pointer per
+   settled node, and [stack]: the settled deficits whose expansion waits
+   until the search moves past their label during Dijkstra, then the DFS
+   path during the blocking flow. *)
 type workspace = {
   mutable nbound : int;
   mutable dist : int array;
-  mutable parent : int array;
-  mutable seen : int array; (* = epoch <=> dist/parent valid this round *)
-  mutable settled : int array; (* = epoch <=> settled this round *)
+  mutable state : int array;
   mutable epoch : int;
+  mutable cur : int array;
   mutable touched : int array;
   mutable sources : int array;
+  mutable stack : int array;
   heap : Heap.t;
 }
 
@@ -60,12 +85,12 @@ let create_workspace () =
   {
     nbound = 0;
     dist = [||];
-    parent = [||];
-    seen = [||];
-    settled = [||];
+    state = [||];
     epoch = 0;
+    cur = [||];
     touched = [||];
     sources = [||];
+    stack = [||];
     heap = Heap.create ~capacity:16;
   }
 
@@ -77,11 +102,11 @@ let reserve ws bound =
     done;
     let n = !n in
     ws.dist <- Array.make n 0;
-    ws.parent <- Array.make n (-1);
-    ws.seen <- Array.make n 0;
-    ws.settled <- Array.make n 0;
+    ws.state <- Array.make n 0;
+    ws.cur <- Array.make n (-1);
     ws.touched <- Array.make n 0;
     ws.sources <- Array.make n 0;
+    ws.stack <- Array.make n 0;
     ws.nbound <- n
   end
 
@@ -117,10 +142,15 @@ let m_repair_ns =
     ~help:"wall time of successful incremental repairs (ns)"
     "mcmf_incremental_repair_ns"
 
-let m_repair_augs =
+let m_repair_phases =
   Telemetry.Metrics.histogram m
-    ~help:"shortest-path augmentations per successful incremental repair"
-    "mcmf_incremental_repair_augs"
+    ~help:"primal-dual phases (Dijkstra + blocking flow) per successful incremental repair"
+    "mcmf_incremental_repair_phases"
+
+let m_repair_scanned =
+  Telemetry.Metrics.histogram m
+    ~help:"residual arcs scanned by the searches of a successful incremental repair"
+    "mcmf_incremental_repair_scanned"
 
 let m_repair_touched =
   Telemetry.Metrics.histogram m
@@ -133,43 +163,225 @@ let giveup_counter = function
   | Not_certified -> m_giveup_not_certified
   | Stopped_mid_repair -> m_giveup_stopped
 
-(* Saturate residual arcs with negative {e scaled} reduced cost.
-   Establish-optimality at the cost-scaling scale: potentials carried
-   over from the previous round live in scaled units, so feasibility
-   must be judged there too. Returns the number of arcs saturated. *)
-let saturate ~scale g =
-  let n = ref 0 in
-  G.iter_arcs g (fun a0 ->
-      let u = G.src g a0 and v = G.dst g a0 in
-      let rc = (G.cost g a0 * scale) - G.potential g u + G.potential g v in
-      if rc < 0 then begin
-        if G.rescap g a0 > 0 then begin
-          G.push g a0 (G.rescap g a0);
-          incr n
-        end
-      end
-      else if rc > 0 then begin
-        let a1 = G.rev a0 in
-        if G.rescap g a1 > 0 then begin
-          G.push g a1 (G.rescap g a1);
-          incr n
-        end
-      end);
-  !n
-
 exception Give_up of reason
 
-let repair ?(stop = Solver_intf.never_stop) ~scale ~budget ?workspace g =
+(* The saturation pass's dual alternative. A residual arc [b] with
+   negative reduced cost −[amount] can also be repaired by lowering the
+   potential of its tail by [amount], when every residual arc into the
+   tail has at least that much reduced cost to give (or symmetrically by
+   raising its head's potential). That repairs the dual without minting an
+   excess/deficit pair — which matters when the pair could only be
+   cancelled the long way round: a finish frees a slot on a full machine
+   whose sink arc is strictly negative, and saturating it leaves a deficit
+   that the search can reach only after settling everything cheaper.
+   Only short adjacency lists are probed, so hubs always saturate. *)
+let probe = 64
+
+let try_shift g ~scale v ~amount ~lower =
+  let pv = G.potential g v in
+  let ok = ref true in
+  let n = ref 0 in
+  let a = ref (G.first_out g v) in
+  while !ok && !a >= 0 do
+    incr n;
+    if !n > probe then ok := false
+    else begin
+      (* [r] is the residual arc at [v] whose reduced cost the shift
+         lowers: into [v] when lowering, out of [v] when raising. *)
+      let r = if lower then G.rev !a else !a in
+      if G.rescap g r > 0 then begin
+        let rc =
+          (G.cost g r * scale) - G.potential g (G.src g r) + G.potential g (G.dst g r)
+        in
+        if rc < amount then ok := false
+      end
+    end;
+    a := G.next_out g !a
+  done;
+  if !ok then G.set_potential g v (if lower then pv - amount else pv + amount);
+  !ok
+
+(* Re-establish dual feasibility at the cost-scaling scale: potentials
+   carried over from the previous round live in scaled units, so
+   feasibility is judged there too. Each residual arc with negative scaled
+   reduced cost is repaired by a local potential shift when one is free,
+   and saturated otherwise (creating an excess at its head and a deficit
+   at its tail). *)
+let saturate g ~scale =
+  G.iter_negative g ~scale (fun b rc ->
+      if
+        (not (try_shift g ~scale (G.src g b) ~amount:(- rc) ~lower:true))
+        && not (try_shift g ~scale (G.dst g b) ~amount:(- rc) ~lower:false)
+      then G.push g b (G.rescap g b))
+
+(* Raise source [s]'s potential until its cheapest residual out-arc has
+   zero reduced cost. Arcs into [s] only gain reduced cost, so duals stay
+   feasible. Every source then starts its search at its own nearest
+   neighbour: a new task node arrives at potential 0, far from the
+   potentials around it, and without the raise the sources' different
+   offsets would put their shortest paths on different phases. *)
+let raise_price g ~scale s =
+  let ps = G.potential g s in
+  let least = ref max_int in
+  let it = ref (G.first_active g s) in
+  while !it >= 0 do
+    let a = !it in
+    let rc = (G.cost g a * scale) - ps + G.potential g (G.dst g a) in
+    if rc < !least then least := rc;
+    it := G.next_active g a
+  done;
+  if !least > 0 && !least < max_int then G.set_potential g s (ps + !least)
+
+(* Relax [u]'s active out-arcs from label [du]. *)
+let expand ws g ~scale ~scanned u du =
+  let dist = ws.dist and state = ws.state in
+  let base = 4 * ws.epoch in
+  let pu = G.potential g u in
+  let it = ref (G.first_active g u) in
+  while !it >= 0 do
+    let a = !it in
+    let v = G.dst g a in
+    if state.(v) <= base + labelled then begin
+      let dv = du + (G.cost g a * scale) - pu + G.potential g v in
+      if state.(v) < base || dv < dist.(v) then begin
+        dist.(v) <- dv;
+        state.(v) <- base + labelled;
+        Heap.insert ws.heap v dv
+      end
+    end;
+    incr scanned;
+    it := G.next_active g a
+  done
+
+(* One phase's Dijkstra from every remaining excess (all seeded at label 0
+   by the caller). It stops once the settled deficits can absorb [want]
+   units, after settling every node tied at that label D — ties are what
+   give the blocking flow room to spread — or when nothing is left to
+   settle. A deficit is expanded only if the search moves past its label:
+   one at label D needs no expansion for the potential update to stay
+   valid, and not expanding it keeps a deficit hub (the sink) from pulling
+   its whole zero-reduced-cost neighbourhood into the tie. Every settled
+   node goes on [touched] with its current arc reset; returns the number
+   settled. [scanned] accumulates across phases and trips the work cap. *)
+let dijkstra ws g ~scale ~want ~scanned ~cap =
+  let dist = ws.dist and touched = ws.touched in
+  let deferred = ws.stack and heap = ws.heap in
+  let base = 4 * ws.epoch in
+  let tlen = ref 0 in
+  let ndef = ref 0 in
+  let got = ref 0 in
+  let ball = ref max_int in
+  while (not (Heap.is_empty heap)) && Heap.min_prio heap <= !ball do
+    let du = Heap.min_prio heap in
+    if !ndef > 0 && du > dist.(deferred.(0)) then begin
+      for i = 0 to !ndef - 1 do
+        let v = deferred.(i) in
+        expand ws g ~scale ~scanned v dist.(v)
+      done;
+      ndef := 0
+    end
+    else begin
+      let u = Heap.pop_min heap in
+      ws.state.(u) <- base + settled;
+      ws.cur.(u) <- G.first_active g u;
+      touched.(!tlen) <- u;
+      incr tlen;
+      let e = G.excess g u in
+      if e < 0 then begin
+        got := !got - e;
+        if !got >= want then ball := du;
+        deferred.(!ndef) <- u;
+        incr ndef
+      end
+      else expand ws g ~scale ~scanned u du
+    end;
+    if !scanned > cap then raise (Give_up Oversized)
+  done;
+  if !got = 0 then raise (Give_up No_path);
+  !tlen
+
+(* [v] may extend the DFS path: settled this phase, neither on the path
+   nor dead, and reached over a zero-reduced-cost arc. *)
+let admissible ws g ~scale ~pu a =
+  let v = G.dst g a in
+  ws.state.(v) = (4 * ws.epoch) + settled
+  && (G.cost g a * scale) - pu + G.potential g v = 0
+
+(* Route [s]'s excess to settled deficits along admissible arcs. A node
+   whose current arc runs off its active list is dead for the phase. After
+   each augmentation the search restarts from [s]; a saturated path arc
+   advances its tail's current arc to the successor read before the push
+   (the push unlinks it from the active list; pushes only ever insert at
+   a list's head, behind every current arc). Returns the pushes made. *)
+let drain_source ws g ~scale s =
+  let state = ws.state and cur = ws.cur and path = ws.stack in
+  let base = 4 * ws.epoch in
+  let pushes = ref 0 in
+  let depth = ref 0 in
+  let u = ref s in
+  state.(s) <- base + on_path;
+  while G.excess g s > 0 && state.(s) = base + on_path do
+    let x = !u in
+    if G.excess g x < 0 then begin
+      let amount = ref (min (G.excess g s) (- G.excess g x)) in
+      for j = 0 to !depth - 1 do
+        amount := min !amount (G.rescap g path.(j))
+      done;
+      for j = 0 to !depth - 1 do
+        let a = path.(j) in
+        let next = G.next_active g a in
+        G.push g a !amount;
+        if G.rescap g a = 0 then cur.(G.src g a) <- next;
+        state.(G.dst g a) <- base + settled
+      done;
+      pushes := !pushes + !depth;
+      depth := 0;
+      u := s
+    end
+    else begin
+      let pu = G.potential g x in
+      let a = ref cur.(x) in
+      while !a >= 0 && not (admissible ws g ~scale ~pu !a) do
+        a := G.next_active g !a
+      done;
+      cur.(x) <- !a;
+      if !a >= 0 then begin
+        path.(!depth) <- !a;
+        incr depth;
+        let v = G.dst g !a in
+        state.(v) <- base + on_path;
+        u := v
+      end
+      else begin
+        state.(x) <- base + dead;
+        if !depth > 0 then begin
+          decr depth;
+          let back = path.(!depth) in
+          let p = G.src g back in
+          cur.(p) <- G.next_active g back;
+          u := p
+        end
+      end
+    end
+  done;
+  if state.(s) = base + on_path then state.(s) <- base + settled;
+  !pushes
+
+let scan_factor = 32
+
+let repair ?(stop = Solver_intf.never_stop) ?max_scan ~scale ~budget ?workspace g =
   let t0 = Telemetry.Clock.now_ns () in
   let ws = match workspace with Some w -> w | None -> create_workspace () in
   let bound = max 1 (G.node_bound g) in
   reserve ws bound;
-  let iterations = ref 0 in
+  let phases = ref 0 in
   let pushes = ref 0 in
   let relabels = ref 0 in
+  let scanned = ref 0 in
+  let cap = match max_scan with Some c -> c | None -> scan_factor * G.arc_count g in
   try
-    ignore (saturate ~scale g);
-    (* One excess sweep: augmentations only move flow from an excess to a
+    saturate g ~scale;
+    (* One excess sweep: phases only move flow from an excess to a
        deficit, so no node turns into a source later — the list is
        complete for the whole repair. *)
     let sources = ws.sources in
@@ -184,95 +396,52 @@ let repair ?(stop = Solver_intf.never_stop) ~scale ~budget ?workspace g =
         end
         else if e < 0 then deficit_exists := true);
     if !nsrc > 0 && not !deficit_exists then raise (Give_up No_path);
-    let dist = ws.dist in
-    let parent = ws.parent in
-    let seen = ws.seen in
-    let settled = ws.settled in
-    let touched = ws.touched in
     let heap = ws.heap in
-    let remaining = ref true in
-    while !remaining do
+    while !nsrc > 0 do
       if stop () then raise (Give_up Stopped_mid_repair);
       ws.epoch <- ws.epoch + 1;
-      let epoch = ws.epoch in
+      let base = 4 * ws.epoch in
       Heap.clear heap;
+      (* Drop drained sources and seed the rest at label 0. *)
       let live = ref 0 in
+      let want = ref 0 in
       for i = 0 to !nsrc - 1 do
         let s = sources.(i) in
-        if G.node_is_live g s && G.excess g s > 0 then begin
+        let e = G.excess g s in
+        if e > 0 then begin
+          sources.(!live) <- s;
           incr live;
-          dist.(s) <- 0;
-          parent.(s) <- -1;
-          seen.(s) <- epoch;
+          want := !want + e;
+          raise_price g ~scale s;
+          ws.dist.(s) <- 0;
+          ws.state.(s) <- base + labelled;
           Heap.insert heap s 0
         end
       done;
-      if !live = 0 then remaining := false
-      else begin
-        incr iterations;
-        if !iterations > budget then raise (Give_up Oversized);
-        (* Multi-source Dijkstra over scaled reduced costs, stopping at
-           the first deficit. Every settled node is recorded in
-           [touched] — the potential update below walks only those. *)
-        let tlen = ref 0 in
-        let target = ref (-1) in
-        while !target < 0 && not (Heap.is_empty heap) do
-          let u, du = Heap.pop_min heap in
-          if settled.(u) <> epoch then begin
-            settled.(u) <- epoch;
-            touched.(!tlen) <- u;
-            incr tlen;
-            if G.excess g u < 0 then target := u
-            else begin
-              let it = ref (G.first_active g u) in
-              while !it >= 0 do
-                let a = !it in
-                let v = G.dst g a in
-                if settled.(v) <> epoch then begin
-                  let rc =
-                    (G.cost g a * scale) - G.potential g u + G.potential g v
-                  in
-                  let dv = du + rc in
-                  if seen.(v) <> epoch || dv < dist.(v) then begin
-                    dist.(v) <- dv;
-                    parent.(v) <- a;
-                    seen.(v) <- epoch;
-                    Heap.insert heap v dv
-                  end
-                end;
-                it := G.next_active g a
-              done
-            end
-          end
+      nsrc := !live;
+      if !live > 0 then begin
+        incr phases;
+        let tlen = dijkstra ws g ~scale ~want:!want ~scanned ~cap in
+        (* Settled-only potential update: p(v) += D − dist(v), D the last
+           (largest) settled label. Settled→settled arcs keep rc ≥ 0 by
+           Dijkstra optimality and shortest-path arcs drop to rc = 0;
+           settled→unsettled arcs keep rc ≥ 0 because every unsettled
+           label is ≥ D; arcs out of unsettled nodes only gain reduced
+           cost. *)
+        let d = ws.dist.(ws.touched.(tlen - 1)) in
+        for i = 0 to tlen - 1 do
+          let v = ws.touched.(i) in
+          G.set_potential g v (G.potential g v + d - ws.dist.(v))
         done;
-        if !target < 0 then raise (Give_up No_path);
-        let t = !target in
-        let dt = dist.(t) in
-        (* Local potential update: p(v) += dt − dist(v) for settled v
-           only. Settled→settled arcs keep rc ≥ 0 by Dijkstra
-           optimality (path arcs become rc = 0); settled→unsettled
-           arcs gain rc ≥ 0 because any unsettled label is ≥ dt; arcs
-           out of unsettled nodes only gain reduced cost. *)
-        relabels := !relabels + !tlen;
-        for i = 0 to !tlen - 1 do
-          let v = touched.(i) in
-          G.set_potential g v (G.potential g v + (dt - dist.(v)))
-        done;
-        let rec root v = if parent.(v) < 0 then v else root (G.src g parent.(v)) in
-        let s = root t in
-        let rec bottleneck v acc =
-          if parent.(v) < 0 then acc
-          else bottleneck (G.src g parent.(v)) (min acc (G.rescap g parent.(v)))
-        in
-        let amount = min (G.excess g s) (min (- G.excess g t) (bottleneck t max_int)) in
-        let rec push v =
-          if parent.(v) >= 0 then begin
-            G.push g parent.(v) amount;
-            incr pushes;
-            push (G.src g parent.(v))
-          end
-        in
-        push t
+        relabels := !relabels + tlen;
+        (* Blocking flow over the zero-reduced-cost arcs of the settled
+           region. Dijkstra settled at least one deficit on a zero-cost
+           path from a settled source, so every phase moves flow. *)
+        for i = 0 to !nsrc - 1 do
+          let s = sources.(i) in
+          if ws.state.(s) = base + settled then
+            pushes := !pushes + drain_source ws g ~scale s
+        done
       end
     done;
     (* Certify before claiming optimality: every excess must be gone
@@ -286,10 +455,11 @@ let repair ?(stop = Solver_intf.never_stop) ~scale ~budget ?workspace g =
     let dt_ns = Telemetry.Clock.now_ns () - t0 in
     Telemetry.Metrics.incr m m_repairs;
     Telemetry.Metrics.observe m m_repair_ns dt_ns;
-    Telemetry.Metrics.observe m m_repair_augs !iterations;
+    Telemetry.Metrics.observe m m_repair_phases !phases;
     Telemetry.Metrics.observe m m_repair_touched !relabels;
+    Telemetry.Metrics.observe m m_repair_scanned !scanned;
     Repaired
-      (Solver_intf.stats ~iterations:!iterations ~pushes:!pushes
+      (Solver_intf.stats ~iterations:!phases ~pushes:!pushes
          ~relabels:!relabels Solver_intf.Optimal
          (Telemetry.Clock.s_of_ns dt_ns))
   with Give_up r ->

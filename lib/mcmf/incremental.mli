@@ -3,17 +3,27 @@
     Takes a graph carrying the previous round's adopted {e optimal} flow
     and potentials, already mutated by the round's change set, and
     restores an optimal solution with work proportional to the dirty
-    region: saturate reduced-cost violations, then route the resulting
-    excesses to deficits with potential-guided Dijkstra whose potential
-    update touches only settled nodes. The result is certified
+    region: repair each reduced-cost violation by a free local potential
+    shift or else by saturating the arc, then route the resulting
+    excesses to deficits in primal-dual phases — one multi-source
+    Dijkstra whose potential update touches only settled nodes, then a
+    blocking flow from all excesses to all deficits over the settled
+    region's zero-reduced-cost arcs. The result is certified
     ({!Price_refine.certified} at the caller's scale + zero excess) —
     any doubt returns {!Gave_up} and the caller runs the full race on
-    the untouched canonical graph. *)
+    the untouched canonical graph.
+
+    The potentials stay in the caller's units: cost scaling's scaled
+    units at [scale], not plain costs. Re-price a copy with
+    {!Price_refine.run} [~scale:1] to check it against
+    {!Flowgraph.Validate.is_reduced_cost_optimal}. *)
 
 (** Why a repair was abandoned (exported per-reason via telemetry
     [mcmf_incremental_giveup_*_total]). *)
 type reason =
-  | Oversized  (** more excess nodes or augmentations than [budget] *)
+  | Oversized
+      (** more excess nodes than [budget], or the searches scanned 32
+          times as many arcs as the graph has live arcs (the work cap) *)
   | No_path  (** an excess could not reach any deficit *)
   | Not_certified  (** repair finished but certification failed *)
   | Stopped_mid_repair  (** the stop callback fired *)
@@ -35,10 +45,15 @@ val reserve : workspace -> int -> unit
     cost scaling's scaled units at [scale]) toward a certified optimal
     solution. On [Gave_up] the graph is left partially repaired — hand
     the kernel a scratch copy, never the canonical graph. [budget] caps
-    both the number of excess nodes and the number of augmentations
-    before giving up [Oversized]. *)
+    the number of excess nodes after the saturation pass; independently,
+    the repair gives up [Oversized] once its searches have scanned more
+    than [max_scan] residual arcs (default: 32 times [g]'s live arc
+    count; see DESIGN.md for how it was set). Allocates a constant amount
+    per call (a few closures and the result), nothing per phase or per
+    augmentation. *)
 val repair :
   ?stop:Solver_intf.stop ->
+  ?max_scan:int ->
   scale:int ->
   budget:int ->
   ?workspace:workspace ->

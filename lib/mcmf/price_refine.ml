@@ -45,18 +45,9 @@ let reserve = ws_ensure
    scale it certifies potentials already living in scaled units (e.g.
    after an incremental repair). *)
 let certified ?(scale = 1) g =
-  let ok = ref true in
-  (try
-     G.iter_arcs g (fun a0 ->
-         let u = G.src g a0 and v = G.dst g a0 in
-         let rc = (G.cost g a0 * scale) - G.potential g u + G.potential g v in
-         if (G.rescap g a0 > 0 && rc < 0) || (G.rescap g (G.rev a0) > 0 && rc > 0)
-         then begin
-           ok := false;
-           raise Exit
-         end)
-   with Exit -> ());
-  !ok
+  match G.iter_negative g ~scale (fun _ _ -> raise Exit) with
+  | () -> true
+  | exception Exit -> false
 
 (* Fast path: if the stored potentials already satisfy reduced-cost
    optimality in unscaled units (true whenever relaxation produced the

@@ -537,18 +537,31 @@ let submit_parallel ?(stop = Solver_intf.never_stop) ~scratch t g =
       r_result = None;
     }
 
-(* Delta path: when the caller vouches the round's change set is small
-   ([delta_budget]) and the input graph is the one whose potentials
-   {!prepare} certified, try an O(changes) flow repair on a scratch copy
+(* Delta path: when the caller allows repair ([delta_budget]) and the
+   input graph is the one whose potentials {!prepare} certified, count the
+   input's excess nodes — O(n), no copy — and only when there are at most
+   [delta_budget] of them try an O(changes) flow repair on a scratch copy
    before dispatching any solver. A give-up (oversized delta, unroutable
    excess, failed certification, stop) recycles the copy and falls
    through to the configured mode untouched — the fallback ladder below
    never sees a difference. *)
+let excess_nodes_within g budget =
+  let n = ref 0 in
+  (try
+     G.iter_nodes g (fun v ->
+         if G.excess g v > 0 then begin
+           incr n;
+           if !n > budget then raise Exit
+         end)
+   with Exit -> ());
+  !n <= budget
+
 let try_repair ?stop ~scratch ~delta_budget t g =
   if scratch || not t.incremental then None
   else
     match (delta_budget, t.pot_graph) with
-    | Some budget, Some pg when pg == g && budget > 0 -> (
+    | Some budget, Some pg
+      when pg == g && budget > 0 && excess_nodes_within g budget -> (
         let c = take t g in
         match
           Incremental.repair ?stop ~scale:t.pot_scale ~budget

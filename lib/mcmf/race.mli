@@ -138,12 +138,12 @@ type handle
     way the scratch copies are taken before [submit] returns, so [g] may
     be mutated afterwards without affecting the result.
 
-    [?delta_budget] vouches that the round's change set is small (at most
-    that many excess nodes / augmentations): if additionally [g] is the
-    graph the last {!prepare} certified, the round is first attempted as
-    an O(changes) {!Incremental.repair} on a scratch copy — on success
-    the handle is ready at once with [winner = Repair]; on any give-up
-    (reasons exported as [mcmf_incremental_giveup_*_total]) the
+    [?delta_budget] allows the repair path: if [g] is the graph the last
+    {!prepare} certified and carries at most [delta_budget] excess nodes
+    (counted in O(n) on [g] itself, before any copy), the round is first
+    attempted as an O(changes) {!Incremental.repair} on a scratch copy —
+    on success the handle is ready at once with [winner = Repair]; on any
+    give-up (reasons exported as [mcmf_incremental_giveup_*_total]) the
     configured mode runs untouched, exactly as if [delta_budget] had not
     been passed.
 

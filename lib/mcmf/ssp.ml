@@ -4,10 +4,7 @@ module G = Flowgraph.Graph
    reduced-cost optimality at the price of feasibility (excesses appear at
    the endpoints). Shared with Relaxation. *)
 let establish_optimality g =
-  G.iter_arcs g (fun a0 ->
-      if G.rescap g a0 > 0 && G.reduced_cost g a0 < 0 then G.push g a0 (G.rescap g a0);
-      let a1 = G.rev a0 in
-      if G.rescap g a1 > 0 && G.reduced_cost g a1 < 0 then G.push g a1 (G.rescap g a1))
+  G.iter_negative g ~scale:1 (fun a _ -> G.push g a (G.rescap g a))
 
 (* Persistent Dijkstra scratch. [dist]/[parent] entries are valid only
    when [seen] carries the current round's epoch; [settled] is its own
@@ -93,7 +90,8 @@ let solve ?(stop = Solver_intf.never_stop) ?workspace g =
         incr iterations;
         let target = ref (-1) in
         while !target < 0 && not (Heap.is_empty heap) do
-          let u, du = Heap.pop_min heap in
+          let du = Heap.min_prio heap in
+          let u = Heap.pop_min heap in
           if settled.(u) <> epoch then begin
             settled.(u) <- epoch;
             if G.excess g u < 0 then target := u

@@ -1413,6 +1413,78 @@ let test_snapshot_midround_captures_canonical () =
   checki "waiting tasks re-placed after restore" 3
     (List.length rr.Firmament.Scheduler.started)
 
+(* {1 Repair path under steady churn} *)
+
+(* The paper's steady-state round at 1,000 machines: a cluster settled at
+   50% under Quincy, then rounds in which 1% of the running tasks finish
+   and one job of the same size arrives (~60 events). Every such round
+   must be resolved by the incremental repair, not the full race, and the
+   certificate handed to the round observer must pass the validators in
+   cost units even though the canonical potentials are in cost scaling's
+   scaled units. *)
+let test_one_percent_churn_takes_repair_path () =
+  let base = Cluster.Trace.default_params ~machines:1000 () in
+  let trace =
+    Cluster.Trace.generate { base with target_utilization = 0.5; horizon_s = 0.; seed = 11 }
+  in
+  let cluster = Cluster.State.create trace.Cluster.Trace.topology in
+  let sched = Firmament.Scheduler.create cluster ~policy:quincy_policy in
+  let pending = ref 0 in
+  List.iter
+    (fun job ->
+      Firmament.Scheduler.submit_job sched (W.clone_job job);
+      pending := !pending + Array.length job.W.tasks;
+      if !pending >= 500 then begin
+        ignore (solve_sched sched ~now:0.);
+        pending := 0
+      end)
+    trace.Cluster.Trace.initial_jobs;
+  ignore (solve_sched sched ~now:0.);
+  let rng = Random.State.make [| 11 |] in
+  let next_tid = ref 10_000_000 in
+  let churn_round i =
+    let now = 100. +. float_of_int i in
+    let running = ref [] in
+    Cluster.State.iter_tasks cluster (fun t -> if W.is_running t then running := t.W.tid :: !running);
+    let running = Array.of_list !running in
+    let n = max 1 (Array.length running / 100) in
+    for k = 0 to n - 1 do
+      let j = k + Random.State.int rng (Array.length running - k) in
+      let tid = running.(j) in
+      running.(j) <- running.(k);
+      Firmament.Scheduler.finish_task sched tid ~now
+    done;
+    let jid = 1_000_000 + i in
+    Firmament.Scheduler.submit_job sched
+      (job_of_tasks ~jid ~submit:now
+         (List.init n (fun _ ->
+              incr next_tid;
+              quincy_task ~tid:!next_tid ~job:jid ~submit:now ~duration:120. ~input_mb:500.
+                ~input_machines:(List.init 3 (fun _ -> Random.State.int rng 1000)))));
+    solve_sched sched ~now
+  in
+  for i = 1 to 3 do
+    ignore (churn_round i)
+  done;
+  let certified = ref 0 in
+  Firmament.Scheduler.set_round_observer sched
+    (Some
+       (fun _ _ ~certified:c ->
+         match c with
+         | Some g ->
+             incr certified;
+             checkb "certificate feasible" true (Flowgraph.Validate.is_feasible g);
+             checkb "certificate reduced-cost optimal" true
+               (Flowgraph.Validate.is_reduced_cost_optimal g)
+         | None -> ()));
+  for i = 4 to 8 do
+    let r = churn_round i in
+    Alcotest.check degraded_t "clean round" `None r.Firmament.Scheduler.degraded;
+    checkb (Printf.sprintf "round %d repaired" i) true
+      (r.Firmament.Scheduler.winner = Mcmf.Race.Repair)
+  done;
+  checki "every repaired round certified" 5 !certified
+
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -1513,5 +1585,10 @@ let () =
             test_snapshot_journal_replay;
           Alcotest.test_case "mid-round snapshot captures canonical graph" `Quick
             test_snapshot_midround_captures_canonical;
+        ] );
+      ( "repair-path",
+        [
+          Alcotest.test_case "1% churn at 1k machines repairs, certified" `Quick
+            test_one_percent_churn_takes_repair_path;
         ] );
     ]

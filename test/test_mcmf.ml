@@ -803,7 +803,7 @@ let prop_incremental_repair_matches_full =
         let g_scratch = G.copy g in
         G.reset_flow g_scratch;
         let s_ref = Mcmf.Ssp.solve g_scratch in
-        match Mcmf.Incremental.repair ~scale:1 ~budget:max_int g with
+        match Mcmf.Incremental.repair ~max_scan:max_int ~scale:1 ~budget:max_int g with
         | Mcmf.Incremental.Repaired st ->
             if s_ref.S.outcome <> S.Optimal then
               QCheck.Test.fail_report "repair certified an infeasible instance"
@@ -915,6 +915,99 @@ let test_repair_give_up_reasons () =
   | Mcmf.Incremental.Gave_up r ->
       Alcotest.failf "expected Stopped, got %s" (Mcmf.Incremental.reason_name r)
   | Mcmf.Incremental.Repaired _ -> Alcotest.fail "stop must abandon the repair")
+
+(* A burst of [k] brand-new unit sources, the shape of a batch of task
+   arrivals: each new node has supply 1, zero to two cheap arcs into the
+   existing graph, and a costly direct arc to an existing demand node
+   whose demand grows by one — the instance stays balanced and the new
+   unit always has a route, like a task's unscheduled arc. *)
+let source_burst ~k ~mseed g =
+  let rng = Random.State.make [| 0x737263; mseed |] in
+  let nodes = ref [] and demands = ref [] in
+  G.iter_nodes g (fun v ->
+      nodes := v :: !nodes;
+      if G.supply g v < 0 then demands := v :: !demands);
+  let nodes = Array.of_list !nodes in
+  let demands = Array.of_list (if !demands = [] then Array.to_list nodes else !demands) in
+  for _ = 1 to k do
+    let v = G.add_node g ~supply:1 in
+    for _ = 1 to Random.State.int rng 3 do
+      let w = nodes.(Random.State.int rng (Array.length nodes)) in
+      ignore
+        (G.add_arc g ~src:v ~dst:w ~cost:(Random.State.int rng 40)
+           ~cap:(1 + Random.State.int rng 2))
+    done;
+    let t = demands.(Random.State.int rng (Array.length demands)) in
+    ignore (G.add_arc g ~src:v ~dst:t ~cost:(100 + Random.State.int rng 50) ~cap:1);
+    G.set_supply g t (G.supply g t - 1)
+  done
+
+let prop_batched_repair_matches_ssp =
+  (* Batched primal-dual repair must land on the SSP optimum when a round
+     brings hundreds of unit sources at once, on top of the cost changes,
+     capacity growth {e and cuts} of [repair_burst], on all three NETGEN
+     families. Unroutable bursts must give up [No_path] exactly when SSP
+     finds the instance infeasible. *)
+  QCheck.Test.make ~name:"batched repair = SSP optimum under 200+ source bursts"
+    ~count:40
+    QCheck.(triple (int_bound 1_000_000) (int_bound 1_000_000) (int_range 200 320))
+    (fun (seed, mseed, k) ->
+      let g = netgen_instance seed in
+      if (Mcmf.Relaxation.solve g).S.outcome <> S.Optimal then QCheck.assume_fail ()
+      else begin
+        repair_burst ~mseed g;
+        source_burst ~k ~mseed g;
+        let g_scratch = G.copy g in
+        G.reset_flow g_scratch;
+        let s_ref = Mcmf.Ssp.solve g_scratch in
+        match Mcmf.Incremental.repair ~max_scan:max_int ~scale:1 ~budget:max_int g with
+        | Mcmf.Incremental.Repaired st ->
+            s_ref.S.outcome = S.Optimal
+            && st.S.outcome = S.Optimal
+            && G.total_cost g = G.total_cost g_scratch
+            && Validate.is_feasible g && Validate.is_optimal g
+        | Mcmf.Incremental.Gave_up Mcmf.Incremental.No_path ->
+            s_ref.S.outcome = S.Infeasible
+        | Mcmf.Incremental.Gave_up r ->
+            QCheck.Test.fail_report ("repair gave up: " ^ Mcmf.Incremental.reason_name r)
+      end)
+
+let test_repair_work_cap () =
+  (* A hopeless delta: [k] new units behind one hub, each of which must
+     take a differently priced one-unit route to the single deficit. Every
+     phase can route one unit only, and every phase's search rescans the
+     hub's [k] routes, so the searches scan ~k² arcs against a graph of
+     ~3k — past the work cap of 32× the arc count long before the last
+     unit. The kernel must give up [Oversized]; without the cap the same
+     delta repairs, so the cap, not the instance, stopped it. *)
+  let k = 200 in
+  let instance () =
+    let g = G.create () in
+    let hub = G.add_node g ~supply:0 in
+    let sink = G.add_node g ~supply:(-k) in
+    for j = 1 to k do
+      let s = G.add_node g ~supply:1 in
+      ignore (G.add_arc g ~src:s ~dst:hub ~cost:0 ~cap:1);
+      let mid = G.add_node g ~supply:0 in
+      ignore (G.add_arc g ~src:hub ~dst:mid ~cost:j ~cap:1);
+      ignore (G.add_arc g ~src:mid ~dst:sink ~cost:0 ~cap:1)
+    done;
+    g
+  in
+  let oversized0 = counter_value "mcmf_incremental_giveup_oversized_total" in
+  (match Mcmf.Incremental.repair ~scale:1 ~budget:(2 * k) (instance ()) with
+  | Mcmf.Incremental.Gave_up Mcmf.Incremental.Oversized -> ()
+  | Mcmf.Incremental.Gave_up r ->
+      Alcotest.failf "expected Oversized, got %s" (Mcmf.Incremental.reason_name r)
+  | Mcmf.Incremental.Repaired _ -> Alcotest.fail "a delta past the work cap must give up");
+  checkb "counted as an oversized give-up" true
+    (counter_value "mcmf_incremental_giveup_oversized_total" > oversized0);
+  let g = instance () in
+  match Mcmf.Incremental.repair ~max_scan:max_int ~scale:1 ~budget:(2 * k) g with
+  | Mcmf.Incremental.Repaired _ ->
+      checkb "uncapped repair optimal" true (Validate.is_optimal g)
+  | Mcmf.Incremental.Gave_up r ->
+      Alcotest.failf "uncapped repair gave up: %s" (Mcmf.Incremental.reason_name r)
 
 let test_repair_no_change_round () =
   (* Zero changes: repair finds nothing to do and certifies immediately. *)
@@ -1193,7 +1286,7 @@ let test_heap_ordering () =
   let h = Mcmf.Heap.create ~capacity:8 in
   List.iter (fun (e, p) -> Mcmf.Heap.insert h e p) [ (0, 5); (1, 3); (2, 9); (3, 1) ];
   checki "size" 4 (Mcmf.Heap.size h);
-  let order = List.init 4 (fun _ -> fst (Mcmf.Heap.pop_min h)) in
+  let order = List.init 4 (fun _ -> Mcmf.Heap.pop_min h) in
   Alcotest.check Alcotest.(list int) "pop order" [ 3; 1; 0; 2 ] order
 
 let test_heap_decrease_key () =
@@ -1202,12 +1295,14 @@ let test_heap_decrease_key () =
   Mcmf.Heap.insert h 1 5;
   Mcmf.Heap.insert h 0 1;
   (* decrease *)
-  let e, p = Mcmf.Heap.pop_min h in
+  let p = Mcmf.Heap.min_prio h in
+  let e = Mcmf.Heap.pop_min h in
   checki "element" 0 e;
   checki "priority" 1 p;
   Mcmf.Heap.insert h 1 99;
   (* increase ignored *)
-  let _, p = Mcmf.Heap.pop_min h in
+  let p = Mcmf.Heap.min_prio h in
+  ignore (Mcmf.Heap.pop_min h);
   checki "kept lower priority" 5 p
 
 let prop_heap_sorts =
@@ -1219,7 +1314,8 @@ let prop_heap_sorts =
       let rec drain last =
         if Mcmf.Heap.is_empty h then true
         else begin
-          let _, p = Mcmf.Heap.pop_min h in
+          let p = Mcmf.Heap.min_prio h in
+          ignore (Mcmf.Heap.pop_min h);
           p >= last && drain p
         end
       in
@@ -1294,7 +1390,13 @@ let () =
           test_race_repair_taken_and_telemetry
         :: Alcotest.test_case "give-up reasons" `Quick test_repair_give_up_reasons
         :: Alcotest.test_case "no-change round" `Quick test_repair_no_change_round
-        :: qcheck [ prop_incremental_repair_matches_full; prop_race_repair_path_matches ]
+        :: Alcotest.test_case "work cap gives up oversized" `Quick test_repair_work_cap
+        :: qcheck
+             [
+               prop_incremental_repair_matches_full;
+               prop_race_repair_path_matches;
+               prop_batched_repair_matches_ssp;
+             ]
       );
       ( "degradation",
         Alcotest.test_case "infeasible returns untouched input" `Quick
