@@ -1038,8 +1038,9 @@ let sweep ~scale () =
    a fraction [f] of the live tasks and submits as many, the steady-state
    round whose delta grows with the cluster. Runs each ladder point twice
    on identically settled clusters: repair disabled (full-race baseline),
-   then enabled. Returns round times, solve mean, repaired rounds and
-   mean events per round. *)
+   then enabled. Returns round times, solve mean, repaired rounds, mean
+   events per round, and the scratch graph copies the race took during
+   repaired rounds (0: repairs run in place). *)
 let measure_delta_rounds s ~rounds ~delta =
   let reg = Telemetry.Metrics.global () in
   let hist name =
@@ -1073,12 +1074,17 @@ let measure_delta_rounds s ~rounds ~delta =
   let repairs0 = counter "mcmf_race_wins_repair_total" in
   let times = ref [] in
   let events = ref 0 in
+  let repair_copies = ref 0 in
+  let copies () = Option.value (counter "mcmf_race_graph_copies_total") ~default:0 in
   for i = 3 to rounds + 2 do
     let now = float_of_int i in
     events := !events + feed ~now;
+    let c0 = copies () in
     let t0 = Unix.gettimeofday () in
-    ignore (Setup.schedule s ~now);
-    times := (Unix.gettimeofday () -. t0) :: !times
+    let r = Setup.schedule s ~now in
+    times := (Unix.gettimeofday () -. t0) :: !times;
+    if r.Firmament.Scheduler.winner = Mcmf.Race.Repair then
+      repair_copies := !repair_copies + (copies () - c0)
   done;
   let solve_mean =
     float_of_int (Telemetry.Metrics.hist_sum reg solve_id - solve0)
@@ -1089,7 +1095,11 @@ let measure_delta_rounds s ~rounds ~delta =
     | Some now, Some warm -> now - warm
     | _ -> 0
   in
-  (!times, solve_mean, repair_rounds, float_of_int !events /. float_of_int rounds)
+  ( !times,
+    solve_mean,
+    repair_rounds,
+    float_of_int !events /. float_of_int rounds,
+    !repair_copies )
 
 let incr ~scale () =
   header "Incremental repair: fixed-delta and 1%-churn rounds, delta-solve vs full race";
@@ -1118,8 +1128,10 @@ let incr ~scale () =
             in
             measure_delta_rounds s ~rounds ~delta
           in
-          let _, solve_full, _, _ = run ~incremental:false in
-          let times_incr, solve_incr, repair_rounds, events = run ~incremental:true in
+          let _, solve_full, _, _, _ = run ~incremental:false in
+          let times_incr, solve_incr, repair_rounds, events, repair_copies =
+            run ~incremental:true
+          in
           let speedup = solve_full /. Float.max 1e-9 solve_incr in
           row
             [
@@ -1144,6 +1156,7 @@ let incr ~scale () =
               ("round_incr_mean_s", Stats.mean times_incr);
               ("round_incr_p99_s", Stats.percentile times_incr 99.);
               ("repair_rounds", float_of_int repair_rounds);
+              ("repair_round_copies", float_of_int repair_copies);
             ])
         [ ("32 events", `Events 32, 0.); ("1% churn", `Churn 0.01, 0.01) ])
     points

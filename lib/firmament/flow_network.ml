@@ -33,9 +33,27 @@ type t = {
      (placement extraction, validation) can use them on any adopted
      solution graph without re-scanning out-lists. *)
   sink_arcs : (Cluster.Types.machine_id, G.arc) Hashtbl.t;
+  (* The same cache for each job's unscheduled-aggregator->sink arc,
+     maintained by [ensure_unscheduled]/[remove_unscheduled]. That arc
+     sits at the tail of the aggregator's out-list, behind the reverse
+     arc of every task of the job, so a [find_arc] per capacity update
+     scans the whole job. *)
+  unsched_arcs : (Cluster.Types.job_id, G.arc) Hashtbl.t;
   mutable cluster_agg : G.node option;
   mutable n_tasks : int;
+  (* Log of the task ids [add_task] saw, in order, so the placement
+     extractor can find the tasks it does not track yet without walking
+     every task. Entry [i] of [added] has absolute position
+     [added_start + i]; the log is dropped whole (and [added_start]
+     advanced past it) once it outgrows the task population, so a reader
+     that fell behind sees a gap and falls back to a full walk. [uid]
+     tells networks apart, since positions are per network. *)
+  uid : int;
+  added : int Flowgraph.Vec.t;
+  mutable added_start : int;
 }
+
+let uid_counter = Atomic.make 0
 
 let create ?node_hint ?arc_hint () =
   let g = G.create ?node_hint ?arc_hint () in
@@ -52,8 +70,12 @@ let create ?node_hint ?arc_hint () =
     unscheduled = Hashtbl.create 16;
     request_aggs = Hashtbl.create 16;
     sink_arcs = Hashtbl.create 64;
+    unsched_arcs = Hashtbl.create 16;
     cluster_agg = None;
     n_tasks = 0;
+    uid = Atomic.fetch_and_add uid_counter 1;
+    added = Flowgraph.Vec.create ~dummy:0 ();
+    added_start = 0;
   }
 
 let graph t = t.g
@@ -83,8 +105,12 @@ let restore ~graph:g ~kinds:kind_list =
       unscheduled = Hashtbl.create 16;
       request_aggs = Hashtbl.create 16;
       sink_arcs = Hashtbl.create 64;
+      unsched_arcs = Hashtbl.create 16;
       cluster_agg = None;
       n_tasks = 0;
+      uid = Atomic.fetch_and_add uid_counter 1;
+      added = Flowgraph.Vec.create ~dummy:0 ();
+      added_start = 0;
     }
   in
   List.iter
@@ -112,18 +138,28 @@ let restore ~graph:g ~kinds:kind_list =
      table and the graph came from different snapshots. *)
   G.iter_nodes g (fun n ->
       if not (Hashtbl.mem t.kinds n) then fail "live node %d has no kind record" n);
+  let sink_arc n =
+    let arc = ref (-1) in
+    let it = ref (G.first_out g n) in
+    while !arc < 0 && !it >= 0 do
+      let a = !it in
+      if G.is_forward a && G.dst g a = t.sink then arc := a;
+      it := G.next_out g a
+    done;
+    !arc
+  in
   Hashtbl.iter
     (fun m n ->
-      let arc = ref (-1) in
-      let it = ref (G.first_out g n) in
-      while !arc < 0 && !it >= 0 do
-        let a = !it in
-        if G.is_forward a && G.dst g a = t.sink then arc := a;
-        it := G.next_out g a
-      done;
-      if !arc < 0 then fail "machine %d has no arc to the sink" m;
-      Hashtbl.replace t.sink_arcs m !arc)
+      let a = sink_arc n in
+      if a < 0 then fail "machine %d has no arc to the sink" m;
+      Hashtbl.replace t.sink_arcs m a)
     t.machines;
+  Hashtbl.iter
+    (fun j n ->
+      let a = sink_arc n in
+      if a < 0 then fail "unscheduled aggregator of job %d has no arc to the sink" j;
+      Hashtbl.replace t.unsched_arcs j a)
+    t.unscheduled;
   if G.supply g t.sink <> -t.n_tasks then
     fail "sink supply %d does not match -%d task nodes" (G.supply g t.sink) t.n_tasks;
   t
@@ -144,6 +180,12 @@ let add_task t tid =
   Hashtbl.replace t.kinds n (Task_node tid);
   Hashtbl.replace t.tasks tid n;
   t.n_tasks <- t.n_tasks + 1;
+  let len = Flowgraph.Vec.length t.added in
+  if len >= max 1024 (2 * t.n_tasks) then begin
+    t.added_start <- t.added_start + len;
+    Flowgraph.Vec.clear t.added
+  end;
+  ignore (Flowgraph.Vec.push t.added tid);
   G.set_supply t.g t.sink (- t.n_tasks);
   n
 
@@ -332,10 +374,11 @@ let ensure_unscheduled t j =
       let n = G.add_node t.g ~supply:0 in
       Hashtbl.replace t.kinds n (Unscheduled_agg j);
       Hashtbl.replace t.unscheduled j n;
-      ignore (G.add_arc t.g ~src:n ~dst:t.sink ~cost:0 ~cap:0);
+      Hashtbl.replace t.unsched_arcs j (G.add_arc t.g ~src:n ~dst:t.sink ~cost:0 ~cap:0);
       n
 
 let unscheduled_node t j = Hashtbl.find_opt t.unscheduled j
+let unscheduled_sink_arc t j = Hashtbl.find_opt t.unsched_arcs j
 
 let remove_unscheduled t j =
   match Hashtbl.find_opt t.unscheduled j with
@@ -343,6 +386,7 @@ let remove_unscheduled t j =
   | Some n ->
       G.remove_node t.g n;
       Hashtbl.remove t.unscheduled j;
+      Hashtbl.remove t.unsched_arcs j;
       Hashtbl.remove t.kinds n
 
 let ensure_request_agg t b =
@@ -381,6 +425,20 @@ let set_or_add_arc t ~src ~dst ~cost ~cap =
   | None -> G.add_arc t.g ~src ~dst ~cost ~cap
 
 let iter_task_nodes t f = Hashtbl.iter f t.tasks
+let task_log_end t = t.added_start + Flowgraph.Vec.length t.added
+
+let iter_tasks_added_since t ~uid ~pos f =
+  uid = t.uid
+  && pos >= t.added_start
+  && pos <= task_log_end t
+  && begin
+       for i = pos - t.added_start to Flowgraph.Vec.length t.added - 1 do
+         f (Flowgraph.Vec.get t.added i)
+       done;
+       true
+     end
+
+let uid t = t.uid
 let iter_machine_nodes t f = Hashtbl.iter f t.machines
 
 let validate_structure t =
@@ -415,4 +473,15 @@ let validate_structure t =
         done
       end)
     t.machines;
+  Hashtbl.iter
+    (fun j n ->
+      match Hashtbl.find_opt t.unsched_arcs j with
+      | None -> err "unscheduled aggregator of job %d has no cached sink arc" j
+      | Some a ->
+          if not (G.arc_is_live t.g a) then
+            err "job %d cached unscheduled sink arc %d is dead" j a
+          else if G.src t.g a <> n || G.dst t.g a <> t.sink then
+            err "job %d cached unscheduled sink arc %d runs %d->%d, expected %d->sink" j
+              a (G.src t.g a) (G.dst t.g a) n)
+    t.unscheduled;
   List.rev !errs

@@ -116,6 +116,12 @@ val ensure_cluster_agg : t -> Flowgraph.Graph.node
 val ensure_unscheduled : t -> Cluster.Types.job_id -> Flowgraph.Graph.node
 
 val unscheduled_node : t -> Cluster.Types.job_id -> Flowgraph.Graph.node option
+
+(** [unscheduled_sink_arc t j] is job [j]'s cached unscheduled-aggregator
+    →sink arc (created by {!ensure_unscheduled}, dropped by
+    {!remove_unscheduled}), or [None] for a job without an aggregator.
+    O(1), valid across {!set_graph} like {!machine_sink_arc}. *)
+val unscheduled_sink_arc : t -> Cluster.Types.job_id -> Flowgraph.Graph.arc option
 val remove_unscheduled : t -> Cluster.Types.job_id -> unit
 val ensure_request_agg : t -> int -> Flowgraph.Graph.node
 val remove_request_agg : t -> int -> unit
@@ -141,6 +147,30 @@ val task_count : t -> int
 
 (** [iter_task_nodes t f] / [iter_machine_nodes t f] iterate the id maps. *)
 val iter_task_nodes : t -> (Cluster.Types.task_id -> Flowgraph.Graph.node -> unit) -> unit
+
+(** {1 Task log}
+
+    Every {!add_task} appends its task id to a log, so a reader that
+    keeps up (the delta placement extractor) can find the tasks added
+    since it last looked without walking all of them. Positions are
+    absolute and per network ({!uid}). The log keeps at most about twice
+    the live task count: past that it is dropped, and a reader that fell
+    behind must walk {!iter_task_nodes} instead. *)
+
+(** [uid t] tells networks apart (positions of one mean nothing in
+    another). *)
+val uid : t -> int
+
+(** [task_log_end t] is the position just past the newest entry. *)
+val task_log_end : t -> int
+
+(** [iter_tasks_added_since t ~uid ~pos f] applies [f] to every task id
+    logged at or after [pos], oldest first, and is [true] — or does
+    nothing and is [false] when [uid] is not [t]'s or the entries from
+    [pos] on are no longer kept. A task removed since, or added twice, is
+    reported as logged. *)
+val iter_tasks_added_since :
+  t -> uid:int -> pos:int -> (Cluster.Types.task_id -> unit) -> bool
 
 val iter_machine_nodes :
   t -> (Cluster.Types.machine_id -> Flowgraph.Graph.node -> unit) -> unit

@@ -52,6 +52,11 @@ type workspace = {
   mutable s_free_top : int;
   mutable n_unsched : int;
   mutable synced : bool;
+  (* Where this workspace last read the network's task log
+     ({!Flow_network.iter_tasks_added_since}); [log_uid = -1] forces the
+     next sync to walk every task. *)
+  mutable log_uid : int;
+  mutable log_pos : int;
   (* pending (tid, prev-mach) pairs during a sync *)
   mutable pend : int array;
   mutable pend_top : int;
@@ -84,6 +89,8 @@ let create_workspace ?(node_hint = 0) ?(arc_hint = 0) () =
     s_free_top = 0;
     n_unsched = 0;
     synced = false;
+    log_uid = -1;
+    log_pos = 0;
     pend = Array.make 128 0;
     pend_top = 0;
     budget = Array.make arc_cap 0;
@@ -154,7 +161,8 @@ let reset ws =
   ws.s_free_top <- 0;
   ws.n_unsched <- 0;
   ws.pend_top <- 0;
-  ws.synced <- false
+  ws.synced <- false;
+  ws.log_uid <- -1
 
 let push_pending ws tid prev =
   if ws.pend_top + 2 > Array.length ws.pend then
@@ -223,22 +231,23 @@ let sync_pass ws net ~emit =
   let any_dirty = ref false in
   (* Pass 1: per-arc dirty scan — flow or generation changed since the
      last sync. Dead slots read as flow 0 / generation 0. *)
-  for k = 0 to nslots - 1 do
-    let a = 2 * k in
-    let live = G.arc_is_live g a in
-    let flw = if live then G.rescap g (a + 1) else 0 in
-    let gn = if live then G.arc_generation g a else 0 in
-    if gn <> ws.gen.(k) then begin
-      ws.gen_dirty.(k) <- epoch;
-      ws.gen.(k) <- gn;
-      any_dirty := true
-    end;
-    if flw <> ws.used.(k) then begin
-      ws.flow_dirty.(k) <- epoch;
-      any_dirty := true
-    end
-  done;
+  let used = ws.used and gen = ws.gen in
+  let flow_dirty = ws.flow_dirty and gen_dirty = ws.gen_dirty in
+  G.iter_pairs g (fun k flw gn ->
+      if gn <> Array.unsafe_get gen k then begin
+        Array.unsafe_set gen_dirty k epoch;
+        Array.unsafe_set gen k gn;
+        any_dirty := true
+      end;
+      if flw <> Array.unsafe_get used k then begin
+        Array.unsafe_set flow_dirty k epoch;
+        any_dirty := true
+      end);
   ws.pend_top <- 0;
+  (* The task log is read whether or not the passes below run, so the
+     next sync starts where this one ended. *)
+  let log_complete = ref true in
+  let untracked tid = if Int_table.find ws.slots tid < 0 then push_pending ws tid (-2) in
   if !any_dirty || FN.task_count net <> Int_table.length ws.slots then begin
     (* Pass 2: revoke stored paths invalidated by the dirty arcs. A path
        must go if any hop's arc identity changed, or if more stored
@@ -277,9 +286,19 @@ let sync_pass ws net ~emit =
           end
         end
       done;
-    (* Pass 3: tasks the network has that we do not track yet. *)
-    FN.iter_task_nodes net (fun tid _node ->
-        if Int_table.find ws.slots tid < 0 then push_pending ws tid (-2));
+    (* Pass 3: tasks the network has that we do not track yet. After a
+       successful sync every live task is tracked, and pass 2 revoked
+       every tracked task that left, so the untracked ones are exactly
+       those added since: read them off the network's task log. A fresh
+       or reset workspace, or one the log has moved past, walks every
+       task instead. *)
+    if
+      not
+        (FN.iter_tasks_added_since net ~uid:ws.log_uid ~pos:ws.log_pos untracked)
+    then begin
+      log_complete := false;
+      FN.iter_task_nodes net (fun tid _node -> untracked tid)
+    end;
     (* Pass 4: re-route. A task revoked in pass 2 is untracked by the
        time pass 3 scans, so it is pushed twice; the slot check routes
        (and emits) it exactly once. Emitted unconditionally — the
@@ -301,7 +320,13 @@ let sync_pass ws net ~emit =
           end);
       i := !i + 2
     done
-  end
+  end;
+  ws.log_uid <- FN.uid net;
+  ws.log_pos <- FN.task_log_end net;
+  (* Every live task must be tracked now. If the log missed one, a full
+     walk finds it (Desync-grade: it should not happen). *)
+  if !log_complete && Int_table.length ws.slots <> FN.task_count net then
+    raise (Desync "task log missed an untracked task")
 
 let sync_with_rebuild ws net ~emit =
   ws.synced <- false;

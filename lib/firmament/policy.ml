@@ -12,9 +12,8 @@ type t = {
 module G = Flowgraph.Graph
 
 let adjust_unscheduled_capacity net j ~delta =
-  let u = Flow_network.ensure_unscheduled net j in
-  let sink = Flow_network.sink net in
-  match Flow_network.find_arc net u sink with
+  ignore (Flow_network.ensure_unscheduled net j);
+  match Flow_network.unscheduled_sink_arc net j with
   | None -> invalid_arg "Policy.adjust_unscheduled_capacity: missing sink arc"
   | Some a ->
       let g = Flow_network.graph net in

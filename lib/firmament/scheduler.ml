@@ -343,17 +343,35 @@ let of_restored ?(config = default_config) cluster ~net ~policy =
    has finished mutating the graph. *)
 let prepare_warm t = Mcmf.Race.prepare t.race (FN.graph t.net)
 
-let network t = t.net
+(* While a round is pending, the canonical graph is the pre-round warm
+   start — except after an in-place repair, where it holds the round's
+   result until someone needs the warm start back. That someone is every
+   mutator below and every outside reader of {!network} (snapshot base
+   images, debug hooks): the first of them detaches the repair into a
+   scratch copy and rolls the canonical graph back, so interleaved events
+   and snapshots see exactly what they would after a copying solve. A
+   no-op on every other round, and on later calls. *)
+let settle t =
+  match t.pending with
+  | Some p -> Mcmf.Race.detach t.race p.p_handle
+  | None -> ()
+
+let network t =
+  settle t;
+  t.net
+
 let cluster t = t.cluster
 let policy_name t = t.policy.Policy.name
 
 (* Cluster events are legal while a round is in flight: the solvers work
-   on copies taken at begin, so mutating the canonical graph here is
-   safe. Each event that changes the task/machine node population is
-   logged on the pending round, so the commit can still read the solver's
-   snapshot with begin-time node identities. *)
+   on copies taken at begin (an in-place repair is detached by [settle]
+   first), so mutating the canonical graph here is safe. Each event that
+   changes the task/machine node population is logged on the pending
+   round, so the commit can still read the solver's snapshot with
+   begin-time node identities. *)
 
 let submit_job t job =
+  settle t;
   Cluster.State.submit_job t.cluster job;
   (match t.pending with
   | Some p ->
@@ -365,6 +383,7 @@ let submit_job t job =
   Array.iter (fun task -> t.policy.Policy.task_submitted task) job.Cluster.Workload.tasks
 
 let finish_task t tid ~now =
+  settle t;
   (match t.pending with
   | Some p when not (List.mem tid p.p_mid_added) -> (
       match FN.task_node t.net tid with
@@ -380,6 +399,7 @@ let finish_task t tid ~now =
   Hashtbl.remove t.assigned tid
 
 let fail_machine t m =
+  settle t;
   (match t.pending with
   | Some p -> (
       match FN.machine_node t.net m with
@@ -395,6 +415,7 @@ let fail_machine t m =
     victims
 
 let restore_machine t m =
+  settle t;
   Cluster.State.restore_machine t.cluster m;
   t.policy.Policy.machine_restored m
 
@@ -403,6 +424,7 @@ let restore_machine t m =
    solve in flight cannot re-commit a placement for it; the task node
    itself stays live, which is exactly what the snapshot reader expects. *)
 let preempt_task t tid =
+  settle t;
   Cluster.State.preempt t.cluster tid;
   Hashtbl.remove t.assigned tid;
   t.policy.Policy.task_preempted (Cluster.State.task t.cluster tid)
@@ -416,6 +438,7 @@ let set_round_observer t obs = t.observer <- obs
    authoritative re-checks commit performs, so a corrupt or re-ordered
    journal degrades to skipped records rather than exceptions. *)
 let replay_placement t ~now action =
+  settle t;
   let place tid mm =
     if
       (not (Hashtbl.mem t.assigned tid))
@@ -756,6 +779,19 @@ let commit_round t p ~now =
        || Flowgraph.Graph.peek_changes (FN.graph t.net) <> p.p_changes)
   in
   if interleaved then Telemetry.Metrics.incr m m_rounds_overlapped;
+  (* An in-place repaired result still aliasing the canonical graph here
+     means nothing settled the round: only cluster state moved (every
+     graph mutator settles first). Detach now, so the reconcile path
+     reads a snapshot. A canonical graph that moved under the repair
+     cannot be rolled back, and the detach fails loudly on it
+     (Invalid_argument) rather than let the commit extract from it. *)
+  let result =
+    if interleaved && result.Mcmf.Race.graph == FN.graph t.net then begin
+      Mcmf.Race.detach t.race p.p_handle;
+      Mcmf.Race.await p.p_handle
+    end
+    else result
+  in
   (* Close the round: shared metric recording plus the contiguous phase
      list ([("refresh", …); ("solve", …); branch phases]) whose durations
      sum to the round's commit-side wall time by construction. *)
@@ -887,10 +923,13 @@ let commit_round t p ~now =
         { base with started; migrated; preempted; unscheduled; discarded; replayed }
   | Mcmf.Solver_intf.Optimal ->
       let replaced = FN.graph t.net in
-      FN.set_graph t.net result.Mcmf.Race.graph;
       (* Swap-on-optimal: the displaced canonical graph becomes the next
-         round's scratch copy instead of garbage. *)
-      Mcmf.Race.recycle t.race replaced;
+         round's scratch copy instead of garbage. An in-place repair
+         already left its result in the canonical graph: nothing to swap. *)
+      if result.Mcmf.Race.graph != replaced then begin
+        FN.set_graph t.net result.Mcmf.Race.graph;
+        Mcmf.Race.recycle t.race replaced
+      end;
       (* The adopted graph carries its own cumulative summary; re-sync the
          delta baseline so the next round doesn't misattribute. *)
       t.last_changes <- Flowgraph.Graph.peek_changes (FN.graph t.net);

@@ -28,8 +28,9 @@
        the network is repaired) recovers from a coherent warm start.}}
 
     Invariant: the flow network owned by this scheduler is never left
-    mid-solve between rounds — {!Mcmf.Race.solve} works on copies, and a
-    degraded round keeps the pre-round graph.
+    mid-solve between rounds — {!Mcmf.Race.solve} works on copies or
+    repairs in place under an undo journal, and a degraded round keeps
+    the pre-round graph.
 
     {2 Pipelined rounds}
 
@@ -38,7 +39,12 @@
     on a snapshot; {!commit_round} awaits the result and applies it.
     Between the two, cluster events ({!submit_job}, {!finish_task},
     {!fail_machine}, {!restore_machine}) may mutate the canonical graph —
-    the solver works on its own copies. At commit, placements involving a
+    the solver works on its own copies. A round resolved by in-place
+    repair ({!Mcmf.Race.submit}) has none: the first mutator, or the
+    first outside call to {!network}, moves the repaired state to a
+    scratch copy and rolls the canonical graph back to the pre-round
+    warm start ({!Mcmf.Race.detach}), so only those rounds pay a copy
+    and both see exactly what a copying solve would leave. At commit, placements involving a
     task or machine invalidated mid-solve are {e discarded} rather than
     applied (reported in [round.discarded] with a {!discard_reason}), and
     every remaining placement is re-checked against the authoritative
@@ -147,7 +153,11 @@ val create :
   policy:(drain:bool -> Flow_network.t -> Cluster.State.t -> Policy.t) ->
   t
 
+(** [network t] is the scheduler's flow network. While a round is
+    pending its graph is the pre-round warm start: an in-place repaired
+    round is detached first (see Pipelined rounds). *)
 val network : t -> Flow_network.t
+
 val cluster : t -> Cluster.State.t
 val policy_name : t -> string
 

@@ -418,6 +418,19 @@ let iter_negative g ~scale f =
     a := a0 + 2
   done
 
+(* Pass 1 of delta placement extraction reads every pair slot; hoisting
+   the arrays replaces three checked cross-module reads per slot with
+   one closure call. *)
+let iter_pairs g f =
+  let live = Vec.unsafe_data g.arc_live and rescap = Vec.unsafe_data g.rescap in
+  let gen = Vec.unsafe_data g.arc_gen in
+  for k = 0 to (arc_bound g / 2) - 1 do
+    let a = 2 * k in
+    if Array.unsafe_get live a then
+      f k (Array.unsafe_get rescap (a + 1)) (Array.unsafe_get gen a)
+    else f k 0 0
+  done
+
 let out_degree g n =
   let d = ref 0 in
   iter_out g n (fun _ -> incr d);
@@ -475,25 +488,25 @@ let copy g =
 
 let copy_into dst src =
   if dst != src then begin
-    Vec.copy_into dst.supply src.supply;
-    Vec.copy_into dst.excess src.excess;
-    Vec.copy_into dst.potential src.potential;
-    Vec.copy_into dst.first_out src.first_out;
-    Vec.copy_into dst.node_live src.node_live;
-    Vec.copy_into dst.free_nodes src.free_nodes;
+    Vec.copy_into_int dst.supply src.supply;
+    Vec.copy_into_int dst.excess src.excess;
+    Vec.copy_into_int dst.potential src.potential;
+    Vec.copy_into_int dst.first_out src.first_out;
+    Vec.copy_into_bool dst.node_live src.node_live;
+    Vec.copy_into_int dst.free_nodes src.free_nodes;
     dst.live_nodes <- src.live_nodes;
-    Vec.copy_into dst.head src.head;
-    Vec.copy_into dst.arc_cost src.arc_cost;
-    Vec.copy_into dst.rescap src.rescap;
-    Vec.copy_into dst.next_out src.next_out;
-    Vec.copy_into dst.prev_out src.prev_out;
-    Vec.copy_into dst.first_active src.first_active;
-    Vec.copy_into dst.next_active src.next_active;
-    Vec.copy_into dst.prev_active src.prev_active;
-    Vec.copy_into dst.active_flag src.active_flag;
-    Vec.copy_into dst.arc_live src.arc_live;
-    Vec.copy_into dst.arc_gen src.arc_gen;
-    Vec.copy_into dst.free_pairs src.free_pairs;
+    Vec.copy_into_int dst.head src.head;
+    Vec.copy_into_int dst.arc_cost src.arc_cost;
+    Vec.copy_into_int dst.rescap src.rescap;
+    Vec.copy_into_int dst.next_out src.next_out;
+    Vec.copy_into_int dst.prev_out src.prev_out;
+    Vec.copy_into_int dst.first_active src.first_active;
+    Vec.copy_into_int dst.next_active src.next_active;
+    Vec.copy_into_int dst.prev_active src.prev_active;
+    Vec.copy_into_bool dst.active_flag src.active_flag;
+    Vec.copy_into_bool dst.arc_live src.arc_live;
+    Vec.copy_into_int dst.arc_gen src.arc_gen;
+    Vec.copy_into_int dst.free_pairs src.free_pairs;
     dst.live_arcs <- src.live_arcs;
     dst.ch_structural <- src.ch_structural;
     dst.ch_cost <- src.ch_cost;

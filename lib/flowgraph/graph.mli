@@ -173,6 +173,13 @@ val iter_arcs : t -> (arc -> unit) -> unit
     repair and certification passes that scan every arc. *)
 val iter_negative : t -> scale:int -> (arc -> int -> unit) -> unit
 
+(** [iter_pairs g f] applies [f k flow gen] to every arc-pair slot [k]
+    below [arc_bound g / 2] (forward arc [2k]): [flow] is the pair's flow
+    and [gen] its {!arc_generation}, both 0 on a dead slot. A tight loop
+    over the arc arrays for the extractor's per-round dirty scan; [f]
+    must not mutate [g]. *)
+val iter_pairs : t -> (int -> int -> int -> unit) -> unit
+
 val out_degree : t -> node -> int
 
 (** {1 Whole-graph operations} *)

@@ -94,13 +94,26 @@ let of_list ~dummy xs =
 
 let copy v = { data = Array.copy v.data; len = v.len; dummy = v.dummy }
 
-let copy_into dst src =
+(* See vec_stubs.c: arrays of immediates hold no pointers, so they are
+   copied with memmove instead of one write barrier per element. Typed at
+   int and bool only, so no boxed value can reach the stub. *)
+external blit_int : int array -> int -> int array -> int -> int -> unit
+  = "fg_vec_blit_imm"
+[@@noalloc]
+
+external blit_bool : bool array -> int -> bool array -> int -> int -> unit
+  = "fg_vec_blit_imm"
+[@@noalloc]
+
+let copy_into_with blit dst src =
   if dst != src then begin
     ensure_capacity dst src.len;
-    Array.blit src.data 0 dst.data 0 src.len;
+    blit src.data 0 dst.data 0 src.len;
     if dst.len > src.len then
-      (* Shrink: scrub the abandoned tail so no stale elements are
-         retained (matters for GC when 'a is boxed). *)
+      (* Shrink: unused backing slots hold [dummy]. *)
       Array.fill dst.data src.len (dst.len - src.len) dst.dummy;
     dst.len <- src.len
   end
+
+let copy_into_int dst src = copy_into_with blit_int dst src
+let copy_into_bool dst src = copy_into_with blit_bool dst src

@@ -41,8 +41,13 @@ module G = Flowgraph.Graph
    rounds of a 200-machine, 80%-utilization replay to full races that
    took far longer than the repairs they replaced (DESIGN.md).
 
-   The kernel mutates [g] (flows and potentials) — callers hand it a
-   scratch copy so a give-up can discard the partial repair. *)
+   The kernel mutates [g] (flows and potentials) in place, under an undo
+   journal: every push and the first write of each node's potential are
+   recorded in the workspace. A give-up replays the journal backwards
+   before returning, so the caller can repair its canonical graph
+   directly and still fall back to a full solve of the untouched input;
+   a successful repair keeps its journal until the next repair, so the
+   caller can still take it back ({!rollback}). *)
 
 type reason = Oversized | No_path | Not_certified | Stopped_mid_repair
 
@@ -79,6 +84,21 @@ type workspace = {
   mutable sources : int array;
   mutable stack : int array;
   heap : Heap.t;
+  (* Undo journal. [rid] numbers the repairs; [pot_mark.(v) = rid] once
+     [v]'s entry potential is saved in [j_node]/[j_pot]. Pushes go to
+     [j_arc]/[j_amt] in order. [j_graph]/[j_changes] name the graph the
+     journal describes and its change counters when it was written, so a
+     rollback onto anything else fails loudly. *)
+  mutable rid : int;
+  mutable pot_mark : int array;
+  mutable j_node : int array;
+  mutable j_pot : int array;
+  mutable j_npot : int;
+  mutable j_arc : int array;
+  mutable j_amt : int array;
+  mutable j_npush : int;
+  mutable j_graph : G.t option;
+  mutable j_changes : G.change_summary;
 }
 
 let create_workspace () =
@@ -92,6 +112,16 @@ let create_workspace () =
     sources = [||];
     stack = [||];
     heap = Heap.create ~capacity:16;
+    rid = 0;
+    pot_mark = [||];
+    j_node = [||];
+    j_pot = [||];
+    j_npot = 0;
+    j_arc = [||];
+    j_amt = [||];
+    j_npush = 0;
+    j_graph = None;
+    j_changes = G.no_changes;
   }
 
 let reserve ws bound =
@@ -107,6 +137,7 @@ let reserve ws bound =
     ws.touched <- Array.make n 0;
     ws.sources <- Array.make n 0;
     ws.stack <- Array.make n 0;
+    ws.pot_mark <- Array.make n 0;
     ws.nbound <- n
   end
 
@@ -165,6 +196,65 @@ let giveup_counter = function
 
 exception Give_up of reason
 
+(* The kernel's only two graph writes, journaled. A node's entry
+   potential is saved once per repair; pushes are logged in order. The
+   logs grow by doubling to the largest repair seen and are kept, so they
+   cost what repairs touch, not what the graph holds. *)
+let grow a = Array.append a (Array.make (max 256 (Array.length a)) 0)
+
+let set_pot ws g v p =
+  if Array.unsafe_get ws.pot_mark v <> ws.rid then begin
+    Array.unsafe_set ws.pot_mark v ws.rid;
+    let n = ws.j_npot in
+    if n >= Array.length ws.j_node then begin
+      ws.j_node <- grow ws.j_node;
+      ws.j_pot <- grow ws.j_pot
+    end;
+    ws.j_node.(n) <- v;
+    ws.j_pot.(n) <- G.potential g v;
+    ws.j_npot <- n + 1
+  end;
+  G.set_potential g v p
+
+let push ws g a d =
+  if d > 0 then begin
+    let n = ws.j_npush in
+    if n >= Array.length ws.j_arc then begin
+      ws.j_arc <- grow ws.j_arc;
+      ws.j_amt <- grow ws.j_amt
+    end;
+    ws.j_arc.(n) <- a;
+    ws.j_amt.(n) <- d;
+    ws.j_npush <- n + 1;
+    G.push g a d
+  end
+
+let discard ws =
+  ws.j_npot <- 0;
+  ws.j_npush <- 0;
+  ws.j_graph <- None
+
+(* Replay the journal backwards: each push is cancelled by pushing the
+   same amount back along its reverse arc (which restores residual
+   capacities, excesses and active-arc membership), then every touched
+   node gets its entry potential back. *)
+let undo ws g =
+  for i = ws.j_npush - 1 downto 0 do
+    G.push g (G.rev ws.j_arc.(i)) ws.j_amt.(i)
+  done;
+  for i = 0 to ws.j_npot - 1 do
+    G.set_potential g ws.j_node.(i) ws.j_pot.(i)
+  done;
+  discard ws
+
+let rollback ws g =
+  match ws.j_graph with
+  | Some jg when jg == g ->
+      if G.peek_changes g <> ws.j_changes then
+        invalid_arg "Incremental.rollback: the graph changed after the repair";
+      undo ws g
+  | Some _ | None -> invalid_arg "Incremental.rollback: no live repair journal for this graph"
+
 (* The saturation pass's dual alternative. A residual arc [b] with
    negative reduced cost −[amount] can also be repaired by lowering the
    potential of its tail by [amount], when every residual arc into the
@@ -177,7 +267,7 @@ exception Give_up of reason
    Only short adjacency lists are probed, so hubs always saturate. *)
 let probe = 64
 
-let try_shift g ~scale v ~amount ~lower =
+let try_shift ws g ~scale v ~amount ~lower =
   let pv = G.potential g v in
   let ok = ref true in
   let n = ref 0 in
@@ -198,7 +288,7 @@ let try_shift g ~scale v ~amount ~lower =
     end;
     a := G.next_out g !a
   done;
-  if !ok then G.set_potential g v (if lower then pv - amount else pv + amount);
+  if !ok then set_pot ws g v (if lower then pv - amount else pv + amount);
   !ok
 
 (* Re-establish dual feasibility at the cost-scaling scale: potentials
@@ -207,12 +297,12 @@ let try_shift g ~scale v ~amount ~lower =
    reduced cost is repaired by a local potential shift when one is free,
    and saturated otherwise (creating an excess at its head and a deficit
    at its tail). *)
-let saturate g ~scale =
+let saturate ws g ~scale =
   G.iter_negative g ~scale (fun b rc ->
       if
-        (not (try_shift g ~scale (G.src g b) ~amount:(- rc) ~lower:true))
-        && not (try_shift g ~scale (G.dst g b) ~amount:(- rc) ~lower:false)
-      then G.push g b (G.rescap g b))
+        (not (try_shift ws g ~scale (G.src g b) ~amount:(- rc) ~lower:true))
+        && not (try_shift ws g ~scale (G.dst g b) ~amount:(- rc) ~lower:false)
+      then push ws g b (G.rescap g b))
 
 (* Raise source [s]'s potential until its cheapest residual out-arc has
    zero reduced cost. Arcs into [s] only gain reduced cost, so duals stay
@@ -220,7 +310,7 @@ let saturate g ~scale =
    neighbour: a new task node arrives at potential 0, far from the
    potentials around it, and without the raise the sources' different
    offsets would put their shortest paths on different phases. *)
-let raise_price g ~scale s =
+let raise_price ws g ~scale s =
   let ps = G.potential g s in
   let least = ref max_int in
   let it = ref (G.first_active g s) in
@@ -230,7 +320,7 @@ let raise_price g ~scale s =
     if rc < !least then least := rc;
     it := G.next_active g a
   done;
-  if !least > 0 && !least < max_int then G.set_potential g s (ps + !least)
+  if !least > 0 && !least < max_int then set_pot ws g s (ps + !least)
 
 (* Relax [u]'s active out-arcs from label [du]. *)
 let expand ws g ~scale ~scanned u du =
@@ -330,7 +420,7 @@ let drain_source ws g ~scale s =
       for j = 0 to !depth - 1 do
         let a = path.(j) in
         let next = G.next_active g a in
-        G.push g a !amount;
+        push ws g a !amount;
         if G.rescap g a = 0 then cur.(G.src g a) <- next;
         state.(G.dst g a) <- base + settled
       done;
@@ -379,8 +469,10 @@ let repair ?(stop = Solver_intf.never_stop) ?max_scan ~scale ~budget ?workspace 
   let relabels = ref 0 in
   let scanned = ref 0 in
   let cap = match max_scan with Some c -> c | None -> scan_factor * G.arc_count g in
+  discard ws;
+  ws.rid <- ws.rid + 1;
   try
-    saturate g ~scale;
+    saturate ws g ~scale;
     (* One excess sweep: phases only move flow from an excess to a
        deficit, so no node turns into a source later — the list is
        complete for the whole repair. *)
@@ -412,7 +504,7 @@ let repair ?(stop = Solver_intf.never_stop) ?max_scan ~scale ~budget ?workspace 
           sources.(!live) <- s;
           incr live;
           want := !want + e;
-          raise_price g ~scale s;
+          raise_price ws g ~scale s;
           ws.dist.(s) <- 0;
           ws.state.(s) <- base + labelled;
           Heap.insert heap s 0
@@ -431,7 +523,7 @@ let repair ?(stop = Solver_intf.never_stop) ?max_scan ~scale ~budget ?workspace 
         let d = ws.dist.(ws.touched.(tlen - 1)) in
         for i = 0 to tlen - 1 do
           let v = ws.touched.(i) in
-          G.set_potential g v (G.potential g v + d - ws.dist.(v))
+          set_pot ws g v (G.potential g v + d - ws.dist.(v))
         done;
         relabels := !relabels + tlen;
         (* Blocking flow over the zero-reduced-cost arcs of the settled
@@ -452,6 +544,8 @@ let repair ?(stop = Solver_intf.never_stop) ?max_scan ~scale ~budget ?workspace 
      with Exit -> ());
     if not (!clean && Price_refine.certified ~scale g) then
       raise (Give_up Not_certified);
+    ws.j_graph <- Some g;
+    ws.j_changes <- G.peek_changes g;
     let dt_ns = Telemetry.Clock.now_ns () - t0 in
     Telemetry.Metrics.incr m m_repairs;
     Telemetry.Metrics.observe m m_repair_ns dt_ns;
@@ -463,5 +557,6 @@ let repair ?(stop = Solver_intf.never_stop) ?max_scan ~scale ~budget ?workspace 
          ~relabels:!relabels Solver_intf.Optimal
          (Telemetry.Clock.s_of_ns dt_ns))
   with Give_up r ->
+    undo ws g;
     Telemetry.Metrics.incr m (giveup_counter r);
     Gave_up r

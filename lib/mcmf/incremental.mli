@@ -11,7 +11,16 @@
     region's zero-reduced-cost arcs. The result is certified
     ({!Price_refine.certified} at the caller's scale + zero excess) —
     any doubt returns {!Gave_up} and the caller runs the full race on
-    the untouched canonical graph.
+    the canonical graph, rolled back to its entry state.
+
+    {b Undo journal.} The kernel repairs its input in place. It records
+    each of its pushes and the first write of each node's potential in
+    the workspace, and every {!Gave_up} replays that journal backwards
+    before returning: the flows, excesses, potentials and active-arc
+    sets are then exactly as they were on entry (only the order of
+    nodes' active lists may differ). A {!Repaired} graph keeps its
+    journal until the next [repair] with the same workspace, so the
+    caller can still take the repair back with {!rollback}.
 
     The potentials stay in the caller's units: cost scaling's scaled
     units at [scale], not plain costs. Re-price a copy with
@@ -43,14 +52,16 @@ val reserve : workspace -> int -> unit
 
 (** [repair ~scale ~budget g] mutates [g] (flows {e and} potentials, in
     cost scaling's scaled units at [scale]) toward a certified optimal
-    solution. On [Gave_up] the graph is left partially repaired — hand
-    the kernel a scratch copy, never the canonical graph. [budget] caps
+    solution. On [Gave_up] the graph is rolled back to its entry state
+    (see the journal above), so [g] may be the caller's canonical graph.
+    [budget] caps
     the number of excess nodes after the saturation pass; independently,
     the repair gives up [Oversized] once its searches have scanned more
     than [max_scan] residual arcs (default: 32 times [g]'s live arc
     count; see DESIGN.md for how it was set). Allocates a constant amount
     per call (a few closures and the result), nothing per phase or per
-    augmentation. *)
+    augmentation, once the journal has grown to the largest repair's
+    size. *)
 val repair :
   ?stop:Solver_intf.stop ->
   ?max_scan:int ->
@@ -59,3 +70,13 @@ val repair :
   ?workspace:workspace ->
   Flowgraph.Graph.t ->
   outcome
+
+(** [rollback ws g] takes back the last {!repair} of [g] made with [ws]
+    that returned {!Repaired}: [g]'s flows, excesses, potentials and
+    active-arc sets return to their state on that repair's entry. The
+    journal is consumed.
+    @raise Invalid_argument if [ws] holds no live journal for [g] (none
+    was written, a later repair replaced it, or it was already rolled
+    back), or if [g]'s structure, costs, capacities or supplies changed
+    since the repair — a journal only undoes its own pushes. *)
+val rollback : workspace -> Flowgraph.Graph.t -> unit

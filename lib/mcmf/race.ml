@@ -43,6 +43,11 @@ let m_winner_only_misses =
     ~help:"winner-only rounds that failed to prove optimality and re-raced"
     "mcmf_race_winner_only_misses_total"
 
+let m_graph_copies =
+  Telemetry.Metrics.counter m
+    ~help:"scratch copies of the input graph taken by the race (solver copies and repair detaches)"
+    "mcmf_race_graph_copies_total"
+
 let t_rx = Telemetry.Trace.register tr "race.relaxation"
 let t_cs = Telemetry.Trace.register tr "race.cost_scaling"
 
@@ -83,11 +88,16 @@ type t = {
      failed refines safe by construction. *)
   mutable pot_graph : G.t option;
   mutable pot_scale : int;
-  (* The copy a successful repair produced, so {!prepare} can skip the
+  (* The graph a successful repair produced, so {!prepare} can skip the
      refine pass when the scheduler adopts it (its potentials were
-     certified by the repair itself, at [repaired_scale]). *)
+     certified by the repair itself, at [repaired_scale]): the input
+     itself, or the scratch copy {!detach} moved the repair to. *)
   mutable repaired_graph : G.t option;
   mutable repaired_scale : int;
+  (* The result of the in-place repair whose undo journal is still live
+     in [inc_ws]: the one round {!detach} can still split from its
+     input. Its [graph] is the input until then. *)
+  mutable armed : result ref option;
   (* Adaptive winner-only escalation ([Fastest_sequential]): after [wo_k]
      consecutive rounds won by the same solver with a stable margin, skip
      the loser entirely; re-race after [wo_period] winner-only rounds, or
@@ -100,6 +110,15 @@ type t = {
 }
 
 and winner = Relaxation | Cost_scaling | Repair
+
+and result = {
+  graph : Flowgraph.Graph.t;
+  partial : Flowgraph.Graph.t option;
+  winner : winner;
+  stats : Solver_intf.stats;
+  relaxation_stats : Solver_intf.stats option;
+  cost_scaling_stats : Solver_intf.stats option;
+}
 
 let create ?(alpha = 9) ?(price_refine = true) ?(incremental = true)
     ?(winner_only_k = 8) ?(winner_only_period = 32) ?(winner_only_ratio = 1.2)
@@ -121,6 +140,7 @@ let create ?(alpha = 9) ?(price_refine = true) ?(incremental = true)
       pot_scale = 1;
       repaired_graph = None;
       repaired_scale = 1;
+      armed = None;
       wo_k = winner_only_k;
       wo_period = winner_only_period;
       wo_ratio = winner_only_ratio;
@@ -158,6 +178,7 @@ let mode t = t.mode
    that never recycles). The physical-equality guards keep a buggy
    recycle of the live input from silently corrupting the round. *)
 let take t g =
+  Telemetry.Metrics.incr m m_graph_copies;
   match t.scratch_a with
   | Some s when s != g ->
       t.scratch_a <- None;
@@ -180,15 +201,6 @@ let give_back t s =
   | Some _, Some _ -> ()
 
 let recycle = give_back
-
-type result = {
-  graph : Flowgraph.Graph.t;
-  partial : Flowgraph.Graph.t option;
-  winner : winner;
-  stats : Solver_intf.stats;
-  relaxation_stats : Solver_intf.stats option;
-  cost_scaling_stats : Solver_intf.stats option;
-}
 
 (* Return every working copy the result does not expose to its scratch
    slots. The exposed ones (adopted optimum, surfaced partial) belong to
@@ -479,7 +491,9 @@ type inflight = {
   mutable r_result : result option;
 }
 
-type handle = Done of result | Running of inflight
+(* [In_place r]: a round resolved by repairing the input in place; [r]
+   is redirected to a scratch copy by {!detach}. *)
+type handle = Done of result | Running of inflight | In_place of result ref
 
 (* Parallel race, detached: both algorithms run in their own domain on
    their own copy; the first Optimal finisher flips the shared cancel
@@ -540,11 +554,12 @@ let submit_parallel ?(stop = Solver_intf.never_stop) ~scratch t g =
 (* Delta path: when the caller allows repair ([delta_budget]) and the
    input graph is the one whose potentials {!prepare} certified, count the
    input's excess nodes — O(n), no copy — and only when there are at most
-   [delta_budget] of them try an O(changes) flow repair on a scratch copy
-   before dispatching any solver. A give-up (oversized delta, unroutable
-   excess, failed certification, stop) recycles the copy and falls
-   through to the configured mode untouched — the fallback ladder below
-   never sees a difference. *)
+   [delta_budget] of them repair the input itself, in place, before
+   dispatching any solver. A give-up (oversized delta, unroutable excess,
+   failed certification, stop) has already rolled the input back through
+   the kernel's undo journal, so the configured mode runs on exactly the
+   graph it would have seen — the fallback ladder below never sees a
+   difference. A success leaves the journal armed for {!detach}. *)
 let excess_nodes_within g budget =
   let n = ref 0 in
   (try
@@ -562,27 +577,28 @@ let try_repair ?stop ~scratch ~delta_budget t g =
     match (delta_budget, t.pot_graph) with
     | Some budget, Some pg
       when pg == g && budget > 0 && excess_nodes_within g budget -> (
-        let c = take t g in
         match
           Incremental.repair ?stop ~scale:t.pot_scale ~budget
-            ~workspace:t.inc_ws c
+            ~workspace:t.inc_ws g
         with
         | Incremental.Repaired stats ->
-            t.repaired_graph <- Some c;
+            t.repaired_graph <- Some g;
             t.repaired_scale <- t.pot_scale;
             Telemetry.Metrics.incr m m_wins_repair;
-            Some
-              {
-                graph = c;
-                partial = None;
-                winner = Repair;
-                stats;
-                relaxation_stats = None;
-                cost_scaling_stats = None;
-              }
-        | Incremental.Gave_up _ ->
-            give_back t c;
-            None)
+            let r =
+              ref
+                {
+                  graph = g;
+                  partial = None;
+                  winner = Repair;
+                  stats;
+                  relaxation_stats = None;
+                  cost_scaling_stats = None;
+                }
+            in
+            t.armed <- Some r;
+            Some r
+        | Incremental.Gave_up _ -> None)
     | _ -> None
 
 let submit ?stop ?(scratch = false) ?delta_budget t g =
@@ -594,8 +610,9 @@ let submit ?stop ?(scratch = false) ?delta_budget t g =
      already be back in the scratch pool — drop it before it can
      spuriously match a future adoption. *)
   t.repaired_graph <- None;
+  t.armed <- None;
   match try_repair ?stop ~scratch ~delta_budget t g with
-  | Some r -> Done r
+  | Some r -> In_place r
   | None -> (
       match t.mode with
       | Relaxation_only -> Done (solve_relaxation_only ?stop ~scratch t g)
@@ -606,11 +623,12 @@ let submit ?stop ?(scratch = false) ?delta_budget t g =
       | Race_parallel -> submit_parallel ?stop ~scratch t g)
 
 let poll = function
-  | Done _ -> true
+  | Done _ | In_place _ -> true
   | Running i -> i.r_result <> None || Atomic.get i.r_done >= i.r_total
 
 let await = function
   | Done r -> r
+  | In_place r -> !r
   | Running i -> (
       match i.r_result with
       | Some r -> r
@@ -623,3 +641,21 @@ let await = function
 
 let solve ?stop ?scratch ?delta_budget t g =
   await (submit ?stop ?scratch ?delta_budget t g)
+
+(* The lazy copy behind in-place repair: only a round whose input is
+   touched before commit pays it. The repaired state moves to a scratch
+   slot, which becomes the result (and the graph {!prepare} will
+   recognise as certified), and the journal rolls the input back to the
+   pre-round warm start. *)
+let detach t = function
+  | Done _ | Running _ -> ()
+  | In_place r -> (
+      match t.armed with
+      | Some a when a == r ->
+          t.armed <- None;
+          let g = !r.graph in
+          let c = take t g in
+          Incremental.rollback t.inc_ws g;
+          t.repaired_graph <- Some c;
+          r := { !r with graph = c }
+      | Some _ | None -> ())

@@ -21,7 +21,13 @@
     {!recycle} — typically the replaced canonical graph after adopting an
     optimum, or a consumed partial. Never recycling is safe (the next
     round falls back to allocating); recycling keeps rounds
-    allocation-free. *)
+    allocation-free.
+
+    {b In-place repair.} A round resolved by the repair path copies
+    nothing: {!Incremental.repair} works on the input graph itself under
+    its undo journal, and the result's [graph] {e is} the input. Every
+    scratch copy the race takes (two per full race, one per {!detach})
+    counts in [mcmf_race_graph_copies_total]. *)
 
 type mode =
   | Race_parallel  (** two domains, first optimal result wins; the loser is cancelled *)
@@ -93,7 +99,10 @@ type result = {
       (** always a coherent graph to adopt as canonical: the winner's
           optimal solution when the round solved, and the {e untouched}
           input graph when it ended [Stopped] or [Infeasible] — a bad
-          round never corrupts the caller's warm-start state *)
+          round never corrupts the caller's warm-start state. On a
+          [Repair] win it is the input graph itself, repaired in place,
+          until {!detach} moves the repair to a scratch copy; adopting it
+          then needs no swap and leaves nothing to {!recycle} *)
   partial : Flowgraph.Graph.t option;
       (** on [Stopped]: the stopped solver's intermediate pseudoflow
           (a structure-preserving copy of the input), suitable for
@@ -127,7 +136,8 @@ val prepare : t -> Flowgraph.Graph.t -> unit
 (** A submitted solve. The working copies are taken from the input graph
     {e at submit time}, so the caller is free to mutate the input (apply
     cluster events, refresh costs) while the solve is outstanding — that
-    is what makes pipelined scheduling rounds sound. *)
+    is what makes pipelined scheduling rounds sound. A round repaired in
+    place has no copy until {!detach} makes one. *)
 type handle
 
 (** [submit ?stop ?scratch t g] dispatches a solve of [g] and returns
@@ -140,12 +150,18 @@ type handle
 
     [?delta_budget] allows the repair path: if [g] is the graph the last
     {!prepare} certified and carries at most [delta_budget] excess nodes
-    (counted in O(n) on [g] itself, before any copy), the round is first
-    attempted as an O(changes) {!Incremental.repair} on a scratch copy —
-    on success the handle is ready at once with [winner = Repair]; on any
-    give-up (reasons exported as [mcmf_incremental_giveup_*_total]) the
-    configured mode runs untouched, exactly as if [delta_budget] had not
-    been passed.
+    (counted in O(n) on [g] itself, with no copy), the round is first
+    attempted as an O(changes) {!Incremental.repair} of [g] {e in place}
+    — on success the handle is ready at once with [winner = Repair] and
+    [result.graph == g]; on any give-up (reasons exported as
+    [mcmf_incremental_giveup_*_total]) the kernel has already rolled [g]
+    back, and the configured mode runs on copies exactly as if
+    [delta_budget] had not been passed.
+
+    So the "copies are taken at submit time" guarantee above has one
+    exception: after an in-place repair, [g] holds the round's result.
+    A caller that wants to mutate [g] while such a round is pending (and
+    read the pre-round warm start from it) must call {!detach} first.
 
     At most one solve may be outstanding per [t] (the scratch pool and
     solver workspaces are single-occupancy).
@@ -158,6 +174,19 @@ val submit :
   Flowgraph.Graph.t ->
   handle
 
+(** [detach h] splits an in-place repaired round from its input graph:
+    the repaired state is copied into a scratch slot, which becomes the
+    result's [graph] (what {!await} returns from now on, and the graph
+    {!prepare} recognises as certified), and the input is rolled back to
+    its pre-round state through the repair's undo journal. After that
+    the input may be mutated freely, exactly as after a copying solve.
+    A no-op for every other handle, for a handle already detached, and
+    once a later {!submit} has replaced the repair's journal.
+    @raise Invalid_argument if the input's structure, costs, capacities
+    or supplies changed since the repair — the journal cannot undo a
+    mutation it did not record, and the round's result is then lost. *)
+val detach : t -> handle -> unit
+
 (** [poll h] is [true] once every racer has finished, i.e. once {!await}
     will return without blocking. *)
 val poll : handle -> bool
@@ -168,10 +197,11 @@ val poll : handle -> bool
 val await : handle -> result
 
 (** [solve ?stop ?scratch t g] is [await (submit ?stop ?scratch t g)] —
-    the synchronous round. [g] itself is never mutated: every algorithm
-    runs on a structure-preserving copy (same node/arc ids), and
-    [result.graph] is the copy to adopt on success or [g] itself on a
-    degraded outcome. Never raises on infeasibility or cancellation —
+    the synchronous round. Every solver runs on a structure-preserving
+    copy (same node/arc ids), and [result.graph] is the copy to adopt on
+    success or [g] itself on a degraded outcome; [g] is only mutated by
+    a successful in-place repair (see [?delta_budget] on {!submit}),
+    which returns [g] itself. Never raises on infeasibility or cancellation —
     inspect [result.stats.outcome]. When the two-solver modes disagree, an
     [Infeasible] verdict (a sound proof) takes precedence over [Stopped].
 

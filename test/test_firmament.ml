@@ -49,6 +49,55 @@ let test_fn_machine_and_aggregators () =
   | None -> Alcotest.fail "missing unsched sink arc");
   checkb "structure valid" true (FN.validate_structure net = [])
 
+let test_fn_unscheduled_arc_cache () =
+  (* The cached aggregator->sink handle is the arc find_arc would find,
+     behind every task's arc into the aggregator; it survives adopting a
+     structure-preserving copy and goes with the aggregator. *)
+  let net = FN.create () in
+  let u = FN.ensure_unscheduled net 7 in
+  for i = 0 to 9 do
+    let t = FN.add_task net i in
+    ignore (G.add_arc (FN.graph net) ~src:t ~dst:u ~cost:5 ~cap:1)
+  done;
+  checkb "cached = found" true
+    (FN.unscheduled_sink_arc net 7 = FN.find_arc net u (FN.sink net));
+  FN.set_graph net (G.copy (FN.graph net));
+  Firmament.Policy.adjust_unscheduled_capacity net 7 ~delta:4;
+  (match FN.unscheduled_sink_arc net 7 with
+  | Some a -> checki "capacity grown on the adopted copy" 4 (G.capacity (FN.graph net) a)
+  | None -> Alcotest.fail "cache lost on adoption");
+  Alcotest.(check (list string)) "structure valid" [] (FN.validate_structure net);
+  FN.remove_unscheduled net 7;
+  checkb "dropped with the aggregator" true (FN.unscheduled_sink_arc net 7 = None);
+  Alcotest.(check (list string)) "still valid" [] (FN.validate_structure net)
+
+let test_fn_task_log () =
+  (* Readers see every task added since their position, in order; a
+     position from another network, or one the trimmed log has moved
+     past, is refused so the reader walks all tasks instead. *)
+  let net = FN.create () in
+  let uid = FN.uid net in
+  ignore (FN.add_task net 1);
+  let pos = FN.task_log_end net in
+  ignore (FN.add_task net 2);
+  ignore (FN.add_task net 3);
+  FN.remove_task net 2 ~drain:false;
+  let seen = ref [] in
+  checkb "read from a live position" true
+    (FN.iter_tasks_added_since net ~uid ~pos (fun tid -> seen := tid :: !seen));
+  Alcotest.(check (list int)) "added since, oldest first" [ 2; 3 ] (List.rev !seen);
+  checkb "another network's position is refused" false
+    (FN.iter_tasks_added_since (FN.create ()) ~uid ~pos (fun _ -> ()));
+  for i = 10 to 3000 do
+    ignore (FN.add_task net i);
+    FN.remove_task net i ~drain:false
+  done;
+  checkb "a position the log dropped is refused" false
+    (FN.iter_tasks_added_since net ~uid ~pos (fun _ -> ()));
+  let now = FN.task_log_end net in
+  checkb "the end is always readable" true
+    (FN.iter_tasks_added_since net ~uid ~pos:now (fun _ -> Alcotest.fail "nothing new"))
+
 (* Build the canonical single-task chain task -> X -> machine -> sink with
    flow routed, for drain and extraction tests. *)
 let routed_chain () =
@@ -1485,6 +1534,174 @@ let test_one_percent_churn_takes_repair_path () =
   done;
   checki "every repaired round certified" 5 !certified
 
+(* {1 In-place repair while a round is pending} *)
+
+let metric name =
+  let m = Telemetry.Metrics.global () in
+  match Telemetry.Metrics.find m name with
+  | Some id -> Telemetry.Metrics.value m id
+  | None -> Alcotest.failf "metric %s not registered" name
+
+(* A Quincy cluster settled at 50%, then [warm] 1%-churn rounds so the
+   canonical graph carries a certified optimum. Deterministic in [seed]:
+   two calls build twins that stay identical round for round. *)
+let settled_quincy ~machines ~seed ~warm =
+  let base = Cluster.Trace.default_params ~machines () in
+  let trace =
+    Cluster.Trace.generate { base with target_utilization = 0.5; horizon_s = 0.; seed }
+  in
+  let cluster = Cluster.State.create trace.Cluster.Trace.topology in
+  let sched = Firmament.Scheduler.create cluster ~policy:quincy_policy in
+  List.iter
+    (fun job -> Firmament.Scheduler.submit_job sched (W.clone_job job))
+    trace.Cluster.Trace.initial_jobs;
+  ignore (solve_sched sched ~now:0.);
+  let rng = Random.State.make [| seed |] in
+  (* 1% of the running tasks finish and one job of the same size arrives. *)
+  let churn i ~now =
+    let running = Array.of_list (List.map fst (sorted_assignments sched)) in
+    let n = max 1 (Array.length running / 100) in
+    for k = 0 to n - 1 do
+      let j = k + Random.State.int rng (Array.length running - k) in
+      let tid = running.(j) in
+      running.(j) <- running.(k);
+      Firmament.Scheduler.finish_task sched tid ~now
+    done;
+    let jid = 1_000_000 + i in
+    Firmament.Scheduler.submit_job sched
+      (job_of_tasks ~jid ~submit:now
+         (List.init n (fun k ->
+              quincy_task ~tid:(10_000_000 + (1000 * i) + k) ~job:jid ~submit:now
+                ~duration:120. ~input_mb:500.
+                ~input_machines:(List.init 3 (fun _ -> Random.State.int rng machines)))))
+  in
+  for i = 1 to warm do
+    let now = 100. +. float_of_int i in
+    churn i ~now;
+    ignore (solve_sched sched ~now)
+  done;
+  (sched, churn)
+
+let test_snapshot_during_in_place_repair () =
+  (* A base image emitted while an in-place repaired round is pending
+     must be the pre-round image: the read detaches the repair (one
+     copy) and rolls the canonical graph back. *)
+  let sched, churn = settled_quincy ~machines:200 ~seed:21 ~warm:2 in
+  let now = 103. in
+  churn 3 ~now;
+  let pre = Snapshot.emit_base sched ~now in
+  let copies0 = metric "mcmf_race_graph_copies_total" in
+  let repairs0 = metric "mcmf_race_wins_repair_total" in
+  let p = Firmament.Scheduler.begin_round sched ~now in
+  checki "the round repaired" (repairs0 + 1) (metric "mcmf_race_wins_repair_total");
+  checki "in place: no copy" copies0 (metric "mcmf_race_graph_copies_total");
+  let mid = Snapshot.emit_base sched ~now in
+  checki "the base image detached the repair" (copies0 + 1)
+    (metric "mcmf_race_graph_copies_total");
+  Alcotest.(check string) "base image while pending = base image before begin_round" pre mid;
+  let r = Firmament.Scheduler.commit_round sched p ~now in
+  checkb "the repaired round commits" true
+    (r.Firmament.Scheduler.winner = Mcmf.Race.Repair
+    && r.Firmament.Scheduler.degraded = `None
+    && r.Firmament.Scheduler.started <> []);
+  checkb "the committed round moved the graph" true (Snapshot.emit_base sched ~now <> pre)
+
+let test_commit_refuses_graph_moved_under_repair () =
+  (* A network handle taken before the round lets a caller mutate the
+     canonical graph behind the scheduler's back. Under an in-place
+     repair that graph is the round's result: the commit must refuse it
+     loudly rather than extract placements from it. *)
+  let sched, churn = settled_quincy ~machines:200 ~seed:25 ~warm:2 in
+  let net = Firmament.Scheduler.network sched in
+  let now = 103. in
+  churn 3 ~now;
+  let p = Firmament.Scheduler.begin_round sched ~now in
+  let g = FN.graph net in
+  let a = ref (-1) in
+  G.iter_arcs g (fun x -> if !a < 0 then a := x);
+  G.set_cost g !a (G.cost g !a + 1);
+  Alcotest.check_raises "moved canonical graph refused"
+    (Invalid_argument "Incremental.rollback: the graph changed after the repair")
+    (fun () -> ignore (Firmament.Scheduler.commit_round sched p ~now))
+
+let test_pipelined_events_after_in_place_repair () =
+  (* Mid-round finish, fail and submit after an in-place repair commit
+     the round a copying solve would: the reconciled placements are the
+     repaired snapshot's (the synchronous twin's round) minus the stale
+     ones, and the canonical graph keeps the events. *)
+  let a, churn_a = settled_quincy ~machines:200 ~seed:23 ~warm:2 in
+  let b, churn_b = settled_quincy ~machines:200 ~seed:23 ~warm:2 in
+  checkb "twins" true (sorted_assignments a = sorted_assignments b);
+  let now = 103. in
+  churn_a 3 ~now;
+  churn_b 3 ~now;
+  let running_before = sorted_assignments a in
+  let rb = solve_sched b ~now in
+  checkb "twin repaired" true (rb.Firmament.Scheduler.winner = Mcmf.Race.Repair);
+  let tid0, m0 =
+    match rb.Firmament.Scheduler.started with
+    | x :: _ -> x
+    | [] -> Alcotest.fail "the twin round started nothing"
+  in
+  let finished, _ =
+    match List.filter (fun (_, mm) -> mm <> m0) running_before with
+    | x :: _ -> x
+    | [] -> Alcotest.fail "no running task off the failed machine"
+  in
+  let copies0 = metric "mcmf_race_graph_copies_total" in
+  let overlapped0 = metric "sched_rounds_overlapped_total" in
+  let p = Firmament.Scheduler.begin_round a ~now in
+  checki "in place: no copy" copies0 (metric "mcmf_race_graph_copies_total");
+  Firmament.Scheduler.finish_task a finished ~now;
+  checki "the first event detached the repair" (copies0 + 1)
+    (metric "mcmf_race_graph_copies_total");
+  Firmament.Scheduler.fail_machine a m0;
+  Firmament.Scheduler.submit_job a (simple_job ~jid:2_000_000 ~n:2 ~submit:now ~duration:50.);
+  let ra = Firmament.Scheduler.commit_round a p ~now in
+  checki "one copy for the whole round" (copies0 + 1) (metric "mcmf_race_graph_copies_total");
+  checki "the round reconciled" (overlapped0 + 1) (metric "sched_rounds_overlapped_total");
+  checkb "repair won" true (ra.Firmament.Scheduler.winner = Mcmf.Race.Repair);
+  (* Decompositions of one flow agree on which tasks are scheduled, not
+     on which of two tasks merging at an aggregator takes which machine,
+     so the comparison is on task sets. *)
+  let started_a = List.map fst ra.Firmament.Scheduler.started in
+  let started_b = List.map fst rb.Firmament.Scheduler.started in
+  let discarded_a = List.map fst ra.Firmament.Scheduler.discarded in
+  List.iter
+    (fun tid ->
+      checkb (Printf.sprintf "task %d started in the snapshot too" tid) true
+        (List.mem tid started_b))
+    started_a;
+  List.iter
+    (fun tid ->
+      checkb
+        (Printf.sprintf "snapshot start of task %d committed or discarded" tid)
+        true
+        (List.mem tid started_a || List.mem tid discarded_a))
+    started_b;
+  checkb "the placement on the failed machine is a stale discard" true
+    (List.mem (tid0, `Stale_machine) ra.Firmament.Scheduler.discarded);
+  let net = Firmament.Scheduler.network a in
+  Alcotest.(check (list string)) "network structure" [] (FN.validate_structure net);
+  checkb "the canonical graph kept the events" true
+    (FN.task_node net finished = None
+    && FN.machine_node net m0 = None
+    && FN.task_node net 2_000_000_000 <> None);
+  (* The next round starts from the event-current graph and certifies. *)
+  let certified = ref 0 in
+  Firmament.Scheduler.set_round_observer a
+    (Some
+       (fun _ _ ~certified:c ->
+         match c with
+         | Some g ->
+             incr certified;
+             checkb "next round feasible" true (Flowgraph.Validate.is_feasible g);
+             checkb "next round optimal" true (Flowgraph.Validate.is_reduced_cost_optimal g)
+         | None -> ()));
+  let r = solve_sched a ~now:(now +. 1.) in
+  checkb "next round clean" true (r.Firmament.Scheduler.degraded = `None);
+  checki "next round certified" 1 !certified
+
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -1495,6 +1712,8 @@ let () =
           Alcotest.test_case "task lifecycle" `Quick test_fn_task_lifecycle;
           Alcotest.test_case "duplicate task rejected" `Quick test_fn_duplicate_task_rejected;
           Alcotest.test_case "machines and aggregators" `Quick test_fn_machine_and_aggregators;
+          Alcotest.test_case "unscheduled sink-arc cache" `Quick test_fn_unscheduled_arc_cache;
+          Alcotest.test_case "task log" `Quick test_fn_task_log;
           Alcotest.test_case "drain removal keeps balance" `Quick test_fn_drain_removal_keeps_balance;
           Alcotest.test_case "reroute direct moves flow" `Quick test_reroute_direct_moves_flow;
           Alcotest.test_case "reroute fails when unrouted" `Quick
@@ -1590,5 +1809,11 @@ let () =
         [
           Alcotest.test_case "1% churn at 1k machines repairs, certified" `Quick
             test_one_percent_churn_takes_repair_path;
+          Alcotest.test_case "snapshot while an in-place repair is pending" `Quick
+            test_snapshot_during_in_place_repair;
+          Alcotest.test_case "mid-round events after an in-place repair" `Quick
+            test_pipelined_events_after_in_place_repair;
+          Alcotest.test_case "commit refuses a graph moved under the repair" `Quick
+            test_commit_refuses_graph_moved_under_repair;
         ] );
     ]

@@ -942,6 +942,138 @@ let source_burst ~k ~mseed g =
     G.set_supply g t (G.supply g t - 1)
   done
 
+(* {2 Undo journal} *)
+
+(* The state a repair may touch and a rollback must restore: every live
+   node's excess and potential, every live residual arc's capacity, and
+   each node's active-arc {e set} (list order may differ after a
+   rollback). *)
+let repair_state g =
+  let nodes = ref [] in
+  G.iter_nodes g (fun v ->
+      let active = ref [] in
+      let it = ref (G.first_active g v) in
+      while !it >= 0 do
+        active := !it :: !active;
+        it := G.next_active g !it
+      done;
+      nodes := (v, G.excess g v, G.potential g v, List.sort compare !active) :: !nodes);
+  let arcs = ref [] in
+  G.iter_arcs g (fun a -> arcs := (a, G.rescap g a, G.rescap g (G.rev a)) :: !arcs);
+  (!nodes, !arcs)
+
+let prop_repair_giveup_restores_graph =
+  (* Every forced give-up — an excess budget of 0, a tiny scan cap, a
+     stop after the first phase, an unroutable unit — must leave flows,
+     excesses, potentials and active-arc sets exactly as a pre-repair
+     copy has them; a repair that succeeds anyway must be undone by
+     [rollback] just as exactly. NETGEN families with cost, capacity and
+     source bursts, as in the batched-repair property. *)
+  QCheck.Test.make ~name:"forced give-ups and rollback restore the entry state"
+    ~count:80
+    QCheck.(triple (int_bound 1_000_000) (int_bound 1_000_000) (int_bound 3))
+    (fun (seed, mseed, force) ->
+      let g = netgen_instance seed in
+      if (Mcmf.Relaxation.solve g).S.outcome <> S.Optimal then QCheck.assume_fail ()
+      else begin
+        repair_burst ~mseed g;
+        source_burst ~k:(1 + (mseed mod 40)) ~mseed g;
+        if force = 3 then begin
+          (* A unit with nowhere to go, and a demand nothing reaches. *)
+          ignore (G.add_node g ~supply:1);
+          ignore (G.add_node g ~supply:(-1))
+        end;
+        let pre = repair_state g in
+        let ws = Mcmf.Incremental.create_workspace () in
+        let phases = ref 0 in
+        let stop () =
+          incr phases;
+          !phases > 1
+        in
+        let outcome =
+          match force with
+          | 0 -> Mcmf.Incremental.repair ~scale:1 ~budget:0 ~workspace:ws g
+          | 1 -> Mcmf.Incremental.repair ~max_scan:3 ~scale:1 ~budget:max_int ~workspace:ws g
+          | 2 ->
+              Mcmf.Incremental.repair ~stop ~max_scan:max_int ~scale:1 ~budget:max_int
+                ~workspace:ws g
+          | _ -> Mcmf.Incremental.repair ~max_scan:max_int ~scale:1 ~budget:max_int ~workspace:ws g
+        in
+        (match outcome with
+        | Mcmf.Incremental.Gave_up _ -> (
+            match Mcmf.Incremental.rollback ws g with
+            | () -> QCheck.Test.fail_report "a give-up left a live journal"
+            | exception Invalid_argument _ -> ())
+        | Mcmf.Incremental.Repaired _ -> Mcmf.Incremental.rollback ws g);
+        (match (force, outcome) with
+        | 3, Mcmf.Incremental.Repaired _ ->
+            QCheck.Test.fail_report "repaired an unroutable unit"
+        | _ -> ());
+        repair_state g = pre
+      end)
+
+let test_repair_rollback_guards () =
+  (* A journal only undoes its own pushes: rolling back a graph that
+     changed since the repair, or twice, or a graph it never touched,
+     must refuse rather than corrupt. *)
+  let g = netgen_instance 5 in
+  ignore (Mcmf.Relaxation.solve g);
+  source_burst ~k:3 ~mseed:5 g;
+  let ws = Mcmf.Incremental.create_workspace () in
+  (match Mcmf.Incremental.repair ~max_scan:max_int ~scale:1 ~budget:max_int ~workspace:ws g with
+  | Mcmf.Incremental.Repaired _ -> ()
+  | Mcmf.Incremental.Gave_up r ->
+      Alcotest.failf "expected a repair, got %s" (Mcmf.Incremental.reason_name r));
+  Alcotest.check_raises "another graph"
+    (Invalid_argument "Incremental.rollback: no live repair journal for this graph")
+    (fun () -> Mcmf.Incremental.rollback ws (G.copy g));
+  let a = ref (-1) in
+  G.iter_arcs g (fun x -> if !a < 0 then a := x);
+  G.set_cost g !a (G.cost g !a + 1);
+  Alcotest.check_raises "graph changed"
+    (Invalid_argument "Incremental.rollback: the graph changed after the repair")
+    (fun () -> Mcmf.Incremental.rollback ws g);
+  G.set_cost g !a (G.cost g !a - 1);
+  (* The change counters still record the edit: the journal stays
+     refused, which is the safe answer. *)
+  Alcotest.check_raises "still refused after the edit is undone"
+    (Invalid_argument "Incremental.rollback: the graph changed after the repair")
+    (fun () -> Mcmf.Incremental.rollback ws g)
+
+let test_race_repair_in_place () =
+  (* A [Repair] round copies nothing: its result is the input graph
+     itself. [detach] then moves the repair to a scratch copy (one copy)
+     and rolls the input back to its pre-round state, exactly once. *)
+  let race = Mcmf.Race.create ~mode:Mcmf.Race.Fastest_sequential () in
+  let r1 = Mcmf.Race.solve race (netgen_instance 7) in
+  Alcotest.check outcome_t "round 1 optimal" S.Optimal r1.Mcmf.Race.stats.S.outcome;
+  let g = r1.Mcmf.Race.graph in
+  Mcmf.Race.prepare race g;
+  source_burst ~k:4 ~mseed:7 g;
+  let pre = repair_state g in
+  let copies0 = counter_value "mcmf_race_graph_copies_total" in
+  let h = Mcmf.Race.submit ~delta_budget:64 race g in
+  let r2 = Mcmf.Race.await h in
+  checkb "winner is Repair" true (r2.Mcmf.Race.winner = Mcmf.Race.Repair);
+  checkb "result aliases the input" true (r2.Mcmf.Race.graph == g);
+  checki "no scratch copy taken" copies0 (counter_value "mcmf_race_graph_copies_total");
+  checkb "repaired in place" true (Validate.is_optimal g && Validate.is_feasible g);
+  let repaired = repair_state g in
+  Mcmf.Race.detach race h;
+  let r3 = Mcmf.Race.await h in
+  checki "detach takes one copy" (copies0 + 1) (counter_value "mcmf_race_graph_copies_total");
+  checkb "result moved off the input" true (r3.Mcmf.Race.graph != g);
+  checkb "the copy holds the repair" true (repair_state r3.Mcmf.Race.graph = repaired);
+  checkb "the input is back at its pre-round state" true (repair_state g = pre);
+  Mcmf.Race.detach race h;
+  checkb "a second detach is a no-op" true ((Mcmf.Race.await h).Mcmf.Race.graph == r3.Mcmf.Race.graph);
+  checki "and copies nothing" (copies0 + 1) (counter_value "mcmf_race_graph_copies_total");
+  (* Adopting the detached copy still skips the refine pass: the next
+     quiet round on it repairs again. *)
+  Mcmf.Race.prepare race r3.Mcmf.Race.graph;
+  let r4 = Mcmf.Race.solve ~delta_budget:64 race r3.Mcmf.Race.graph in
+  checkb "detached copy stays certified" true (r4.Mcmf.Race.winner = Mcmf.Race.Repair)
+
 let prop_batched_repair_matches_ssp =
   (* Batched primal-dual repair must land on the SSP optimum when a round
      brings hundreds of unit sources at once, on top of the cost changes,
@@ -1391,11 +1523,15 @@ let () =
         :: Alcotest.test_case "give-up reasons" `Quick test_repair_give_up_reasons
         :: Alcotest.test_case "no-change round" `Quick test_repair_no_change_round
         :: Alcotest.test_case "work cap gives up oversized" `Quick test_repair_work_cap
+        :: Alcotest.test_case "rollback guards" `Quick test_repair_rollback_guards
+        :: Alcotest.test_case "race repairs in place, detach copies once" `Quick
+             test_race_repair_in_place
         :: qcheck
              [
                prop_incremental_repair_matches_full;
                prop_race_repair_path_matches;
                prop_batched_repair_matches_ssp;
+               prop_repair_giveup_restores_graph;
              ]
       );
       ( "degradation",
