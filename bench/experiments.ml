@@ -351,8 +351,10 @@ let fig13 ~scale () =
     let config =
       {
         Firmament.Scheduler.default_config with
-        mode = Mcmf.Race.Fastest_sequential;
+        mode = Mcmf.Race.Incremental_cost_scaling_only;
         price_refine;
+        (* The figure times cost scaling; a repaired round runs none. *)
+        incremental = false;
       }
     in
     let s = Setup.settle ~config ~machines ~util:0.6 ~policy:Setup.Quincy ~seed:42 () in
@@ -381,7 +383,7 @@ let fig13 ~scale () =
 
 (* {1 End-to-end replay (Figs. 14, 15, 16, 17, 18)} *)
 
-let replay_config ?(mode = Mcmf.Race.Fastest_sequential) ?(policy = Setup.Quincy)
+let replay_config ?(mode = Mcmf.Race.Race) ?(policy = Setup.Quincy)
     ?(max_rounds = 2000) ?max_sim_time () =
   {
     Dcsim.Replay.default_config with
@@ -426,7 +428,7 @@ let fig14 ~scale () =
     in
     m.Dcsim.Replay.placement_latencies
   in
-  let firmament = latencies Mcmf.Race.Fastest_sequential in
+  let firmament = latencies Mcmf.Race.Race in
   let quincy = latencies Mcmf.Race.Cost_scaling_scratch_only in
   row [ "percentile"; "firmament"; "quincy (cost scaling)" ];
   let safe xs p = match xs with [] -> "-" | _ -> pp (Stats.percentile xs p) in
@@ -524,7 +526,7 @@ let fig15 ~scale () =
             ])
         [ 0.14; 0.02 ])
     [
-      ("firmament", Mcmf.Race.Fastest_sequential);
+      ("firmament", Mcmf.Race.Race);
       ("quincy", Mcmf.Race.Cost_scaling_scratch_only);
     ]
 
@@ -571,7 +573,7 @@ let fig16 ~scale () =
     [
       ("relaxation-only", Mcmf.Race.Relaxation_only);
       ("quincy (cost scaling)", Mcmf.Race.Cost_scaling_scratch_only);
-      ("firmament", Mcmf.Race.Fastest_sequential);
+      ("firmament", Mcmf.Race.Race);
     ]
 
 let fig17 ~scale () =
@@ -649,7 +651,7 @@ let fig18 ~scale () =
                   pp (Stats.maximum ls);
                 ])
         [
-          ("firmament", Mcmf.Race.Fastest_sequential);
+          ("firmament", Mcmf.Race.Race);
           ("relaxation-only", Mcmf.Race.Relaxation_only);
         ])
     [ 50; 150; 300 ]
@@ -796,11 +798,13 @@ let measure_sched_rounds s ~rounds ~frac =
   in
   (!times, !bytes, !major, phase_means)
 
-(* Two measurements on a settled ~1k-machine cluster (at the default
+(* Three measurements on a settled ~1k-machine cluster (at the default
    --scale 0.2):
    - solver-only warm rounds: prepare + Race.solve on the already-optimal
      graph, the pure steady-state re-solve the scratch-graph/workspace
-     reuse targets;
+     reuse targets — once in [Race] mode (relaxation, which resolves
+     these rounds before the hedge starts) and once under
+     [Incremental_cost_scaling_only], so the budget covers both solvers;
    - full scheduler rounds with 1% churn: the end-to-end rounds/sec
      number, policy updates included.
    Reports mean/p99 wall time and allocated bytes per round, and
@@ -817,37 +821,48 @@ let alloc ~scale () =
   in
   (* Solver-only warm rounds, mirroring the scheduler's adopt/recycle
      protocol on an unchanged optimal graph. *)
-  let race = Mcmf.Race.create ~alpha:9 ~mode:Mcmf.Race.Fastest_sequential () in
-  let g = ref (G.copy (FN.graph net)) in
-  let solve_round () =
-    Mcmf.Race.prepare race !g;
-    let r = Mcmf.Race.solve race !g in
-    (match r.Mcmf.Race.stats.S.outcome with
-    | S.Optimal ->
-        let old = !g in
-        g := r.Mcmf.Race.graph;
-        Mcmf.Race.recycle race old
-    | S.Infeasible | S.Stopped -> ());
-    r
+  let solver_rounds mode =
+    let race = Mcmf.Race.create ~alpha:9 ~mode () in
+    let g = ref (G.copy (FN.graph net)) in
+    let solve_round () =
+      Mcmf.Race.prepare race !g;
+      let r = Mcmf.Race.solve race !g in
+      match r.Mcmf.Race.stats.S.outcome with
+      | S.Optimal ->
+          let old = !g in
+          g := r.Mcmf.Race.graph;
+          Mcmf.Race.recycle race old
+      | S.Infeasible | S.Stopped -> ()
+    in
+    (* warm-up: reach steady state *)
+    solve_round ();
+    let rounds = 40 in
+    let times = ref [] and bytes = ref [] in
+    for _ = 1 to rounds do
+      let b0 = gc_minor_bytes () in
+      let t0 = Unix.gettimeofday () in
+      solve_round ();
+      times := (Unix.gettimeofday () -. t0) :: !times;
+      bytes := (gc_minor_bytes () -. b0) :: !bytes
+    done;
+    let t_mean, t_p50, t_p99 = stats_of !times in
+    let b_mean, _, _ = stats_of !bytes in
+    (t_mean, t_p50, t_p99, b_mean)
   in
-  ignore (solve_round ());
-  (* warm-up: reach steady state *)
-  let rounds = 40 in
-  let times = ref [] and bytes = ref [] in
-  for _ = 1 to rounds do
-    let b0 = gc_minor_bytes () in
-    let t0 = Unix.gettimeofday () in
-    ignore (solve_round ());
-    times := (Unix.gettimeofday () -. t0) :: !times;
-    bytes := (gc_minor_bytes () -. b0) :: !bytes
-  done;
-  let t_mean, t_p50, t_p99 = stats_of !times in
-  let b_mean, _, _ = stats_of !bytes in
+  let t_mean, t_p50, t_p99, b_mean = solver_rounds Mcmf.Race.Race in
+  let cs_mean, cs_p50, cs_p99, cs_b_mean =
+    solver_rounds Mcmf.Race.Incremental_cost_scaling_only
+  in
   row [ "phase"; "mean"; "p50"; "p99"; "alloc/round" ];
   row
     [
       "solver-only (warm)"; pp t_mean; pp t_p50; pp t_p99;
       Printf.sprintf "%.0f B" b_mean;
+    ];
+  row
+    [
+      "cost scaling (warm)"; pp cs_mean; pp cs_p50; pp cs_p99;
+      Printf.sprintf "%.0f B" cs_b_mean;
     ];
   (* Full scheduler rounds with light churn. Telemetry phase histograms
      are sampled before/after the loop; the delta of each phase's sum
@@ -875,6 +890,8 @@ let alloc ~scale () =
        ("solver_p50_s", t_p50);
        ("solver_p99_s", t_p99);
        ("solver_alloc_bytes", b_mean);
+       ("cs_solver_mean_s", cs_mean);
+       ("cs_solver_alloc_bytes", cs_b_mean);
        ("round_mean_s", t2_mean);
        ("round_p50_s", t2_p50);
        ("round_p99_s", t2_p99);

@@ -100,7 +100,7 @@ let fuzz_crash seeds events machines slots inject_eps force_incremental mode
       force_incremental;
       modes =
         (match mode with
-        | None -> [ Mcmf.Race.Fastest_sequential ]
+        | None -> [ Mcmf.Race.Race ]
         | Some m -> [ m ]);
     }
   in
@@ -255,7 +255,7 @@ let cmd =
                 (round boundaries and mid-round), restore from the \
                 snapshot, and assert no placement is lost or duplicated \
                 and that the oracle certifies every post-restore round. \
-                Runs one mode per seed ($(b,fastest) unless $(b,--mode)).")
+                Runs one mode per seed ($(b,race) unless $(b,--mode)).")
   in
   let seeds =
     Arg.(
@@ -302,9 +302,9 @@ let cmd =
     Arg.(
       value & opt mode_conv None
       & info [ "mode" ] ~docv:"MODE"
-          ~doc:"Restrict to one race mode ($(b,race), $(b,fastest), \
-                $(b,relaxation), $(b,incremental-cs), $(b,quincy-cs)) or \
-                $(b,all).")
+          ~doc:"Restrict to one race mode ($(b,race), $(b,relaxation), \
+                $(b,incremental-cs), $(b,quincy-cs)) or $(b,all), the \
+                default.")
   in
   let artifact_dir =
     Arg.(

@@ -19,8 +19,7 @@ let mode_conv =
   Arg.enum
     Mcmf.Race.
       [
-        ("race", Race_parallel);
-        ("fastest", Fastest_sequential);
+        ("race", Race);
         ("relaxation", Relaxation_only);
         ("incremental-cs", Incremental_cost_scaling_only);
         ("quincy-cs", Cost_scaling_scratch_only);
@@ -149,11 +148,12 @@ let cmd =
   let mode =
     Arg.(
       value
-      & opt mode_conv Mcmf.Race.Fastest_sequential
+      & opt mode_conv Mcmf.Race.Race
       & info [ "mode" ] ~docv:"MODE"
           ~doc:
-            "Solver orchestration: $(b,race), $(b,fastest), $(b,relaxation), \
-             $(b,incremental-cs) or $(b,quincy-cs).")
+            "Solver orchestration: $(b,race) (relaxation, hedged by cost \
+             scaling when it runs late), $(b,relaxation), $(b,incremental-cs) \
+             or $(b,quincy-cs).")
   in
   let deadline =
     Arg.(

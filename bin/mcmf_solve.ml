@@ -44,7 +44,7 @@ let solve path algorithm alpha deadline quiet =
     | Ssp -> (Mcmf.Ssp.solve ~stop g, g)
     | Cycle_canceling -> (Mcmf.Cycle_canceling.solve ~stop g, g)
     | Race ->
-        let race = Mcmf.Race.create ~alpha ~mode:Mcmf.Race.Race_parallel () in
+        let race = Mcmf.Race.create ~alpha ~mode:Mcmf.Race.Race () in
         let r = Mcmf.Race.solve ~stop race g in
         (r.Mcmf.Race.stats, r.Mcmf.Race.graph)
   in

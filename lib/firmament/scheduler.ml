@@ -54,8 +54,8 @@ let m_solve_ns =
 
 (* Split attribution of the solve phase: [win] is the winning solver's
    algorithm runtime (retry attempts included), [wait] is everything else
-   the round spent inside the solve phase — capped losers in sequential
-   mode, dispatch copies, join overhead. These are observability
+   the round spent inside the solve phase — scratch copies, a cancelled
+   hedge's stop latency, the hedge join. These are observability
    sub-phases of [sched_phase_solve_ns], not additional round phases:
    win + wait ≈ solve, and the round's phase list is unchanged. *)
 let m_solve_win_ns =
@@ -158,7 +158,7 @@ type config = {
 
 let default_config =
   {
-    mode = Mcmf.Race.Fastest_sequential;
+    mode = Mcmf.Race.Race;
     alpha = 9;
     price_refine = true;
     drain_on_removal = true;
@@ -735,8 +735,6 @@ let begin_round ?stop t ~now =
   t.pending <- Some p;
   p
 
-let poll _t p = Mcmf.Race.poll p.p_handle
-
 let solver_runtime _t p =
   (Mcmf.Race.await p.p_handle).Mcmf.Race.stats.Mcmf.Solver_intf.runtime
 
@@ -818,7 +816,7 @@ let commit_round t p ~now =
     +. (if retried then first.Mcmf.Race.stats.Mcmf.Solver_intf.runtime else 0.)
   in
   (* Split solve attribution: winner's algorithm runtime vs everything
-     else the phase spent (capped losers, dispatch copies, join). *)
+     else the phase spent (copies, the hedge's cancel latency and join). *)
   let win_ns = Telemetry.Clock.ns_of_s algorithm_runtime in
   Telemetry.Metrics.observe m m_solve_win_ns win_ns;
   Telemetry.Metrics.observe m m_solve_wait_ns (max 0 (solve_ns - win_ns));

@@ -35,8 +35,8 @@
     {2 Pipelined rounds}
 
     A round can also be split at the solver boundary: {!begin_round}
-    refreshes the policy, stamps the round epoch and dispatches the solve
-    on a snapshot; {!commit_round} awaits the result and applies it.
+    refreshes the policy, stamps the round epoch and solves a snapshot;
+    {!commit_round} applies the result.
     Between the two, cluster events ({!submit_job}, {!finish_task},
     {!fail_machine}, {!restore_machine}) may mutate the canonical graph —
     the solver works on its own copies. A round resolved by in-place
@@ -227,29 +227,26 @@ val preempt_task : t -> Cluster.Types.task_id -> unit
     [commit_round t (begin_round ?stop t ~now) ~now]. *)
 val schedule : ?stop:Mcmf.Solver_intf.stop -> t -> now:float -> round
 
-(** A scheduling round in flight: dispatched by {!begin_round}, awaiting
+(** A scheduling round in flight: solved by {!begin_round}, awaiting
     {!commit_round}. *)
 type pending
 
 (** [begin_round ?stop t ~now] refreshes the policy, stamps the round
-    epoch and dispatches the solve on a snapshot of the flow network
-    (under [mode = Race_parallel] the solvers run on background domains;
-    sequential modes solve eagerly here). Cluster events may be applied
-    to [t] while the round is pending. At most one round may be in
+    epoch and solves a snapshot of the flow network. The solve finishes
+    inside [begin_round] in every mode (the [Race] hedge's second domain
+    is joined before it returns); what stays pending is the commit.
+    Cluster events may be applied to [t] while the round is pending, as
+    if they had landed during the solve. At most one round may be in
     flight per scheduler.
     @raise Invalid_argument if a round is already pending. *)
 val begin_round : ?stop:Mcmf.Solver_intf.stop -> t -> now:float -> pending
 
-(** [poll t p] is [true] once the dispatched solve has finished (always
-    [true] under the sequential modes). *)
-val poll : t -> pending -> bool
-
-(** [solver_runtime t p] blocks until the solve finishes and returns the
-    winner's wall-clock runtime in seconds — what a simulator needs to
-    know how long the solver window was, before committing. *)
+(** [solver_runtime t p] is the winner's wall-clock runtime in seconds —
+    what a simulator needs to know how long the solver window was, before
+    committing. *)
 val solver_runtime : t -> pending -> float
 
-(** [commit_round t p ~now] awaits the solve and applies its result with
+(** [commit_round t p ~now] applies the round's solve result with
     stale-aware reconciliation (see the module docs).
     @raise Invalid_argument if [p] is not the round in flight. *)
 val commit_round : t -> pending -> now:float -> round

@@ -14,8 +14,7 @@ type config = {
 let all_modes =
   Mcmf.Race.
     [
-      Race_parallel;
-      Fastest_sequential;
+      Race;
       Relaxation_only;
       Incremental_cost_scaling_only;
       Cost_scaling_scratch_only;
@@ -25,15 +24,13 @@ let default_config =
   { machines = 6; slots = 2; inject_eps = 1; force_incremental = false; modes = all_modes }
 
 let mode_name = function
-  | Mcmf.Race.Race_parallel -> "race"
-  | Mcmf.Race.Fastest_sequential -> "fastest"
+  | Mcmf.Race.Race -> "race"
   | Mcmf.Race.Relaxation_only -> "relaxation"
   | Mcmf.Race.Incremental_cost_scaling_only -> "incremental-cs"
   | Mcmf.Race.Cost_scaling_scratch_only -> "quincy-cs"
 
 let mode_of_name = function
-  | "race" -> Mcmf.Race.Race_parallel
-  | "fastest" -> Mcmf.Race.Fastest_sequential
+  | "race" -> Mcmf.Race.Race
   | "relaxation" -> Mcmf.Race.Relaxation_only
   | "incremental-cs" -> Mcmf.Race.Incremental_cost_scaling_only
   | "quincy-cs" -> Mcmf.Race.Cost_scaling_scratch_only
@@ -489,7 +486,7 @@ let pp_asg lst =
 
 let run_crash_recovery config ~seed events =
   let mode =
-    match config.modes with m :: _ -> m | [] -> Mcmf.Race.Fastest_sequential
+    match config.modes with m :: _ -> m | [] -> Mcmf.Race.Race
   in
   let scfg = sched_config_of config mode in
   let policy ~drain net cl = Firmament.Policy_quincy.make ~drain net cl in

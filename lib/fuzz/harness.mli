@@ -43,7 +43,7 @@ type config = {
   modes : Mcmf.Race.mode list;  (** race modes to run, in order *)
 }
 
-(** 6 machines × 2 slots, no injection, all five race modes. *)
+(** 6 machines × 2 slots, no injection, all four race modes. *)
 val default_config : config
 
 val all_modes : Mcmf.Race.mode list

@@ -25,7 +25,7 @@ let m_cs_ns =
 
 let m_margin_ns =
   Telemetry.Metrics.histogram m
-    ~help:"winner margin (loser minus winner wall time, ns) in two-solver rounds"
+    ~help:"winner margin (loser minus winner wall time, ns) in hedged rounds"
     "mcmf_race_margin_ns"
 
 let m_wins_repair =
@@ -35,13 +35,13 @@ let m_wins_repair =
 
 let m_winner_only =
   Telemetry.Metrics.counter m
-    ~help:"sequential rounds that skipped the loser after a stable win streak"
+    ~help:"raced rounds relaxation resolved before the cost-scaling hedge started"
     "mcmf_race_winner_only_total"
 
-let m_winner_only_misses =
+let m_hedges =
   Telemetry.Metrics.counter m
-    ~help:"winner-only rounds that failed to prove optimality and re-raced"
-    "mcmf_race_winner_only_misses_total"
+    ~help:"raced rounds that started the cost-scaling hedge"
+    "mcmf_race_hedges_total"
 
 let m_graph_copies =
   Telemetry.Metrics.counter m
@@ -52,14 +52,19 @@ let t_rx = Telemetry.Trace.register tr "race.relaxation"
 let t_cs = Telemetry.Trace.register tr "race.cost_scaling"
 
 type mode =
-  | Race_parallel
-  | Fastest_sequential
+  | Race
   | Relaxation_only
   | Incremental_cost_scaling_only
   | Cost_scaling_scratch_only
 
+(* The hedge deadline is [hedge_factor] × the median of relaxation's last
+   [hedge_window] optimal runtimes (DESIGN.md "Hedged race" has the
+   traces that chose them). *)
+let hedge_factor = 2
+let hedge_window = 8
+
 (* Besides the orchestration config, [t] owns the round-to-round memory:
-   two scratch graphs (the racers' working copies, refreshed by
+   two scratch graphs (the solvers' working copies, refreshed by
    [G.copy_into] instead of reallocated) and the persistent solver
    workspaces. A scratch slot is empty while its graph is exposed to the
    caller (as [result.graph] or [partial]); graphs come back through
@@ -74,12 +79,15 @@ type t = {
   inc_ws : Incremental.workspace;
   mutable scratch_a : G.t option;
   mutable scratch_b : G.t option;
-  (* The scratch pool and the solver workspaces are single-occupancy, so
-     at most one submitted solve may be outstanding at a time. *)
-  mutable in_flight : bool;
-  (* Last round's winner, used by [Fastest_sequential] to run the likely
-     winner first and budget the second solver by the first's runtime. *)
-  mutable seq_first : winner;
+  (* The hedge's memory: a ring of relaxation's last [hedge_window]
+     optimal warm runtimes (ns), a scratch array to take their median
+     without allocating, and whether cost scaling won the last raced
+     round (then the next one races from the start). *)
+  rx_ring : int array;
+  rx_sorted : int array;
+  mutable rx_len : int;
+  mutable rx_next : int;
+  mutable cs_won : bool;
   (* Incremental-repair eligibility: the one graph (by physical identity)
      whose potentials are known to certify its flow as optimal, and the
      scaled-cost units those potentials live in. Set by {!prepare} after
@@ -94,19 +102,10 @@ type t = {
      itself, or the scratch copy {!detach} moved the repair to. *)
   mutable repaired_graph : G.t option;
   mutable repaired_scale : int;
-  (* The result of the in-place repair whose undo journal is still live
+  (* The handle of the in-place repair whose undo journal is still live
      in [inc_ws]: the one round {!detach} can still split from its
      input. Its [graph] is the input until then. *)
   mutable armed : result ref option;
-  (* Adaptive winner-only escalation ([Fastest_sequential]): after [wo_k]
-     consecutive rounds won by the same solver with a stable margin, skip
-     the loser entirely; re-race after [wo_period] winner-only rounds, or
-     immediately when the lone solver fails to prove optimality. *)
-  wo_k : int;
-  wo_period : int;
-  wo_ratio : float;
-  mutable wo_streak : int;
-  mutable wo_since_race : int;
 }
 
 and winner = Relaxation | Cost_scaling | Repair
@@ -121,7 +120,6 @@ and result = {
 }
 
 let create ?(alpha = 9) ?(price_refine = true) ?(incremental = true)
-    ?(winner_only_k = 8) ?(winner_only_period = 32) ?(winner_only_ratio = 1.2)
     ?(preallocate = true) ?node_hint ?arc_hint ~mode () =
   let t =
     {
@@ -134,18 +132,16 @@ let create ?(alpha = 9) ?(price_refine = true) ?(incremental = true)
       inc_ws = Incremental.create_workspace ();
       scratch_a = None;
       scratch_b = None;
-      in_flight = false;
-      seq_first = Cost_scaling;
+      rx_ring = Array.make hedge_window 0;
+      rx_sorted = Array.make hedge_window 0;
+      rx_len = 0;
+      rx_next = 0;
+      cs_won = false;
       pot_graph = None;
       pot_scale = 1;
       repaired_graph = None;
       repaired_scale = 1;
       armed = None;
-      wo_k = winner_only_k;
-      wo_period = winner_only_period;
-      wo_ratio = winner_only_ratio;
-      wo_streak = 0;
-      wo_since_race = 0;
     }
   in
   (* First-round warmup: pre-size the solver workspaces and pre-build the
@@ -217,9 +213,7 @@ let reclaim t result copies =
 let uses_cost_scaling t =
   match t.mode with
   | Relaxation_only -> false
-  | Race_parallel | Fastest_sequential | Incremental_cost_scaling_only
-  | Cost_scaling_scratch_only ->
-      true
+  | Race | Incremental_cost_scaling_only | Cost_scaling_scratch_only -> true
 
 let prepare t g =
   let repaired =
@@ -279,7 +273,33 @@ let pick_cost_scaling rx cs =
   | Infeasible, Stopped -> false
   | _, _ -> cs.runtime < rx.runtime
 
-(* Both racers' stats are always populated in a two-solver round — that is
+let run_rx ?stop t c =
+  let t0 = Telemetry.Trace.span_begin () in
+  let rx = Relaxation.solve ?stop ~workspace:t.rx_ws c in
+  Telemetry.Trace.span_end tr ~phase:t_rx ~t0;
+  Telemetry.Metrics.observe m m_rx_ns (Telemetry.Clock.ns_of_s rx.Solver_intf.runtime);
+  rx
+
+(* [incremental] runs cost scaling warm from the copy's flow and
+   potentials; otherwise it resets the flow and takes the full ε ladder. *)
+let run_cs ?stop ~incremental t c =
+  let t0 = Telemetry.Trace.span_begin () in
+  let cs = Cost_scaling.solve ?stop ~incremental t.cs_state c in
+  Telemetry.Trace.span_end tr ~phase:t_cs ~t0;
+  Telemetry.Metrics.observe m m_cs_ns (Telemetry.Clock.ns_of_s cs.Solver_intf.runtime);
+  cs
+
+(* A round one solver resolved alone. *)
+let one_solver ~input ~solved winner st =
+  match winner with
+  | Relaxation ->
+      Telemetry.Metrics.incr m m_wins_rx;
+      finish ~input ~solved ~winner ~relaxation_stats:(Some st) ~cost_scaling_stats:None st
+  | Cost_scaling | Repair ->
+      Telemetry.Metrics.incr m m_wins_cs;
+      finish ~input ~solved ~winner ~relaxation_stats:None ~cost_scaling_stats:(Some st) st
+
+(* Both racers' stats are always populated in a hedged round — that is
    what makes the loser's margin observable. The margin histogram records
    loser − winner runtime; bucket 0 (≤ 0) collects rounds the winner took
    on outcome rank (Optimal / Infeasible beats Stopped) despite being
@@ -287,8 +307,6 @@ let pick_cost_scaling rx cs =
 let two_solver_result ~input ~g_rx ~g_cs rx cs =
   let rx_ns = Telemetry.Clock.ns_of_s rx.Solver_intf.runtime in
   let cs_ns = Telemetry.Clock.ns_of_s cs.Solver_intf.runtime in
-  Telemetry.Metrics.observe m m_rx_ns rx_ns;
-  Telemetry.Metrics.observe m m_cs_ns cs_ns;
   if pick_cost_scaling rx cs then begin
     Telemetry.Metrics.incr m m_wins_cs;
     Telemetry.Metrics.observe m m_margin_ns (rx_ns - cs_ns);
@@ -302,254 +320,98 @@ let two_solver_result ~input ~g_rx ~g_cs rx cs =
       ~cost_scaling_stats:(Some cs) rx
   end
 
-(* Sequential "race": run last round's winner first, then give the other
-   solver a time budget equal to the first's runtime (on top of the
-   caller's stop). The cap is winner-preserving: a capped second solver
-   either finishes Optimal faster than the first — and would have won
-   uncapped too — or ends [Stopped]/slower and loses exactly as an
-   uncapped slower run would ({!pick_cost_scaling} ranks Optimal above
-   Stopped, ties by runtime). What the cap removes is the loser's
-   unbounded tail: the round costs at most ~2× the winner instead of
-   winner + loser. When the first solver does not prove optimality the
-   second runs uncapped (it may still find an optimum, or a sound
-   infeasibility proof). Capped losers land in the margin histogram's
-   low buckets — the residual gap the solve_wait phase exposes. *)
-let solve_sequential_full ?stop ~scratch t g =
-  let g_rx = take t g in
-  let g_cs = take t g in
-  if scratch then begin
-    G.reset_flow g_rx;
-    G.reset_flow g_cs
-  end;
-  let run_rx ?stop () =
-    let t0 = Telemetry.Trace.span_begin () in
-    let rx = Relaxation.solve ?stop ~workspace:t.rx_ws g_rx in
-    Telemetry.Trace.span_end tr ~phase:t_rx ~t0;
-    rx
+(* The single-solver modes; [submit] sends [Race] to {!solve_race}. *)
+let solve_single ?stop ~scratch t g =
+  let c = take t g in
+  if scratch then G.reset_flow c;
+  let r =
+    match t.mode with
+    | Relaxation_only -> one_solver ~input:g ~solved:c Relaxation (run_rx ?stop t c)
+    | Race | Incremental_cost_scaling_only | Cost_scaling_scratch_only ->
+        let incremental = t.mode = Incremental_cost_scaling_only && not scratch in
+        one_solver ~input:g ~solved:c Cost_scaling (run_cs ?stop ~incremental t c)
   in
-  let run_cs ?stop () =
-    let t0 = Telemetry.Trace.span_begin () in
-    let cs = Cost_scaling.solve ?stop ~incremental:(not scratch) t.cs_state g_cs in
-    Telemetry.Trace.span_end tr ~phase:t_cs ~t0;
-    cs
-  in
-  let budget first =
-    match first.Solver_intf.outcome with
-    | Solver_intf.Optimal ->
-        let cap = Solver_intf.deadline_stop first.Solver_intf.runtime in
-        Some (match stop with None -> cap | Some s -> Solver_intf.either_stop s cap)
-    | Solver_intf.Infeasible | Solver_intf.Stopped -> stop
-  in
-  let rx, cs =
-    match t.seq_first with
-    | Relaxation ->
-        let rx = run_rx ?stop () in
-        (rx, run_cs ?stop:(budget rx) ())
-    | Cost_scaling | Repair ->
-        let cs = run_cs ?stop () in
-        (run_rx ?stop:(budget cs) (), cs)
-  in
-  let r = two_solver_result ~input:g ~g_rx ~g_cs rx cs in
-  (* Streak accounting for the winner-only escalation: the margin is
-     "stable" when the loser was budget-capped (it had not finished by
-     the winner's runtime) or finished at least [wo_ratio] slower. Only
-     warm rounds count — scratch retries are atypical. *)
-  if not scratch then begin
-    let winner_st, loser_st =
-      match r.winner with
-      | Relaxation -> (rx, cs)
-      | Cost_scaling | Repair -> (cs, rx)
-    in
-    let margin_ok =
-      loser_st.Solver_intf.outcome = Solver_intf.Stopped
-      || loser_st.Solver_intf.runtime >= t.wo_ratio *. winner_st.Solver_intf.runtime
-    in
-    t.wo_streak <-
-      (if not margin_ok then 0
-       else if r.winner = t.seq_first then t.wo_streak + 1
-       else 1);
-    t.wo_since_race <- 0
-  end;
-  t.seq_first <- r.winner;
-  reclaim t r [ g_rx; g_cs ];
+  reclaim t r [ c ];
   r
 
-(* Winner-only round: after [wo_k] consecutive same-winner rounds with a
-   stable margin, run only the expected winner. Any outcome other than a
-   proven optimum immediately falls back to the full two-solver round
-   (the skipped solver might have succeeded), and a full re-race happens
-   every [wo_period] rounds regardless so a regime change (e.g. the
-   cluster filling up, where relaxation degrades) is noticed. *)
-let solve_sequential ?stop ~scratch t g =
-  if
-    scratch || t.wo_k <= 0 || t.wo_streak < t.wo_k
-    || t.wo_since_race >= t.wo_period
-  then solve_sequential_full ?stop ~scratch t g
+(* The hedge deadline in ns: 0 (race from the start) with no history, on
+   a scratch retry, and while cost scaling holds the last raced round;
+   otherwise [hedge_factor] × the median of the runtime ring, taken by an
+   insertion sort of at most [hedge_window] ints. *)
+let hedge_delay_ns t ~scratch =
+  let n = t.rx_len in
+  if scratch || t.cs_won || n = 0 then 0
   else begin
-    let c = take t g in
-    let st =
-      match t.seq_first with
-      | Relaxation ->
-          let t0 = Telemetry.Trace.span_begin () in
-          let rx = Relaxation.solve ?stop ~workspace:t.rx_ws c in
-          Telemetry.Trace.span_end tr ~phase:t_rx ~t0;
-          Telemetry.Metrics.observe m m_rx_ns
-            (Telemetry.Clock.ns_of_s rx.Solver_intf.runtime);
-          rx
-      | Cost_scaling | Repair ->
-          let t0 = Telemetry.Trace.span_begin () in
-          let cs = Cost_scaling.solve ?stop ~incremental:true t.cs_state c in
-          Telemetry.Trace.span_end tr ~phase:t_cs ~t0;
-          Telemetry.Metrics.observe m m_cs_ns
-            (Telemetry.Clock.ns_of_s cs.Solver_intf.runtime);
-          cs
-    in
-    match st.Solver_intf.outcome with
-    | Solver_intf.Optimal ->
-        Telemetry.Metrics.incr m m_winner_only;
-        t.wo_since_race <- t.wo_since_race + 1;
-        let winner = t.seq_first in
-        let relaxation_stats, cost_scaling_stats =
-          match winner with
-          | Relaxation ->
-              Telemetry.Metrics.incr m m_wins_rx;
-              (Some st, None)
-          | Cost_scaling | Repair ->
-              Telemetry.Metrics.incr m m_wins_cs;
-              (None, Some st)
-        in
-        let r =
-          finish ~input:g ~solved:c ~winner ~relaxation_stats
-            ~cost_scaling_stats st
-        in
-        reclaim t r [ c ];
-        r
-    | Solver_intf.Infeasible | Solver_intf.Stopped ->
-        (* The lone solver could not prove an optimum: the skipped one
-           might have. Discard this attempt and re-race both. *)
-        Telemetry.Metrics.incr m m_winner_only_misses;
-        t.wo_streak <- 0;
-        t.wo_since_race <- 0;
-        give_back t c;
-        solve_sequential_full ?stop ~scratch t g
+    let s = t.rx_sorted in
+    Array.blit t.rx_ring 0 s 0 n;
+    for i = 1 to n - 1 do
+      let x = s.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && s.(!j) > x do
+        s.(!j + 1) <- s.(!j);
+        decr j
+      done;
+      s.(!j + 1) <- x
+    done;
+    hedge_factor * (s.((n - 1) / 2) + s.(n / 2)) / 2
   end
 
-let solve_relaxation_only ?stop ~scratch t g =
-  let c = take t g in
-  if scratch then G.reset_flow c;
-  let t0 = Telemetry.Trace.span_begin () in
-  let rx = Relaxation.solve ?stop ~workspace:t.rx_ws c in
-  Telemetry.Trace.span_end tr ~phase:t_rx ~t0;
-  Telemetry.Metrics.observe m m_rx_ns (Telemetry.Clock.ns_of_s rx.Solver_intf.runtime);
-  Telemetry.Metrics.incr m m_wins_rx;
-  let r =
-    finish ~input:g ~solved:c ~winner:Relaxation ~relaxation_stats:(Some rx)
-      ~cost_scaling_stats:None rx
-  in
-  reclaim t r [ c ];
-  r
+let record_rx t rx =
+  t.rx_ring.(t.rx_next) <- Telemetry.Clock.ns_of_s rx.Solver_intf.runtime;
+  t.rx_next <- (t.rx_next + 1) mod hedge_window;
+  if t.rx_len < hedge_window then t.rx_len <- t.rx_len + 1
 
-let solve_cost_scaling_only ?stop ~incremental t g =
-  let c = take t g in
-  let t0 = Telemetry.Trace.span_begin () in
-  let cs = Cost_scaling.solve ?stop ~incremental t.cs_state c in
-  Telemetry.Trace.span_end tr ~phase:t_cs ~t0;
-  Telemetry.Metrics.observe m m_cs_ns (Telemetry.Clock.ns_of_s cs.Solver_intf.runtime);
-  Telemetry.Metrics.incr m m_wins_cs;
-  let r =
-    finish ~input:g ~solved:c ~winner:Cost_scaling ~relaxation_stats:None
-      ~cost_scaling_stats:(Some cs) cs
-  in
-  reclaim t r [ c ];
-  r
-
-let solve_incremental_cs ?stop ~scratch t g =
-  let c = take t g in
-  if scratch then G.reset_flow c;
-  let t0 = Telemetry.Trace.span_begin () in
-  let cs = Cost_scaling.solve ?stop ~incremental:(not scratch) t.cs_state c in
-  Telemetry.Trace.span_end tr ~phase:t_cs ~t0;
-  Telemetry.Metrics.observe m m_cs_ns (Telemetry.Clock.ns_of_s cs.Solver_intf.runtime);
-  Telemetry.Metrics.incr m m_wins_cs;
-  let r =
-    finish ~input:g ~solved:c ~winner:Cost_scaling ~relaxation_stats:None
-      ~cost_scaling_stats:(Some cs) cs
-  in
-  reclaim t r [ c ];
-  r
-
-(* A submitted solve. The working copies were taken from the input at
-   submit time, so the caller may mutate the input graph while the solve
-   is outstanding. [Done] wraps a solve that ran eagerly during submit
-   (sequential modes); [Running] tracks detached racing domains. *)
-type inflight = {
-  r_owner : t;
-  r_copies : G.t list;
-  r_done : int Atomic.t;  (* finished racers; poll is ready at [r_total] *)
-  r_total : int;
-  r_join : unit -> result;  (* joins the domains and assembles the result *)
-  mutable r_result : result option;
-}
-
-(* [In_place r]: a round resolved by repairing the input in place; [r]
-   is redirected to a scratch copy by {!detach}. *)
-type handle = Done of result | Running of inflight | In_place of result ref
-
-(* Parallel race, detached: both algorithms run in their own domain on
-   their own copy; the first Optimal finisher flips the shared cancel
-   flag. Each domain uses a distinct persistent workspace ([rx_ws] vs.
-   [cs_state]'s), so the scratch sharing is race-free. The domains are
-   joined by {!await}, behind the returned handle. *)
-let submit_parallel ?(stop = Solver_intf.never_stop) ~scratch t g =
+(* The hedged race (paper §6.1): relaxation runs alone in the caller's
+   domain on one scratch copy. Once it has run for the hedge deadline —
+   checked at its stop polls — cost scaling starts on a second domain,
+   on its own copy of the input (nothing mutates [g] during the call),
+   warm. The first Optimal result flips the shared cancel flag; the hedge
+   is joined before returning. Each solver has its own persistent
+   workspace ([rx_ws] vs. [cs_state]'s), and the hedge domain's [take]
+   runs while this domain is inside relaxation and off the pool, so the
+   sharing is race-free. *)
+let solve_race ?(stop = Solver_intf.never_stop) ~scratch t g =
   let g_rx = take t g in
-  let g_cs = take t g in
-  if scratch then begin
-    G.reset_flow g_rx;
-    G.reset_flow g_cs
-  end;
+  if scratch then G.reset_flow g_rx;
   let cancel = Atomic.make false in
-  let stop' = Solver_intf.either_stop stop (Solver_intf.flag_stop cancel) in
-  let announce stats =
-    (match stats.Solver_intf.outcome with
-    | Solver_intf.Optimal -> Atomic.set cancel true
-    | Solver_intf.Infeasible | Solver_intf.Stopped -> ());
-    stats
+  let stop = Solver_intf.either_stop stop (Solver_intf.flag_stop cancel) in
+  let hedge = ref None in
+  let start_hedge () =
+    Telemetry.Metrics.incr m m_hedges;
+    hedge :=
+      Some
+        (Domain.spawn (fun () ->
+             let g_cs = take t g in
+             if scratch then G.reset_flow g_cs;
+             let cs = run_cs ~stop ~incremental:(not scratch) t g_cs in
+             if cs.Solver_intf.outcome = Solver_intf.Optimal then Atomic.set cancel true;
+             (g_cs, cs)))
   in
-  let finished = Atomic.make 0 in
-  let d_rx =
-    Domain.spawn (fun () ->
-        let t0 = Telemetry.Trace.span_begin () in
-        let st = announce (Relaxation.solve ~stop:stop' ~workspace:t.rx_ws g_rx) in
-        Telemetry.Trace.span_end tr ~phase:t_rx ~t0;
-        Atomic.incr finished;
-        st)
+  let delay = hedge_delay_ns t ~scratch in
+  if delay = 0 then start_hedge ();
+  let t0 = Telemetry.Clock.now_ns () in
+  let rx_stop () =
+    (match !hedge with
+    | None when Telemetry.Clock.now_ns () - t0 >= delay -> start_hedge ()
+    | None | Some _ -> ());
+    stop ()
   in
-  let d_cs =
-    Domain.spawn (fun () ->
-        let t0 = Telemetry.Trace.span_begin () in
-        let st =
-          announce
-            (Cost_scaling.solve ~stop:stop' ~incremental:(not scratch) t.cs_state g_cs)
-        in
-        Telemetry.Trace.span_end tr ~phase:t_cs ~t0;
-        Atomic.incr finished;
-        st)
-  in
-  t.in_flight <- true;
-  let join () =
-    let rx = Domain.join d_rx in
-    let cs = Domain.join d_cs in
-    two_solver_result ~input:g ~g_rx ~g_cs rx cs
-  in
-  Running
-    {
-      r_owner = t;
-      r_copies = [ g_rx; g_cs ];
-      r_done = finished;
-      r_total = 2;
-      r_join = join;
-      r_result = None;
-    }
+  let rx = run_rx ~stop:rx_stop t g_rx in
+  let optimal = rx.Solver_intf.outcome = Solver_intf.Optimal in
+  if optimal then Atomic.set cancel true;
+  if optimal && not scratch then record_rx t rx;
+  match !hedge with
+  | None ->
+      Telemetry.Metrics.incr m m_winner_only;
+      let r = one_solver ~input:g ~solved:g_rx Relaxation rx in
+      reclaim t r [ g_rx ];
+      r
+  | Some d ->
+      let g_cs, cs = Domain.join d in
+      let r = two_solver_result ~input:g ~g_rx ~g_cs rx cs in
+      t.cs_won <- r.winner = Cost_scaling;
+      reclaim t r [ g_rx; g_cs ];
+      r
 
 (* Delta path: when the caller allows repair ([delta_budget]) and the
    input graph is the one whose potentials {!prepare} certified, count the
@@ -601,8 +463,11 @@ let try_repair ?stop ~scratch ~delta_budget t g =
         | Incremental.Gave_up _ -> None)
     | _ -> None
 
+(* Every handle is ready at submit; the ref lets {!detach} redirect an
+   in-place repaired round (the one [armed] points at) to a copy. *)
+type handle = result ref
+
 let submit ?stop ?(scratch = false) ?delta_budget t g =
-  if t.in_flight then invalid_arg "Race.submit: a solve is already in flight";
   Telemetry.Metrics.incr m m_solves;
   (* A repaired-copy marker is only meaningful between the submit that
      produced it and the {!prepare} of its adoption; a commit that did
@@ -612,32 +477,14 @@ let submit ?stop ?(scratch = false) ?delta_budget t g =
   t.repaired_graph <- None;
   t.armed <- None;
   match try_repair ?stop ~scratch ~delta_budget t g with
-  | Some r -> In_place r
+  | Some h -> h
   | None -> (
       match t.mode with
-      | Relaxation_only -> Done (solve_relaxation_only ?stop ~scratch t g)
-      | Incremental_cost_scaling_only -> Done (solve_incremental_cs ?stop ~scratch t g)
-      | Cost_scaling_scratch_only ->
-          Done (solve_cost_scaling_only ?stop ~incremental:false t g)
-      | Fastest_sequential -> Done (solve_sequential ?stop ~scratch t g)
-      | Race_parallel -> submit_parallel ?stop ~scratch t g)
+      | Race -> ref (solve_race ?stop ~scratch t g)
+      | Relaxation_only | Incremental_cost_scaling_only | Cost_scaling_scratch_only ->
+          ref (solve_single ?stop ~scratch t g))
 
-let poll = function
-  | Done _ | In_place _ -> true
-  | Running i -> i.r_result <> None || Atomic.get i.r_done >= i.r_total
-
-let await = function
-  | Done r -> r
-  | In_place r -> !r
-  | Running i -> (
-      match i.r_result with
-      | Some r -> r
-      | None ->
-          let r = i.r_join () in
-          reclaim i.r_owner r i.r_copies;
-          i.r_owner.in_flight <- false;
-          i.r_result <- Some r;
-          r)
+let await h = !h
 
 let solve ?stop ?scratch ?delta_budget t g =
   await (submit ?stop ?scratch ?delta_budget t g)
@@ -647,15 +494,13 @@ let solve ?stop ?scratch ?delta_budget t g =
    slot, which becomes the result (and the graph {!prepare} will
    recognise as certified), and the journal rolls the input back to the
    pre-round warm start. *)
-let detach t = function
-  | Done _ | Running _ -> ()
-  | In_place r -> (
-      match t.armed with
-      | Some a when a == r ->
-          t.armed <- None;
-          let g = !r.graph in
-          let c = take t g in
-          Incremental.rollback t.inc_ws g;
-          t.repaired_graph <- Some c;
-          r := { !r with graph = c }
-      | Some _ | None -> ())
+let detach t h =
+  match t.armed with
+  | Some a when a == h ->
+      t.armed <- None;
+      let g = !h.graph in
+      let c = take t g in
+      Incremental.rollback t.inc_ws g;
+      t.repaired_graph <- Some c;
+      h := { !h with graph = c }
+  | Some _ | None -> ()

@@ -1,11 +1,26 @@
 (** Firmament's solver orchestration (paper §6.1–6.2).
 
-    Firmament speculatively executes {e relaxation (from scratch)} and
-    {e incremental cost scaling} on copies of the scheduling graph and
-    takes whichever finishes first: relaxation wins in the common case,
-    cost scaling bounds placement latency in edge cases (oversubscription,
-    huge arriving jobs). Predicting the winner would be brittle; running
-    both is cheap because each is single-threaded.
+    Firmament races {e relaxation} against {e incremental cost scaling}
+    on copies of the scheduling graph: relaxation wins the common case,
+    and cost scaling bounds placement latency in relaxation's
+    pathological ones (oversubscription, huge arriving jobs). That
+    insurance is only needed in those cases, so the race is {e hedged}
+    (send the backup only when the primary is late):
+
+    - relaxation runs alone, in the caller's domain, on one scratch copy;
+    - once it has run for the hedge deadline H, cost scaling starts on a
+      second domain, on its own copy of the input, warm; the first
+      Optimal result cancels the other, and {!submit} joins the hedge
+      before it returns;
+    - H is 2× the median of relaxation's last 8 optimal warm runtimes;
+    - H is 0, so both start at once, when there is no history yet, on a
+      [~scratch] retry, and while cost scaling holds the last raced
+      round (until relaxation wins one back).
+
+    The 2 and the 8 were chosen from settle and sweep traces (DESIGN.md
+    "Hedged race"). [mcmf_race_hedges_total] counts rounds that started
+    the hedge, and [mcmf_race_winner_only_total] rounds relaxation
+    resolved before it started.
 
     Use {!prepare} on the {e previous} optimal solution before applying
     cluster changes: it price-refines the potentials so the next
@@ -26,18 +41,11 @@
     {b In-place repair.} A round resolved by the repair path copies
     nothing: {!Incremental.repair} works on the input graph itself under
     its undo journal, and the result's [graph] {e is} the input. Every
-    scratch copy the race takes (two per full race, one per {!detach})
-    counts in [mcmf_race_graph_copies_total]. *)
+    scratch copy the race takes (one per solver that runs, one per
+    {!detach}) counts in [mcmf_race_graph_copies_total]. *)
 
 type mode =
-  | Race_parallel  (** two domains, first optimal result wins; the loser is cancelled *)
-  | Fastest_sequential
-      (** run both sequentially, report the faster — deterministic
-          simulation of the race for single-core benchmarks. Runs last
-          round's winner first and budgets the other solver by the
-          winner's runtime (winner-preserving — see the implementation
-          note), so a round costs at most ~2× the winner instead of
-          winner plus the loser's unbounded tail *)
+  | Race  (** the hedged race above *)
   | Relaxation_only
   | Incremental_cost_scaling_only
   | Cost_scaling_scratch_only  (** Quincy's configuration (cs2-style) *)
@@ -55,14 +63,6 @@ type t
     same graph may resolve the round by {!Incremental.repair} instead of
     running any solver.
 
-    [winner_only_k]/[winner_only_period]/[winner_only_ratio] tune the
-    [Fastest_sequential] escalation: after [winner_only_k] consecutive
-    rounds won by the same solver with a stable margin (the loser was
-    budget-capped, or at least [winner_only_ratio]× slower), the loser is
-    skipped entirely; a full re-race runs every [winner_only_period]
-    winner-only rounds, or immediately when the lone solver fails to
-    prove optimality. [winner_only_k <= 0] disables the escalation.
-
     [node_hint]/[arc_hint] pre-size the solver workspaces and the two
     pooled scratch graphs so the first round runs steady-state (no
     workspace growth mid-round). [preallocate:false] still reserves the
@@ -75,9 +75,6 @@ val create :
   ?alpha:int ->
   ?price_refine:bool ->
   ?incremental:bool ->
-  ?winner_only_k:int ->
-  ?winner_only_period:int ->
-  ?winner_only_ratio:float ->
   ?preallocate:bool ->
   ?node_hint:int ->
   ?arc_hint:int ->
@@ -111,15 +108,14 @@ type result = {
   winner : winner;
   stats : Solver_intf.stats;  (** the winner's stats — inspect [outcome] *)
   relaxation_stats : Solver_intf.stats option;
-      (** [Some] whenever relaxation actually ran this round — in a full
-          two-solver round that includes the loser (cancelled or
-          [Stopped] runs report their partial work), so winner/loser
-          margins stay observable. [None] in modes that never run the
-          solver, in winner-only escalated rounds (the skipped loser ran
-          nothing — [mcmf_race_winner_only_total] counts those), and in
+      (** [Some] whenever relaxation actually ran this round — in a
+          hedged round that includes the loser (cancelled or [Stopped]
+          runs report their partial work), so winner/loser margins stay
+          observable. [None] in modes that never run the solver and in
           rounds resolved by the [Repair] path (both are [None]). *)
   cost_scaling_stats : Solver_intf.stats option;
-      (** same guarantee for cost scaling *)
+      (** same guarantee for cost scaling — so [None] in a [Race] round
+          relaxation finished before the hedge started *)
 }
 
 (** [prepare t g] must be called on the canonical graph while it still
@@ -133,39 +129,29 @@ type result = {
     repair already certified it. *)
 val prepare : t -> Flowgraph.Graph.t -> unit
 
-(** A submitted solve. The working copies are taken from the input graph
-    {e at submit time}, so the caller is free to mutate the input (apply
-    cluster events, refresh costs) while the solve is outstanding — that
-    is what makes pipelined scheduling rounds sound. A round repaired in
-    place has no copy until {!detach} makes one. *)
+(** A solved round, as {!submit} returns it. A round repaired in place
+    still aliases the input until {!detach} copies it. *)
 type handle
 
-(** [submit ?stop ?scratch t g] dispatches a solve of [g] and returns
-    immediately. In [Race_parallel] mode the two racing domains run
-    detached behind the handle until {!await} joins them; in the
-    sequential modes the solve runs eagerly during [submit] (there is no
-    second core to overlap with) and the handle is ready at once. Either
-    way the scratch copies are taken before [submit] returns, so [g] may
-    be mutated afterwards without affecting the result.
+(** [submit ?stop ?scratch t g] solves [g] and returns the finished
+    round's handle: every solver, the [Race] hedge included, has returned
+    or been joined by then. Solvers work on scratch copies, so [g] may be
+    mutated afterwards without affecting the result.
 
     [?delta_budget] allows the repair path: if [g] is the graph the last
     {!prepare} certified and carries at most [delta_budget] excess nodes
     (counted in O(n) on [g] itself, with no copy), the round is first
     attempted as an O(changes) {!Incremental.repair} of [g] {e in place}
-    — on success the handle is ready at once with [winner = Repair] and
+    — on success the handle holds [winner = Repair] and
     [result.graph == g]; on any give-up (reasons exported as
     [mcmf_incremental_giveup_*_total]) the kernel has already rolled [g]
     back, and the configured mode runs on copies exactly as if
     [delta_budget] had not been passed.
 
-    So the "copies are taken at submit time" guarantee above has one
-    exception: after an in-place repair, [g] holds the round's result.
-    A caller that wants to mutate [g] while such a round is pending (and
-    read the pre-round warm start from it) must call {!detach} first.
-
-    At most one solve may be outstanding per [t] (the scratch pool and
-    solver workspaces are single-occupancy).
-    @raise Invalid_argument if a previous submit has not been awaited. *)
+    So the "scratch copies" guarantee above has one exception: after an
+    in-place repair, [g] holds the round's result. A caller that wants
+    to mutate [g] while such a round is pending (and read the pre-round
+    warm start from it) must call {!detach} first. *)
 val submit :
   ?stop:Solver_intf.stop ->
   ?scratch:bool ->
@@ -187,28 +173,23 @@ val submit :
     mutation it did not record, and the round's result is then lost. *)
 val detach : t -> handle -> unit
 
-(** [poll h] is [true] once every racer has finished, i.e. once {!await}
-    will return without blocking. *)
-val poll : handle -> bool
-
-(** [await h] joins the racing domains (if any), assembles the result and
-    returns the scratch copies the result does not expose to the pool.
-    Idempotent: further calls return the memoized result. *)
+(** [await h] is the round's result. *)
 val await : handle -> result
 
-(** [solve ?stop ?scratch t g] is [await (submit ?stop ?scratch t g)] —
-    the synchronous round. Every solver runs on a structure-preserving
-    copy (same node/arc ids), and [result.graph] is the copy to adopt on
-    success or [g] itself on a degraded outcome; [g] is only mutated by
-    a successful in-place repair (see [?delta_budget] on {!submit}),
-    which returns [g] itself. Never raises on infeasibility or cancellation —
-    inspect [result.stats.outcome]. When the two-solver modes disagree, an
-    [Infeasible] verdict (a sound proof) takes precedence over [Stopped].
+(** [solve ?stop ?scratch t g] is [await (submit ?stop ?scratch t g)].
+    Every solver runs on a structure-preserving copy (same node/arc ids),
+    and [result.graph] is the copy to adopt on success or [g] itself on a
+    degraded outcome; [g] is only mutated by a successful in-place repair
+    (see [?delta_budget] on {!submit}), which returns [g] itself. Never
+    raises on infeasibility or cancellation — inspect
+    [result.stats.outcome]. When a hedged round's solvers disagree, an
+    [Infeasible] verdict (a sound proof) takes precedence over
+    [Stopped].
 
     [~scratch:true] discards the warm start: copies get a fresh
-    {!Flowgraph.Graph.reset_flow} and cost scaling takes the full scratch
-    ε ladder — the scheduler's second attempt after an [Infeasible]
-    round. *)
+    {!Flowgraph.Graph.reset_flow}, cost scaling takes the full scratch ε
+    ladder, and a [Race] round starts the hedge at once — the
+    scheduler's second attempt after an [Infeasible] round. *)
 val solve :
   ?stop:Solver_intf.stop ->
   ?scratch:bool ->

@@ -189,8 +189,6 @@ type t = {
   http_conns : (int, conn) Hashtbl.t;
   mutable next_cid : int;
   t0_ns : int;
-  mutable pending : S.pending option;
-  mutable pending_t0_ns : int;
   mutable last_round_ns : int;
   jids : (int, unit) Hashtbl.t;
   submit_ns : (int, int) Hashtbl.t;  (* tid -> admission ns, until first start *)
@@ -286,8 +284,6 @@ let create cfg =
     http_conns = Hashtbl.create 4;
     next_cid = 0;
     t0_ns = t0;
-    pending = None;
-    pending_t0_ns = t0;
     last_round_ns = t0;
     jids;
     submit_ns = Hashtbl.create 4096;
@@ -490,10 +486,10 @@ let push_placements t (r : S.round) =
           Telemetry.Metrics.add m m_placements_pushed (n * List.length chunk))
         (chunks [] placements)
 
-let commit_pending t p =
-  t.pending <- None;
+let run_round t =
+  let t0 = now_ns () in
   let now = now_s t in
-  let r = S.commit_round t.sched p ~now in
+  let r = S.schedule t.sched ~now in
   (match t.writer with
   | Some w -> Firmament.Snapshot.Writer.round w r ~now
   | None -> ());
@@ -501,40 +497,27 @@ let commit_pending t p =
   let t_now = now_ns () in
   t.last_round_ns <- t_now;
   Telemetry.Metrics.incr m m_rounds;
-  Telemetry.Metrics.observe m m_round_ns (t_now - t.pending_t0_ns);
+  Telemetry.Metrics.observe m m_round_ns (t_now - t0);
   push_placements t r
 
 let linger_ns t = int_of_float (t.cfg.linger_s *. 1e9)
 
 let drive_rounds t =
-  match t.pending with
-  | Some p ->
-      (* Ingestion overlapping the in-flight solve: apply what queued. *)
-      if not (Admission.is_empty t.queue) then
-        ignore (drain_apply t ~max_events:t.cfg.batch_max);
-      if S.poll t.sched p then commit_pending t p
-  | None ->
-      let t_now = now_ns () in
-      let lingered =
-        match Admission.peek t.queue with
-        | Some a -> t_now - a.t_admit_ns >= linger_ns t
-        | None -> false
-      in
-      let backlog =
-        Cluster.State.waiting_count t.clu > 0
-        && t_now - t.last_round_ns >= linger_ns t
-      in
-      if Admission.length t.queue >= t.cfg.batch_max || lingered || backlog then begin
-        let applied = drain_apply t ~max_events:t.cfg.batch_max in
-        Telemetry.Metrics.incr m m_batches;
-        Telemetry.Metrics.observe m m_batch_size applied;
-        t.pending_t0_ns <- now_ns ();
-        let p = S.begin_round t.sched ~now:(now_s t) in
-        t.pending <- Some p;
-        (* Sequential modes solved eagerly inside begin_round: commit now
-           rather than waiting a select cycle. *)
-        if S.poll t.sched p then commit_pending t p
-      end
+  let t_now = now_ns () in
+  let lingered =
+    match Admission.peek t.queue with
+    | Some a -> t_now - a.t_admit_ns >= linger_ns t
+    | None -> false
+  in
+  let backlog =
+    Cluster.State.waiting_count t.clu > 0 && t_now - t.last_round_ns >= linger_ns t
+  in
+  if Admission.length t.queue >= t.cfg.batch_max || lingered || backlog then begin
+    let applied = drain_apply t ~max_events:t.cfg.batch_max in
+    Telemetry.Metrics.incr m m_batches;
+    Telemetry.Metrics.observe m m_batch_size applied;
+    run_round t
+  end
 
 (* {1 Frame handling} *)
 
@@ -700,10 +683,9 @@ let accept_loop t listener ~http =
 (* {1 Shutdown drain} *)
 
 let do_shutdown t =
-  (* 1. Finish the round in flight (the configured deadline, if any,
-     bounds this via the PR 1 degradation ladder) and push its deltas. *)
-  (match t.pending with Some p -> commit_pending t p | None -> ());
-  (* 2. Remaining admitted-but-unapplied events are dropped, visibly. *)
+  (* 1. Remaining admitted-but-unapplied events are dropped, visibly.
+     No round is ever in flight between steps: {!drive_rounds} commits
+     each round in the step that starts it. *)
   let dropped = Admission.length t.queue in
   if dropped > 0 then begin
     Telemetry.Metrics.add m m_events_dropped_shutdown dropped;
@@ -712,7 +694,7 @@ let do_shutdown t =
     done
   end;
   Telemetry.Metrics.set m m_queue_depth 0;
-  (* 3. Orderly goodbye on every connection, then a bounded flush. *)
+  (* 2. Orderly goodbye on every connection, then a bounded flush. *)
   let goodbye = P.encode (P.Shutdown { reason = "server shutting down" }) in
   let live = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
   List.iter
@@ -739,7 +721,7 @@ let do_shutdown t =
     end
   in
   flush_all ();
-  (* 4. Snapshot-on-shutdown: fold the journal into a fresh base image so
+  (* 3. Snapshot-on-shutdown: fold the journal into a fresh base image so
      the next incarnation restores without replay, then release the file. *)
   (match t.writer with
   | Some w ->
@@ -807,13 +789,11 @@ let step t ~timeout_s =
   end
 
 let idle_timeout t =
-  if t.pending <> None then 0.002
-  else
-    match Admission.peek t.queue with
-    | Some a ->
-        let age = now_ns () - a.t_admit_ns in
-        Float.max 0.001 (t.cfg.linger_s -. (float_of_int age *. 1e-9))
-    | None -> if Cluster.State.waiting_count t.clu > 0 then t.cfg.linger_s else 0.05
+  match Admission.peek t.queue with
+  | Some a ->
+      let age = now_ns () - a.t_admit_ns in
+      Float.max 0.001 (t.cfg.linger_s -. (float_of_int age *. 1e-9))
+  | None -> if Cluster.State.waiting_count t.clu > 0 then t.cfg.linger_s else 0.05
 
 let run t =
   while not t.finished do

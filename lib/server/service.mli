@@ -1,6 +1,6 @@
 (** The [firmament_serve] daemon: a persistent scheduler service
-    multiplexing many concurrent socket clients onto one pipelined
-    Firmament scheduler.
+    multiplexing many concurrent socket clients onto one Firmament
+    scheduler.
 
     {2 Threading model}
 
@@ -8,13 +8,12 @@
     the listener, every client connection, the admission queue and the
     scheduler. One {!step} = one select round: accept, read + decode
     frames, admit events (ACK) or refuse them (NACK backpressure when the
-    bounded queue is full), drive the scheduling round state machine, and
-    flush outbound buffers. Under [Race_parallel] the solve itself runs on
-    background domains ({!Firmament.Scheduler.begin_round} dispatches,
-    the loop keeps admitting and {e applying} events mid-solve — the PR 4
-    stale-aware commit reconciles), so ingestion overlaps the solve; under
-    the sequential modes the solve happens inside [begin_round] and the
-    kernel socket buffers absorb the burst.
+    bounded queue is full), run a scheduling round when one is due, and
+    flush outbound buffers. A round solves and commits inside the step
+    that starts it ({!Firmament.Scheduler.schedule}; the [Race] hedge's
+    second domain is joined before the solve returns), so no round is in
+    flight between steps; the kernel socket buffers absorb the events
+    that arrive meanwhile.
 
     {2 Round driving}
 
@@ -27,8 +26,7 @@
     {2 Shutdown}
 
     {!request_shutdown} (signal-handler safe) makes the next {!step} drain:
-    commit (or degrade, per the PR 1 ladder and the configured deadline)
-    the in-flight round, push its deltas, send every client a
+    drop the admitted events no round has applied yet, send every client a
     {!Protocol.Shutdown} frame, flush outbound buffers within a bounded
     grace period, close everything and mark the server {!finished} —
     clients see an orderly goodbye, not ECONNRESET. *)
@@ -72,7 +70,7 @@ type config = {
           from the first post-restore round on *)
 }
 
-(** 250 machines (8 per rack, 16 slots), [Fastest_sequential] solver,
+(** 250 machines (8 per rack, 16 slots), [Race] solver,
     4096-event queue, 1024-event batches, 20 ms linger, TCP on
     127.0.0.1:7117, no metrics endpoint, no snapshotting. *)
 val default_config : config

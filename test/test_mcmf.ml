@@ -630,17 +630,8 @@ let test_cost_scaling_rejects_bad_alpha () =
 
 (* {1 Race orchestration} *)
 
-let test_race_sequential () =
-  let race = Mcmf.Race.create ~mode:Mcmf.Race.Fastest_sequential () in
-  let g = diamond () in
-  Mcmf.Race.prepare race g;
-  let r = Mcmf.Race.solve race g in
-  checki "cost" diamond_optimal_cost (G.total_cost r.Mcmf.Race.graph);
-  checkb "both stats present" true
-    (r.Mcmf.Race.relaxation_stats <> None && r.Mcmf.Race.cost_scaling_stats <> None)
-
 let test_race_parallel () =
-  let race = Mcmf.Race.create ~mode:Mcmf.Race.Race_parallel () in
+  let race = Mcmf.Race.create ~mode:Mcmf.Race.Race () in
   let g = diamond () in
   let r = Mcmf.Race.solve race g in
   checki "cost" diamond_optimal_cost (G.total_cost r.Mcmf.Race.graph);
@@ -655,10 +646,7 @@ let test_race_modes_agree () =
         let r = Mcmf.Race.solve race g in
         G.total_cost r.Mcmf.Race.graph)
       Mcmf.Race.
-        [
-          Race_parallel; Fastest_sequential; Relaxation_only; Incremental_cost_scaling_only;
-          Cost_scaling_scratch_only;
-        ]
+        [ Race; Relaxation_only; Incremental_cost_scaling_only; Cost_scaling_scratch_only ]
   in
   match costs with
   | c :: rest -> List.iter (fun c' -> checki "same cost" c c') rest
@@ -667,7 +655,7 @@ let test_race_modes_agree () =
 let test_race_incremental_sequence () =
   (* Drive several change->prepare->solve cycles through the orchestrator,
      checking optimality at each step (the scheduler's usage pattern). *)
-  let race = Mcmf.Race.create ~mode:Mcmf.Race.Fastest_sequential () in
+  let race = Mcmf.Race.create ~mode:Mcmf.Race.Race () in
   let g = ref (diamond ()) in
   let r = Mcmf.Race.solve race !g in
   g := r.Mcmf.Race.graph;
@@ -689,7 +677,7 @@ let test_race_recycle_rounds_stay_optimal () =
      the displaced one back through [recycle], mutate, solve again. Rounds
      after the first reuse scratch slots via [copy_into]; every one must
      still be optimal and agree with a from-scratch reference solve. *)
-  let race = Mcmf.Race.create ~mode:Mcmf.Race.Fastest_sequential () in
+  let race = Mcmf.Race.create ~mode:Mcmf.Race.Race () in
   let g = ref (diamond ()) in
   for i = 1 to 8 do
     Mcmf.Race.prepare race !g;
@@ -714,7 +702,7 @@ let test_race_handed_out_graph_never_clobbered () =
      later rounds: its slot is empty, so subsequent solves may not write
      into it. (This is what lets the scheduler keep reading placements
      while the next round runs.) *)
-  let race = Mcmf.Race.create ~mode:Mcmf.Race.Fastest_sequential () in
+  let race = Mcmf.Race.create ~mode:Mcmf.Race.Race () in
   let r1 = Mcmf.Race.solve race (diamond ()) in
   let kept = r1.Mcmf.Race.graph in
   let cost1 = G.total_cost kept in
@@ -826,7 +814,7 @@ let prop_race_repair_path_matches =
   QCheck.Test.make ~name:"race with delta budget = scratch solve" ~count:60
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let race = Mcmf.Race.create ~mode:Mcmf.Race.Fastest_sequential () in
+      let race = Mcmf.Race.create ~mode:Mcmf.Race.Race () in
       let r1 = Mcmf.Race.solve race (netgen_instance seed) in
       if r1.Mcmf.Race.stats.S.outcome <> S.Optimal then QCheck.assume_fail ()
       else begin
@@ -854,7 +842,7 @@ let test_race_repair_taken_and_telemetry () =
      following prepare on the adopted graph, report [winner = Repair]
      with both per-solver stats absent, and count it in telemetry. *)
   let repairs0 = counter_value "mcmf_race_wins_repair_total" in
-  let race = Mcmf.Race.create ~mode:Mcmf.Race.Fastest_sequential () in
+  let race = Mcmf.Race.create ~mode:Mcmf.Race.Race () in
   let r1 = Mcmf.Race.solve race (diamond ()) in
   Alcotest.check outcome_t "round 1 optimal" S.Optimal r1.Mcmf.Race.stats.S.outcome;
   let g = r1.Mcmf.Race.graph in
@@ -1044,7 +1032,7 @@ let test_race_repair_in_place () =
   (* A [Repair] round copies nothing: its result is the input graph
      itself. [detach] then moves the repair to a scratch copy (one copy)
      and rolls the input back to its pre-round state, exactly once. *)
-  let race = Mcmf.Race.create ~mode:Mcmf.Race.Fastest_sequential () in
+  let race = Mcmf.Race.create ~mode:Mcmf.Race.Race () in
   let r1 = Mcmf.Race.solve race (netgen_instance 7) in
   Alcotest.check outcome_t "round 1 optimal" S.Optimal r1.Mcmf.Race.stats.S.outcome;
   let g = r1.Mcmf.Race.graph in
@@ -1153,74 +1141,109 @@ let test_repair_no_change_round () =
   | Mcmf.Incremental.Gave_up r ->
       Alcotest.failf "no-change repair gave up: %s" (Mcmf.Incremental.reason_name r)
 
-let test_race_winner_only_escalation () =
-  (* With k=1, period=2, ratio=0 the escalation pattern is deterministic:
-     round 1 full race, rounds 2-3 winner-only (the skipped loser reports
-     no stats), round 4 a forced periodic re-race, then winner-only
-     again. Every round must stay optimal. *)
+(* {1 The hedged race} *)
+
+(* Stops that tell the two racers apart: relaxation runs in the caller's
+   domain, the cost-scaling hedge in a second one. *)
+let stop_hedge () =
+  let main = Domain.self () in
+  fun () -> Domain.self () <> main
+
+let stop_relaxation () =
+  let main = Domain.self () in
+  fun () -> Domain.self () = main
+
+let test_race_fresh_starts_both () =
+  (* No history yet: both solvers start at once, and both report. *)
+  let hedges0 = counter_value "mcmf_race_hedges_total" in
+  let race = Mcmf.Race.create ~mode:Mcmf.Race.Race () in
+  let g = diamond () in
+  Mcmf.Race.prepare race g;
+  let r = Mcmf.Race.solve race g in
+  checki "cost" diamond_optimal_cost (G.total_cost r.Mcmf.Race.graph);
+  checkb "both stats present" true
+    (r.Mcmf.Race.relaxation_stats <> None && r.Mcmf.Race.cost_scaling_stats <> None);
+  checki "hedge started" (hedges0 + 1) (counter_value "mcmf_race_hedges_total")
+
+let test_race_within_deadline_runs_alone () =
+  (* A 2,000-task round sets the history (its hedge is stopped at once,
+     so relaxation wins); a tiny round then finishes far inside 2× that
+     runtime, with one copy and no hedge. *)
+  let race = Mcmf.Race.create ~mode:Mcmf.Race.Race ~incremental:false () in
+  let big = Flowgraph.Netgen.scheduling ~tasks:2000 ~machines:100 ~seed:1 () in
+  let r0 = Mcmf.Race.solve ~stop:(stop_hedge ()) race big.Flowgraph.Netgen.graph in
+  checkb "priming round won by relaxation" true (r0.Mcmf.Race.winner = Mcmf.Race.Relaxation);
   let wo0 = counter_value "mcmf_race_winner_only_total" in
-  let race =
-    Mcmf.Race.create ~mode:Mcmf.Race.Fastest_sequential ~incremental:false
-      ~winner_only_k:1 ~winner_only_period:2 ~winner_only_ratio:0.0 ()
-  in
-  let both (r : Mcmf.Race.result) =
-    (r.Mcmf.Race.relaxation_stats <> None, r.Mcmf.Race.cost_scaling_stats <> None)
-  in
-  let round () =
-    let r = Mcmf.Race.solve race (diamond ()) in
-    Alcotest.check outcome_t "round optimal" S.Optimal r.Mcmf.Race.stats.S.outcome;
-    checki "round cost" diamond_optimal_cost (G.total_cost r.Mcmf.Race.graph);
-    Mcmf.Race.recycle race r.Mcmf.Race.graph;
-    both r
-  in
-  let expect_full (rx, cs) label = checkb (label ^ ": both solvers ran") true (rx && cs) in
-  let expect_wo (rx, cs) label =
-    checkb (label ^ ": exactly one solver ran") true ((rx || cs) && not (rx && cs))
-  in
-  expect_full (round ()) "round 1";
-  expect_wo (round ()) "round 2";
-  expect_wo (round ()) "round 3";
-  expect_full (round ()) "round 4";
-  expect_wo (round ()) "round 5";
-  checki "winner-only rounds counted" 3
-    (counter_value "mcmf_race_winner_only_total" - wo0);
-  (* k=0 disables the escalation entirely. *)
-  let race =
-    Mcmf.Race.create ~mode:Mcmf.Race.Fastest_sequential ~incremental:false
-      ~winner_only_k:0 ~winner_only_ratio:0.0 ()
-  in
-  for i = 1 to 4 do
-    let r = Mcmf.Race.solve race (diamond ()) in
-    checkb (Printf.sprintf "k=0 round %d runs both" i) true
-      (r.Mcmf.Race.relaxation_stats <> None && r.Mcmf.Race.cost_scaling_stats <> None);
-    Mcmf.Race.recycle race r.Mcmf.Race.graph
-  done
+  let hedges0 = counter_value "mcmf_race_hedges_total" in
+  let copies0 = counter_value "mcmf_race_graph_copies_total" in
+  let r = Mcmf.Race.solve race (diamond ()) in
+  Alcotest.check outcome_t "optimal" S.Optimal r.Mcmf.Race.stats.S.outcome;
+  checki "cost" diamond_optimal_cost (G.total_cost r.Mcmf.Race.graph);
+  checkb "relaxation won" true (r.Mcmf.Race.winner = Mcmf.Race.Relaxation);
+  checkb "relaxation stats" true (r.Mcmf.Race.relaxation_stats <> None);
+  checkb "no cost-scaling stats" true (r.Mcmf.Race.cost_scaling_stats = None);
+  checki "counted winner-only" (wo0 + 1) (counter_value "mcmf_race_winner_only_total");
+  checki "no hedge" hedges0 (counter_value "mcmf_race_hedges_total");
+  checki "one copy" (copies0 + 1) (counter_value "mcmf_race_graph_copies_total")
+
+let test_race_overrun_starts_hedge () =
+  (* History from a tiny instance makes the deadline microseconds; a much
+     larger instance overruns it, so the hedge starts, and whichever
+     solver wins, the result is feasible and reduced-cost optimal. *)
+  let race = Mcmf.Race.create ~mode:Mcmf.Race.Race ~incremental:false () in
+  let r0 = Mcmf.Race.solve ~stop:(stop_hedge ()) race (diamond ()) in
+  checkb "priming round won by relaxation" true (r0.Mcmf.Race.winner = Mcmf.Race.Relaxation);
+  let hedges0 = counter_value "mcmf_race_hedges_total" in
+  let big = Flowgraph.Netgen.scheduling ~tasks:3000 ~machines:200 ~seed:2 () in
+  let r = Mcmf.Race.solve race big.Flowgraph.Netgen.graph in
+  checki "hedge started" (hedges0 + 1) (counter_value "mcmf_race_hedges_total");
+  checkb "both stats present" true
+    (r.Mcmf.Race.relaxation_stats <> None && r.Mcmf.Race.cost_scaling_stats <> None);
+  Alcotest.check outcome_t "optimal" S.Optimal r.Mcmf.Race.stats.S.outcome;
+  let g = r.Mcmf.Race.graph in
+  checkb "feasible" true (Validate.is_feasible g);
+  checkb "reduced-cost optimal" true
+    (Mcmf.Price_refine.run ~scale:1 g && Validate.is_reduced_cost_optimal g)
+
+let test_race_after_cost_scaling_win_races () =
+  (* Once cost scaling wins a raced round, the next round starts both
+     solvers at once although relaxation has a history. *)
+  let race = Mcmf.Race.create ~mode:Mcmf.Race.Race ~incremental:false () in
+  let big = Flowgraph.Netgen.scheduling ~tasks:400 ~machines:40 ~seed:3 () in
+  let r0 = Mcmf.Race.solve ~stop:(stop_hedge ()) race big.Flowgraph.Netgen.graph in
+  checkb "history from a relaxation win" true (r0.Mcmf.Race.winner = Mcmf.Race.Relaxation);
+  (* A scratch retry hedges at once; stopping relaxation hands it to
+     cost scaling. *)
+  let r1 = Mcmf.Race.solve ~scratch:true ~stop:(stop_relaxation ()) race (diamond ()) in
+  checkb "cost scaling won" true (r1.Mcmf.Race.winner = Mcmf.Race.Cost_scaling);
+  Alcotest.check outcome_t "optimal" S.Optimal r1.Mcmf.Race.stats.S.outcome;
+  let hedges0 = counter_value "mcmf_race_hedges_total" in
+  let r2 = Mcmf.Race.solve race (diamond ()) in
+  checki "next round hedged from the start" (hedges0 + 1)
+    (counter_value "mcmf_race_hedges_total");
+  checkb "both stats present" true
+    (r2.Mcmf.Race.relaxation_stats <> None && r2.Mcmf.Race.cost_scaling_stats <> None);
+  checki "cost" diamond_optimal_cost (G.total_cost r2.Mcmf.Race.graph)
 
 (* {1 Degraded outcomes: infeasible and stopped races} *)
 
 let all_race_modes =
   Mcmf.Race.
-    [
-      Race_parallel;
-      Fastest_sequential;
-      Relaxation_only;
-      Incremental_cost_scaling_only;
-      Cost_scaling_scratch_only;
-    ]
+    [ Race; Relaxation_only; Incremental_cost_scaling_only; Cost_scaling_scratch_only ]
 
 let mode_name =
   Mcmf.Race.(
     function
-    | Race_parallel -> "race"
-    | Fastest_sequential -> "fastest"
+    | Race -> "race"
     | Relaxation_only -> "relaxation"
     | Incremental_cost_scaling_only -> "incremental-cs"
     | Cost_scaling_scratch_only -> "quincy-cs")
 
 let test_race_two_solver_stats_always_populated () =
-  (* Whenever both racers actually ran, both stats fields must be [Some] —
-     including rounds where the loser was cancelled or the whole race was
-     deadline-stopped — so winner/loser margins stay observable. The
+  (* Whenever both racers actually ran (a fresh race hedges at once), both
+     stats fields must be [Some] — including rounds where the loser was
+     cancelled or the whole race was deadline-stopped — so winner/loser
+     margins stay observable. The
      single-solver modes conversely never fabricate stats for a solver
      that did not run. *)
   let check_two name (r : Mcmf.Race.result) =
@@ -1249,7 +1272,7 @@ let test_race_two_solver_stats_always_populated () =
         (name ^ " zero deadline")
         (Mcmf.Race.solve ~stop:(Mcmf.Solver_intf.deadline_stop 0.) race
            (random_instance 13)))
-    Mcmf.Race.[ Fastest_sequential; Race_parallel ];
+    Mcmf.Race.[ Race ];
   List.iter
     (fun (mode, rx_expected, cs_expected) ->
       let name = mode_name mode in
@@ -1336,7 +1359,7 @@ let prop_race_stop_never_corrupts =
   QCheck.Test.make ~name:"stopped race leaves a re-solvable graph" ~count:40
     QCheck.(pair (int_bound 1_000_000) (int_bound 200))
     (fun (seed, k) ->
-      let race = Mcmf.Race.create ~mode:Mcmf.Race.Fastest_sequential () in
+      let race = Mcmf.Race.create ~mode:Mcmf.Race.Race () in
       let g = random_instance seed in
       let polls = ref 0 in
       let stop () =
@@ -1500,7 +1523,8 @@ let () =
              ] );
       ( "race",
         [
-          Alcotest.test_case "sequential race" `Quick test_race_sequential;
+          Alcotest.test_case "fresh race starts both solvers" `Quick
+            test_race_fresh_starts_both;
           Alcotest.test_case "parallel race" `Quick test_race_parallel;
           Alcotest.test_case "all modes agree" `Quick test_race_modes_agree;
           Alcotest.test_case "incremental sequence" `Quick test_race_incremental_sequence;
@@ -1514,8 +1538,12 @@ let () =
             test_race_recycling_input_is_rejected;
           Alcotest.test_case "two-solver stats always populated" `Quick
             test_race_two_solver_stats_always_populated;
-          Alcotest.test_case "winner-only escalation" `Quick
-            test_race_winner_only_escalation;
+          Alcotest.test_case "hedge: round within H runs relaxation alone" `Quick
+            test_race_within_deadline_runs_alone;
+          Alcotest.test_case "hedge: overrun starts cost scaling" `Quick
+            test_race_overrun_starts_hedge;
+          Alcotest.test_case "hedge: races again after a cost-scaling win" `Quick
+            test_race_after_cost_scaling_win_races;
         ] );
       ( "incremental-repair",
         Alcotest.test_case "repair path taken and counted" `Quick
