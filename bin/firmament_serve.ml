@@ -48,7 +48,7 @@ let with_out path f =
           Format.pp_print_flush ppf ())
 
 let run listen metrics_listen machines machines_per_rack slots policy mode deadline
-    incremental_budget batch_max linger_ms queue_cap grace_s snapshot restore
+    incremental_budget batch_max queue_cap grace_s snapshot restore
     metrics_out metrics_summary =
   let policy_factory ~drain net st =
     match policy with
@@ -78,7 +78,6 @@ let run listen metrics_listen machines machines_per_rack slots policy mode deadl
       scheduler;
       policy = policy_factory;
       batch_max;
-      linger_s = linger_ms /. 1000.;
       queue_capacity = queue_cap;
       shutdown_grace_s = grace_s;
       snapshot_path = snapshot;
@@ -175,13 +174,7 @@ let cmd =
   let batch_max =
     Arg.(
       value & opt int 1024
-      & info [ "batch-max" ] ~docv:"N" ~doc:"Admitted events per scheduling round.")
-  in
-  let linger_ms =
-    Arg.(
-      value & opt float 20.
-      & info [ "linger-ms" ] ~docv:"MS"
-          ~doc:"Max time an admitted event waits before forcing a round.")
+      & info [ "batch-max" ] ~docv:"N" ~doc:"Most admitted events applied per scheduling round.")
   in
   let queue_cap =
     Arg.(
@@ -236,7 +229,7 @@ let cmd =
     (Cmd.info "firmament_serve" ~doc)
     Term.(
       const run $ listen $ metrics_listen $ machines $ machines_per_rack $ slots $ policy
-      $ mode $ deadline $ incremental_budget $ batch_max $ linger_ms $ queue_cap $ grace_s
+      $ mode $ deadline $ incremental_budget $ batch_max $ queue_cap $ grace_s
       $ snapshot $ restore $ metrics_out $ metrics_summary)
 
 let () = exit (Cmd.eval cmd)

@@ -181,8 +181,9 @@ type st = {
   view : running_view;
   finish_q : (int * int) Queue.t;  (* (due_ns, tid), FIFO: constant duration *)
   mutable retry_q : (int * string * int * int) list;
-      (* (due_ns, bytes, seq, weight) — kept sorted by insertion; retries
-         share one linger-scaled delay so FIFO order is due order *)
+      (* (due_ns, bytes, seq, weight), newest first; due times follow
+         the server's retry hint, which tracks its round time, so
+         [flush_retries] selects by due time and resends in NACK order *)
   mutable sent : int;
   mutable acked : int;
   mutable submits : int;

@@ -5,8 +5,8 @@
     subscribes to placement pushes on its first connection, honors NACK
     backpressure (bounded retries after the server's retry-after hint),
     and measures {e end-to-end} submit→placement-notification latency per
-    task — frame encode, socket, admission queue, batching linger, solve,
-    commit and push all included.
+    task — frame encode, socket, admission queue, solve, commit and push
+    all included.
 
     Two drive modes:
     {ul

@@ -129,7 +129,6 @@ type config = {
   policy :
     drain:bool -> Firmament.Flow_network.t -> Cluster.State.t -> Firmament.Policy.t;
   batch_max : int;
-  linger_s : float;
   queue_capacity : int;
   max_out_buffer : int;
   shutdown_grace_s : float;
@@ -147,7 +146,6 @@ let default_config =
     scheduler = S.default_config;
     policy = (fun ~drain net st -> Firmament.Policy_quincy.make ~drain net st);
     batch_max = 1024;
-    linger_s = 0.02;
     queue_capacity = 4096;
     max_out_buffer = 8 * 1024 * 1024;
     shutdown_grace_s = 1.0;
@@ -190,6 +188,7 @@ type t = {
   mutable next_cid : int;
   t0_ns : int;
   mutable last_round_ns : int;
+  mutable last_round_wall_ns : int;
   jids : (int, unit) Hashtbl.t;
   submit_ns : (int, int) Hashtbl.t;  (* tid -> admission ns, until first start *)
   writer : Firmament.Snapshot.Writer.t option;
@@ -285,6 +284,7 @@ let create cfg =
     next_cid = 0;
     t0_ns = t0;
     last_round_ns = t0;
+    last_round_wall_ns = 0;
     jids;
     submit_ns = Hashtbl.create 4096;
     writer;
@@ -298,6 +298,7 @@ let scheduler t = t.sched
 let cluster t = t.clu
 let rounds_committed t = t.rounds
 let connections t = Hashtbl.length t.conns
+let queued t = Admission.length t.queue
 let request_shutdown t = t.shutdown_requested <- true
 let finished t = t.finished
 
@@ -496,23 +497,24 @@ let run_round t =
   t.rounds <- t.rounds + 1;
   let t_now = now_ns () in
   t.last_round_ns <- t_now;
+  t.last_round_wall_ns <- t_now - t0;
   Telemetry.Metrics.incr m m_rounds;
   Telemetry.Metrics.observe m m_round_ns (t_now - t0);
   push_placements t r
 
-let linger_ns t = int_of_float (t.cfg.linger_s *. 1e9)
+(* Spacing of backlog-only rounds: tasks wait, no event is queued, and
+   only a retry can place them (an oversubscribed cluster). *)
+let backlog_interval_s = 0.02
 
+(* Work-conserving: any queued event starts a round in this step, so a
+   batch is whatever reached the socket buffers while the previous round
+   ran, capped at [batch_max]. *)
 let drive_rounds t =
-  let t_now = now_ns () in
-  let lingered =
-    match Admission.peek t.queue with
-    | Some a -> t_now - a.t_admit_ns >= linger_ns t
-    | None -> false
+  let backlog () =
+    Cluster.State.waiting_count t.clu > 0
+    && float_of_int (now_ns () - t.last_round_ns) *. 1e-9 >= backlog_interval_s
   in
-  let backlog =
-    Cluster.State.waiting_count t.clu > 0 && t_now - t.last_round_ns >= linger_ns t
-  in
-  if Admission.length t.queue >= t.cfg.batch_max || lingered || backlog then begin
+  if (not (Admission.is_empty t.queue)) || backlog () then begin
     let applied = drain_apply t ~max_events:t.cfg.batch_max in
     Telemetry.Metrics.incr m m_batches;
     Telemetry.Metrics.observe m m_batch_size applied;
@@ -531,7 +533,9 @@ let stats_json t =
     (Hashtbl.length t.conns) (Hub.count t.hub)
     (Cluster.State.utilization t.clu)
 
-let retry_after_ms t = max 1 (int_of_float (t.cfg.linger_s *. 2_000.))
+(* A full queue empties at about one [batch_max] per round, so retry
+   after two rounds as long as the last one. *)
+let retry_after_ms t = max 1 (2 * t.last_round_wall_ns / 1_000_000)
 
 let reject_conn t conn message =
   Telemetry.Metrics.incr m m_protocol_errors;
@@ -743,6 +747,13 @@ let do_shutdown t =
 let conn_list t = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns []
 let http_list t = Hashtbl.fold (fun _ c acc -> c :: acc) t.http_conns []
 
+(* A write to a socket that is not writable is one EAGAIN, so every
+   connection with output is tried, not only those [select] reported. *)
+let flush_pending t =
+  List.iter
+    (fun c -> if c.alive && out_pending c > 0 then flush_conn t c)
+    (conn_list t @ http_list t)
+
 let step t ~timeout_s =
   if t.finished then ()
   else if t.shutdown_requested then do_shutdown t
@@ -762,7 +773,7 @@ let step t ~timeout_s =
         (conns @ https)
     in
     (match Unix.select rfds wfds [] timeout_s with
-    | r, w, _ ->
+    | r, _, _ ->
         if List.mem t.listener r then accept_loop t t.listener ~http:false;
         (match t.metrics_listener with
         | Some fd when List.mem fd r -> accept_loop t fd ~http:true
@@ -772,28 +783,22 @@ let step t ~timeout_s =
           conns;
         List.iter
           (fun c -> if c.alive && List.mem c.fd r then handle_http_readable t c)
-          https;
-        List.iter
-          (fun c -> if c.alive && List.mem c.fd w then flush_conn t c)
-          (conns @ https)
+          https
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+    (* The acks just enqueued go out now, so they do not wait for the
+       round's solve. *)
+    flush_pending t;
     if t.shutdown_requested then do_shutdown t
     else begin
       drive_rounds t;
-      (* Frames produced by round commits (acks, deltas) go out without
-         waiting for the next select round when the sockets allow. *)
-      List.iter
-        (fun c -> if c.alive && out_pending c > 0 then flush_conn t c)
-        (conn_list t)
+      flush_pending t
     end
   end
 
 let idle_timeout t =
-  match Admission.peek t.queue with
-  | Some a ->
-      let age = now_ns () - a.t_admit_ns in
-      Float.max 0.001 (t.cfg.linger_s -. (float_of_int age *. 1e-9))
-  | None -> if Cluster.State.waiting_count t.clu > 0 then t.cfg.linger_s else 0.05
+  if not (Admission.is_empty t.queue) then 0.
+  else if Cluster.State.waiting_count t.clu > 0 then backlog_interval_s
+  else 0.05
 
 let run t =
   while not t.finished do

@@ -17,11 +17,17 @@
 
     {2 Round driving}
 
-    Admitted events batch between rounds: a round starts when the queue
-    reaches [batch_max], when the oldest admitted event has waited
-    [linger_s], or when tasks are left waiting and [linger_s] elapsed
-    since the last round. Each committed round's placement diff is encoded
-    once as a {!Protocol.Placement_delta} and broadcast to subscribers.
+    Rounds are work-conserving. At the end of every {!step} that leaves
+    an event in the admission queue, the server applies at most
+    [batch_max] of them and runs a round at once; there is no batching
+    delay. A batch is therefore whatever reached the socket buffers while
+    the previous round ran, and the step's ACKs are flushed before that
+    round starts. When more than [batch_max] events are queued, the rest
+    wait for the next step, which does not block in [select]. With the
+    queue empty and tasks still waiting, a backlog round retries them
+    every 20 ms. Each committed round's placement diff is encoded once as
+    a {!Protocol.Placement_delta} and broadcast to subscribers. A NACK's
+    retry hint is twice the last round's wall time, at least 1 ms.
 
     {2 Shutdown}
 
@@ -49,8 +55,7 @@ type config = {
   scheduler : Firmament.Scheduler.config;
   policy :
     drain:bool -> Firmament.Flow_network.t -> Cluster.State.t -> Firmament.Policy.t;
-  batch_max : int;  (** events applied per admission drain / round *)
-  linger_s : float;  (** max wait before admitted events force a round *)
+  batch_max : int;  (** most events applied per round *)
   queue_capacity : int;  (** admission-queue bound; overflow → NACK *)
   max_out_buffer : int;
       (** per-connection outbound cap in bytes; a subscriber that cannot
@@ -71,7 +76,7 @@ type config = {
 }
 
 (** 250 machines (8 per rack, 16 slots), [Race] solver,
-    4096-event queue, 1024-event batches, 20 ms linger, TCP on
+    4096-event queue, at most 1024 events per round, TCP on
     127.0.0.1:7117, no metrics endpoint, no snapshotting. *)
 val default_config : config
 
@@ -88,11 +93,19 @@ val cluster : t -> Cluster.State.t
 val rounds_committed : t -> int
 val connections : t -> int
 
+(** Admitted events no round has applied yet. *)
+val queued : t -> int
+
 (** [step t ~timeout_s] runs one event-loop iteration, blocking in
     [select] at most [timeout_s]. Safe to call after {!finished} (no-op).
     Exposed so tests can interleave a client and the server
     cooperatively in one process. *)
 val step : t -> timeout_s:float -> unit
+
+(** The [select] timeout {!run} passes to the next {!step}: 0 while
+    events are queued, the backlog-round spacing while tasks wait, and
+    50 ms when the server is idle. *)
+val idle_timeout : t -> float
 
 (** [run t] loops {!step} until a shutdown request completes. *)
 val run : t -> unit

@@ -311,7 +311,6 @@ let test_config path =
     machines = 24;
     machines_per_rack = 4;
     slots_per_machine = 4;
-    linger_s = 0.005;
   }
 
 let with_server path f =
@@ -430,15 +429,16 @@ let test_e2e_malformed_isolation () =
 let test_e2e_backpressure () =
   let path = tmp_sock "fmt_test_bp.sock" in
   let config =
-    { (test_config path) with queue_capacity = 4; batch_max = 4; linger_s = 10. }
+    { (test_config path) with queue_capacity = 4; batch_max = 4 }
   in
   let srv = Svc.create config in
   Fun.protect
     ~finally:(fun () -> Svc.stop srv)
     (fun () ->
       let c = client_connect path in
-      (* Overrun the 4-slot admission queue without letting rounds drain
-         it (huge linger, small batch): pushes 5..8 must NACK. *)
+      (* Overrun the 4-slot admission queue: all 8 frames decode in one
+         step, before that step's round drains the queue, so pushes 5..8
+         must NACK. *)
       for seq = 1 to 8 do
         client_send c (P.Finish_task { seq; tid = 123_456 })
       done;
@@ -453,6 +453,89 @@ let test_e2e_backpressure () =
       done;
       Alcotest.(check int) "queue capacity admitted" 4 !acks;
       Alcotest.(check int) "overflow NACKed" 4 !nacks;
+      Unix.close c.fd)
+
+(* Work-conserving rounds: an idle server with the default config runs
+   the round in the step that admits the event, so the ACK and the
+   placement arrive together. *)
+let test_e2e_place_in_admitting_step () =
+  let path = tmp_sock "fmt_test_wc.sock" in
+  let srv = Svc.create { Svc.default_config with listen = Svc.Unix_path path } in
+  Fun.protect
+    ~finally:(fun () -> Svc.stop srv)
+    (fun () ->
+      let c = client_connect path in
+      client_send c (P.Subscribe { seq = 1 });
+      (match await srv c ~what:"subscribe ack" (fun _ -> true) with
+      | P.Ack { seq = 1 } -> ()
+      | f -> Alcotest.failf "expected Ack[1], got %a" P.pp f);
+      let rounds0 = Svc.rounds_committed srv in
+      client_send c
+        (P.Submit_job { seq = 2; jid = 7; task_count = 2; duration = 60.; locality = 3 });
+      Svc.step srv ~timeout_s:1.0;
+      client_read c;
+      Alcotest.(check int) "one round in the admitting step" (rounds0 + 1)
+        (Svc.rounds_committed srv);
+      (match client_next_frame c with
+      | Some (P.Ack { seq = 2 }) -> ()
+      | Some f -> Alcotest.failf "expected Ack[2], got %a" P.pp f
+      | None -> Alcotest.fail "no ack after the admitting step");
+      match client_next_frame c with
+      | Some (P.Placement_delta { placements; _ }) ->
+          let started =
+            List.filter (fun p -> p.P.p_kind = P.Start) placements
+            |> List.map (fun p -> p.P.p_tid)
+            |> List.sort compare
+          in
+          Alcotest.(check (list int)) "both tasks placed" [ 7000; 7001 ] started
+      | Some f -> Alcotest.failf "expected Placement_delta, got %a" P.pp f
+      | None -> Alcotest.fail "no placement after the admitting step")
+
+(* More than [batch_max] queued events drain over consecutive steps, one
+   round of at most [batch_max] each, and the loop does not block in
+   [select] while any remain. *)
+let test_e2e_drain_over_steps () =
+  let path = tmp_sock "fmt_test_drain.sock" in
+  let batch_max = 4 in
+  let srv = Svc.create { (test_config path) with batch_max; queue_capacity = 16 } in
+  Fun.protect
+    ~finally:(fun () -> Svc.stop srv)
+    (fun () ->
+      let c = client_connect path in
+      Svc.step srv ~timeout_s:0.002;
+      Alcotest.(check int) "connection accepted" 1 (Svc.connections srv);
+      (* Finishes of unknown tasks: applied and dropped, no task waits. *)
+      for seq = 1 to 10 do
+        client_send c (P.Finish_task { seq; tid = 123_456 + seq })
+      done;
+      let rec drain steps queued_before rounds_before =
+        if steps = 0 then Alcotest.fail "queue never drained";
+        Svc.step srv ~timeout_s:0.002;
+        let queued = Svc.queued srv and rounds = Svc.rounds_committed srv in
+        let arrived = if queued_before < 0 then 10 else queued_before in
+        if arrived > 0 then begin
+          Alcotest.(check int) "one round per step" (rounds_before + 1) rounds;
+          Alcotest.(check int) "at most batch_max applied"
+            (max 0 (arrived - batch_max)) queued
+        end;
+        Alcotest.(check bool) "select does not block while events remain" true
+          (if queued > 0 then Svc.idle_timeout srv = 0. else Svc.idle_timeout srv > 0.);
+        if queued > 0 then drain (steps - 1) queued rounds
+      in
+      drain 10 (-1) (Svc.rounds_committed srv);
+      Alcotest.(check int) "three rounds for ten events" 3 (Svc.rounds_committed srv);
+      let acks = ref 0 in
+      client_read c;
+      let rec count () =
+        match client_next_frame c with
+        | Some (P.Ack _) ->
+            incr acks;
+            count ()
+        | Some f -> Alcotest.failf "unexpected %a" P.pp f
+        | None -> ()
+      in
+      count ();
+      Alcotest.(check int) "every event acked" 10 !acks;
       Unix.close c.fd)
 
 (* {1 Restart from snapshot}
@@ -622,6 +705,10 @@ let () =
             test_e2e_malformed_isolation;
           Alcotest.test_case "admission overflow NACKs with retry hint" `Quick
             test_e2e_backpressure;
+          Alcotest.test_case "idle server places in the admitting step" `Quick
+            test_e2e_place_in_admitting_step;
+          Alcotest.test_case "queue beyond batch_max drains over steps" `Quick
+            test_e2e_drain_over_steps;
           Alcotest.test_case
             "restart from snapshot: rebase, journal tail, subscriber re-attach"
             `Quick test_e2e_restart_from_snapshot;
