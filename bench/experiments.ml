@@ -901,85 +901,6 @@ let alloc ~scale () =
      ]
     @ List.map (fun (p, mean) -> ("phase_" ^ p ^ "_mean_s", mean)) phase_means)
 
-(* {1 Pipelined vs synchronous rounds} *)
-
-(* Same accelerated trace replayed twice: once with the classic
-   synchronous round loop, once with begin/commit pipelining (events that
-   land inside the measured solver window are absorbed while the solve is
-   in flight, then reconciled stale-aware at commit). The pipelining win
-   is that event ingestion no longer waits out the solver — and the
-   solver no longer waits out ingestion: in the synchronous loop every
-   event batch is applied between rounds and its measured cost extends
-   the round period, while the pipelined loop absorbs mid-window events
-   during the solve for free. Stale discards are the price. The churn
-   rate is moderate (speedup 15): at extreme churn every round
-   interleaves, which keeps the canonical graph permanently off the last
-   certified optimum and degrades the incremental-cost-scaling warm
-   start (bounded by the relaxation racer, but visible); see
-   EXPERIMENTS.md for that caveat. *)
-let pipeline ~scale () =
-  header "Pipelined vs synchronous scheduling rounds";
-  let machines = max 150 (int_of_float (5000. *. scale)) in
-  let mk_trace () = trace ~machines ~util:0.8 ~horizon:30. ~speedup:15. () in
-  let run pipelined =
-    Dcsim.Replay.run
-      { (replay_config ~max_rounds:400 ~max_sim_time:45. ()) with pipelined }
-      (mk_trace ())
-  in
-  let sync = run false in
-  let pipe = run true in
-  row
-    [
-      "mode"; "rounds"; "latency mean"; "p50"; "p99"; "makespan"; "mid-solve";
-      "discards"; "replays";
-    ];
-  let line name (m : Dcsim.Replay.metrics) =
-    let ls = m.Dcsim.Replay.placement_latencies in
-    row
-      [
-        name;
-        string_of_int m.Dcsim.Replay.rounds;
-        (match ls with [] -> "-" | _ -> pp (Stats.mean ls));
-        (match ls with [] -> "-" | _ -> pp (Stats.percentile ls 50.));
-        (match ls with [] -> "-" | _ -> pp (Stats.percentile ls 99.));
-        Printf.sprintf "%.1fs" m.Dcsim.Replay.sim_end;
-        string_of_int m.Dcsim.Replay.events_absorbed_mid_solve;
-        string_of_int m.Dcsim.Replay.stale_placements;
-        string_of_int m.Dcsim.Replay.replayed_placements;
-      ]
-  in
-  line "synchronous" sync;
-  line "pipelined" pipe;
-  Printf.printf
-    "pipelined discards by reason: %d stale-task, %d stale-machine, %d capacity \
-     (+%d no-op replays of mid-solve-finished tasks, not counted as discards)\n"
-    pipe.Dcsim.Replay.stale_task_discards pipe.Dcsim.Replay.stale_machine_discards
-    pipe.Dcsim.Replay.capacity_discards pipe.Dcsim.Replay.replayed_placements;
-  let mean_of m =
-    match m.Dcsim.Replay.placement_latencies with
-    | [] -> 0.
-    | ls -> Stats.mean ls
-  in
-  let s_mean = mean_of sync and p_mean = mean_of pipe in
-  if s_mean > 0. then
-    Printf.printf "mean placement latency: pipelined/sync = %.2fx\n" (p_mean /. s_mean);
-  Json_out.record ~experiment:"pipeline" ~scale
-    [
-      ("machines", float_of_int machines);
-      ("sync_latency_mean_s", s_mean);
-      ("pipelined_latency_mean_s", p_mean);
-      ("sync_makespan_s", sync.Dcsim.Replay.sim_end);
-      ("pipelined_makespan_s", pipe.Dcsim.Replay.sim_end);
-      ("events_mid_solve", float_of_int pipe.Dcsim.Replay.events_absorbed_mid_solve);
-      ("stale_placements", float_of_int pipe.Dcsim.Replay.stale_placements);
-      ("stale_task_discards", float_of_int pipe.Dcsim.Replay.stale_task_discards);
-      ( "stale_machine_discards",
-        float_of_int pipe.Dcsim.Replay.stale_machine_discards );
-      ("capacity_discards", float_of_int pipe.Dcsim.Replay.capacity_discards);
-      ("replayed_placements", float_of_int pipe.Dcsim.Replay.replayed_placements);
-      ("structure_violations", float_of_int pipe.Dcsim.Replay.structure_violations);
-    ]
-
 (* {1 Scale sweep (paper Fig. 8's machine ladder, full rounds)} *)
 
 (* One bench series per cluster size on the paper's evaluation ladder
@@ -1306,7 +1227,6 @@ let all =
     ("fig19a", "Testbed, idle network", fig19a);
     ("fig19b", "Testbed, background traffic", fig19b);
     ("alloc", "Steady-state round latency + allocations", alloc);
-    ("pipeline", "Pipelined vs synchronous rounds", pipeline);
     ("sweep", "Scale sweep across the machine ladder", sweep);
     ("incr", "Incremental delta-solve vs full race", incr);
     ("recovery", "Snapshot restore + warm failover vs cold re-solve", recovery);

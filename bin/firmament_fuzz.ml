@@ -252,7 +252,7 @@ let cmd =
       & info [ "crash-recovery" ]
           ~doc:"Kill-restore fuzzing: journal every event into a \
                 snapshot, kill the scheduler at seed-determined points \
-                (round boundaries and mid-round), restore from the \
+                (round boundaries and cluster events), restore from the \
                 snapshot, and assert no placement is lost or duplicated \
                 and that the oracle certifies every post-restore round. \
                 Runs one mode per seed ($(b,race) unless $(b,--mode)).")

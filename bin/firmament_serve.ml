@@ -4,8 +4,8 @@
        --machines 1000 --metrics-listen 127.0.0.1:9117
 
    Speaks the length-prefixed binary protocol of Server.Protocol over TCP
-   or Unix sockets; SIGINT/SIGTERM drain gracefully (in-flight round
-   committed, Shutdown frames sent, exit 0). *)
+   or Unix sockets; SIGINT/SIGTERM drain gracefully (admitted events no
+   round applied are dropped and counted, Shutdown frames sent, exit 0). *)
 
 open Cmdliner
 

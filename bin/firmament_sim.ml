@@ -49,7 +49,7 @@ let export_metrics metrics_out metrics_json metrics_summary =
   end
 
 let run machines util horizon speedup seed policy mode max_rounds deadline
-    incremental_budget pipelined snapshot_out restore metrics_out metrics_json
+    incremental_budget snapshot_out restore metrics_out metrics_json
     metrics_summary =
   let trace =
     Cluster.Trace.generate
@@ -81,14 +81,12 @@ let run machines util horizon speedup seed policy mode max_rounds deadline
             | None -> Firmament.Scheduler.default_config.incremental_budget);
         };
       policy = policy_factory;
-      pipelined;
       max_rounds = Some max_rounds;
     }
   in
   Printf.printf
-    "replaying: %d machines, %.0f%% target utilization, %.0fs horizon, %gx speedup%s%s\n%!"
+    "replaying: %d machines, %.0f%% target utilization, %.0fs horizon, %gx speedup%s\n%!"
     machines (util *. 100.) horizon speedup
-    (if pipelined then ", pipelined rounds" else "")
     (match restore with
     | Some p -> Printf.sprintf ", restored from %s" p
     | None -> "");
@@ -105,10 +103,6 @@ let run machines util horizon speedup seed policy mode max_rounds deadline
   Printf.printf "tasks placed           %d\n" m.tasks_placed;
   Printf.printf "preemptions            %d\n" m.preemptions;
   Printf.printf "migrations             %d\n" m.migrations;
-  if pipelined then begin
-    Printf.printf "events mid-solve       %d\n" m.events_absorbed_mid_solve;
-    Printf.printf "stale discards         %d\n" m.stale_placements
-  end;
   Printf.printf "simulated end          %.2f s\n" m.sim_end;
   if m.structure_violations > 0 then
     Printf.printf "WARNING: %d flow-network invariant violations at end of replay\n"
@@ -184,16 +178,6 @@ let cmd =
              incremental repair path instead of a full solve. Default: the \
              scheduler's built-in budget.")
   in
-  let pipelined =
-    Arg.(
-      value & flag
-      & info [ "pipelined" ]
-          ~doc:
-            "Overlap solver execution with event ingestion: each round dispatches \
-             the solve, applies the trace events that fall inside the measured \
-             solver window while the solve runs, and commits with stale-aware \
-             reconciliation (discards are reported).")
-  in
   let snapshot_out =
     Arg.(
       value
@@ -244,7 +228,7 @@ let cmd =
     (Cmd.info "firmament_sim" ~doc)
     Term.(
       const run $ machines $ util $ horizon $ speedup $ seed $ policy $ mode $ max_rounds
-      $ deadline $ incremental_budget $ pipelined $ snapshot_out $ restore
+      $ deadline $ incremental_budget $ snapshot_out $ restore
       $ metrics_out $ metrics_json $ metrics_summary)
 
 let () = exit (Cmd.eval cmd)

@@ -9,16 +9,6 @@ type t = {
   machine_live : bool array;
   mutable used_slots : int;
   mutable live_tasks : int;
-  (* Staleness epochs for pipelined scheduling rounds: a logical clock
-     advanced by every event that can invalidate an in-flight placement
-     (task finish/preemption, machine failure), and per-task/per-machine
-     stamps of the last such event. A round stamps the clock at begin
-     ([stamp_round]); at commit, anything stamped after the mark went
-     stale mid-solve. *)
-  mutable event_epoch : int;
-  mutable round_mark : int;
-  task_stale_at : (Types.task_id, int) Hashtbl.t;
-  machine_stale_at : int array;
 }
 
 let create topology =
@@ -33,15 +23,7 @@ let create topology =
     machine_live = Array.make n true;
     used_slots = 0;
     live_tasks = 0;
-    event_epoch = 0;
-    round_mark = 0;
-    task_stale_at = Hashtbl.create 1024;
-    machine_stale_at = Array.make n 0;
   }
-
-let invalidate_task t tid =
-  t.event_epoch <- t.event_epoch + 1;
-  Hashtbl.replace t.task_stale_at tid t.event_epoch
 
 let topology t = t.topology
 
@@ -106,8 +88,7 @@ let preempt t tid =
       Hashtbl.remove t.running_on.(m) tid;
       Hashtbl.replace t.waiting tid ();
       t.waiting_order <- tid :: t.waiting_order;
-      t.used_slots <- t.used_slots - 1;
-      invalidate_task t tid
+      t.used_slots <- t.used_slots - 1
 
 let finish t tid ~now =
   let task = task t tid in
@@ -117,8 +98,7 @@ let finish t tid ~now =
       Workload.finish task ~now;
       Hashtbl.remove t.running_on.(m) tid;
       t.used_slots <- t.used_slots - 1;
-      t.live_tasks <- t.live_tasks - 1;
-      invalidate_task t tid
+      t.live_tasks <- t.live_tasks - 1
 
 let fail_machine t m =
   if not t.machine_live.(m) then []
@@ -126,23 +106,10 @@ let fail_machine t m =
     let victims = Hashtbl.fold (fun tid () acc -> tid :: acc) t.running_on.(m) [] in
     List.iter (fun tid -> preempt t tid) victims;
     t.machine_live.(m) <- false;
-    t.event_epoch <- t.event_epoch + 1;
-    t.machine_stale_at.(m) <- t.event_epoch;
     victims
   end
 
 let restore_machine t m = t.machine_live.(m) <- true
-
-let stamp_round t = t.round_mark <- t.event_epoch
-let event_epoch t = t.event_epoch
-let round_epoch t = t.round_mark
-
-let task_stale t tid =
-  match Hashtbl.find_opt t.task_stale_at tid with
-  | Some e -> e > t.round_mark
-  | None -> false
-
-let machine_stale t m = t.machine_stale_at.(m) > t.round_mark
 
 let waiting_tasks t =
   (* Compact the order list (drop ids no longer waiting, dedup re-entries
@@ -182,9 +149,8 @@ let iter_tasks t f = Hashtbl.iter (fun _ task -> f task) t.tasks
 let iter_jobs t f = Hashtbl.iter (fun _ j -> f j) t.jobs
 
 (* Snapshot restore: a task recorded as finished in the base image is
-   resubmitted waiting and then moved straight to Finished here — no
-   machine transit, no epoch advance (restored history must not read as
-   a fresh invalidation). *)
+   resubmitted waiting and then moved straight to Finished here, with no
+   machine transit. *)
 let restore_finished t tid ~response_time =
   let task = task t tid in
   if not (Workload.is_waiting task) then

@@ -33,35 +33,6 @@ val fail_machine : t -> Types.machine_id -> Types.task_id list
 val restore_machine : t -> Types.machine_id -> unit
 val machine_is_live : t -> Types.machine_id -> bool
 
-(** {1 Staleness epochs}
-
-    A logical event clock advanced by every state change that can
-    invalidate an in-flight scheduling decision: task finish, task
-    preemption (including machine-failure victims) and machine failure.
-    A pipelined scheduler stamps the clock when it snapshots the cluster
-    ({!stamp_round}); at commit time, {!task_stale} / {!machine_stale}
-    tell it which of the solver's placements were computed against state
-    that no longer holds and must be discarded. *)
-
-(** [stamp_round t] records the current event epoch as the round mark. *)
-val stamp_round : t -> unit
-
-(** Current value of the event clock (advances on finish / preempt /
-    machine failure). *)
-val event_epoch : t -> int
-
-(** The event epoch recorded by the last {!stamp_round}. *)
-val round_epoch : t -> int
-
-(** [task_stale t tid] is [true] iff [tid] finished or was preempted
-    after the last {!stamp_round}. *)
-val task_stale : t -> Types.task_id -> bool
-
-(** [machine_stale t m] is [true] iff [m] failed after the last
-    {!stamp_round} (a later restore does not clear it — placements aimed
-    at the machine were still computed against a dead interval). *)
-val machine_stale : t -> Types.machine_id -> bool
-
 (** Waiting tasks in submission order. *)
 val waiting_tasks : t -> Workload.task list
 
@@ -92,7 +63,6 @@ val iter_jobs : t -> (Workload.job -> unit) -> unit
     still-waiting task directly to [Finished] — the transition a snapshot
     reader needs when rebuilding a cluster in which [tid] had already
     completed (there is no machine to route the finish through). Removes
-    it from the wait queue and the live count without advancing the event
-    epoch: restored history is not a new invalidation event.
+    it from the wait queue and the live count.
     @raise Invalid_argument if the task is not waiting. *)
 val restore_finished : t -> Types.task_id -> response_time:float -> unit

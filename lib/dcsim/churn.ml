@@ -6,8 +6,6 @@ type event =
   | Restore_machine of int
   | Perturb_costs of { seed : int; arcs : int }
   | Round of { polls : int }
-  | Begin_round
-  | Commit_round
 
 let pp ppf = function
   | Submit { jid; tasks; duration; locality } ->
@@ -22,8 +20,6 @@ let pp ppf = function
   | Round { polls } ->
       if polls <= 0 then Format.fprintf ppf "round"
       else Format.fprintf ppf "round (stop after %d polls)" polls
-  | Begin_round -> Format.fprintf ppf "begin-round"
-  | Commit_round -> Format.fprintf ppf "commit-round"
 
 let generate ~seed ~machines ~length =
   let rng = Random.State.make [| 0x6675; 0x7a7a; seed |] in
@@ -40,19 +36,18 @@ let generate ~seed ~machines ~length =
         locality = Random.State.int rng 10_000;
       }
   in
+  (* Mostly full rounds; occasionally a deterministic poll-budget stop
+     standing in for a deadline-cut partial round. *)
+  let round () =
+    Round
+      { polls = (if Random.State.int rng 6 = 0 then 1 + Random.State.int rng 30 else 0) }
+  in
   let events = ref [] in
   for _ = 1 to max 0 (length - 1) do
     let r = Random.State.int rng 100 in
     let ev =
       if r < 24 then submit ()
-      else if r < 48 then
-        (* Mostly full rounds; occasionally a deterministic poll-budget
-           stop standing in for a deadline-cut partial round. *)
-        Round
-          {
-            polls =
-              (if Random.State.int rng 6 = 0 then 1 + Random.State.int rng 30 else 0);
-          }
+      else if r < 48 then round ()
       else if r < 60 then Finish (Random.State.int rng 1_000)
       else if r < 66 then Preempt (Random.State.int rng 1_000)
       else if r < 73 then Fail_machine (Random.State.int rng machines)
@@ -60,8 +55,7 @@ let generate ~seed ~machines ~length =
       else if r < 89 then
         Perturb_costs
           { seed = Random.State.int rng 10_000; arcs = 1 + Random.State.int rng 8 }
-      else if r < 95 then Begin_round
-      else Commit_round
+      else round ()
     in
     events := ev :: !events
   done;
@@ -79,8 +73,6 @@ let to_line = function
   | Restore_machine m -> Printf.sprintf "restore %d" m
   | Perturb_costs { seed; arcs } -> Printf.sprintf "perturb %d %d" seed arcs
   | Round { polls } -> Printf.sprintf "round %d" polls
-  | Begin_round -> "begin"
-  | Commit_round -> "commit"
 
 let fail fmt = Format.kasprintf failwith fmt
 
@@ -105,8 +97,6 @@ let of_line line =
   | [ "restore"; m ] -> Restore_machine (int m)
   | [ "perturb"; seed; arcs ] -> Perturb_costs { seed = int seed; arcs = int arcs }
   | [ "round"; polls ] -> Round { polls = int polls }
-  | [ "begin" ] -> Begin_round
-  | [ "commit" ] -> Commit_round
   | _ -> fail "Churn.of_line: unrecognized event %S" line
 
 let to_lines events = List.map to_line events

@@ -2,9 +2,8 @@
 
     A churn trace is a flat list of cluster events — task submit / finish /
     preempt, machine fail / restore, arc-cost perturbations — interleaved
-    with scheduling rounds (synchronous, deadline-bounded via a
-    deterministic poll budget, or split into [begin]/[commit] pairs with
-    events absorbed mid-solve). Every event is {e total} under any prefix
+    with scheduling rounds (full, or deadline-bounded via a deterministic
+    poll budget). Every event is {e total} under any prefix
     or subsequence of the trace: selectors are indices reduced modulo the
     current population, and structurally impossible events degrade to
     no-ops. That tolerance is what lets the shrinker drop arbitrary
@@ -29,11 +28,9 @@ type event =
           canonical graph (costs only, clamped non-negative; never
           capacities or supplies, so feasibility is preserved) *)
   | Round of { polls : int }
-      (** run a synchronous scheduling round. [polls <= 0] solves to
-          completion; [polls > 0] stops the solve after that many stop
-          polls — a deterministic stand-in for a wall-clock deadline *)
-  | Begin_round  (** dispatch a pipelined round (commits any prior one) *)
-  | Commit_round  (** commit the in-flight round (no-op if none) *)
+      (** run a scheduling round. [polls <= 0] solves to completion;
+          [polls > 0] stops the solve after that many stop polls — a
+          deterministic stand-in for a wall-clock deadline *)
 
 val pp : Format.formatter -> event -> unit
 

@@ -4,9 +4,7 @@ let on_wire = function
   | Churn.Submit _ | Churn.Finish _ | Churn.Preempt _ | Churn.Fail_machine _
   | Churn.Restore_machine _ ->
       true
-  | Churn.Perturb_costs _ | Churn.Round _ | Churn.Begin_round
-  | Churn.Commit_round ->
-      false
+  | Churn.Perturb_costs _ | Churn.Round _ -> false
 
 let wire_events trace = List.filter on_wire trace
 

@@ -14,8 +14,7 @@ type timed = { due : float;  (** seconds from replay start *) ev : Churn.event }
 (** [wire_events trace] keeps the events a scheduler service accepts over
     its socket protocol — [Submit], [Finish], [Preempt], [Fail_machine],
     [Restore_machine] — and drops the simulator-only ones (explicit
-    [Round]/[Begin_round]/[Commit_round], which the server's admission
-    batching owns, and [Perturb_costs], which mutates the solver graph
+    [Round], which the server's admission batching owns, and [Perturb_costs], which mutates the solver graph
     directly and has no wire representation). *)
 val wire_events : Churn.event list -> Churn.event list
 

@@ -24,29 +24,11 @@ let m_idle_jumps =
     ~help:"times the replay fast-forwarded to the next event"
     "dcsim_idle_jumps_total"
 
-let m_events_mid_solve =
-  Telemetry.Metrics.counter m
-    ~help:"trace events applied while a pipelined solve was in flight"
-    "dcsim_events_mid_solve_total"
-
-let m_stale_placements =
-  Telemetry.Metrics.counter m
-    ~help:"solver placements discarded at commit (stale or capacity-rejected)"
-    "dcsim_stale_placements_total"
-
-let m_replayed_placements =
-  Telemetry.Metrics.counter m
-    ~help:
-      "solver placements recognized as no-op replays of tasks that finished \
-       mid-solve (not discards: nothing was invalidated)"
-    "dcsim_replayed_placements_total"
-
 type config = {
   scheduler : Firmament.Scheduler.config;
   policy :
     drain:bool -> Firmament.Flow_network.t -> Cluster.State.t -> Firmament.Policy.t;
   solver_time : [ `Measured | `Fixed of float ];
-  pipelined : bool;
   max_sim_time : float option;
   max_rounds : int option;
 }
@@ -56,7 +38,6 @@ let default_config =
     scheduler = Firmament.Scheduler.default_config;
     policy = (fun ~drain net st -> Firmament.Policy_quincy.make ~drain net st);
     solver_time = `Measured;
-    pipelined = false;
     max_sim_time = None;
     max_rounds = None;
   }
@@ -77,12 +58,6 @@ type metrics = {
   preemptions : int;
   migrations : int;
   unfinished_waiting : int;
-  events_absorbed_mid_solve : int;
-  stale_placements : int;
-  stale_task_discards : int;
-  stale_machine_discards : int;
-  capacity_discards : int;
-  replayed_placements : int;
   structure_violations : int;
 }
 
@@ -216,10 +191,7 @@ let run_with ?(config = default_config) ?restore_snapshot ?snapshot_out ~trace
   in
   (* Ingesting events occupies the scheduler exactly like the solve does
      (the Fig. 2b accounting): in [`Measured] mode the measured wall
-     clock of applying a batch advances simulated time. Events absorbed
-     *inside* a pipelined solver window escape this charge — their
-     application overlaps the in-flight solve instead of extending the
-     round, which is the latency gain of pipelining. [`Fixed] mode
+     clock of applying a batch advances simulated time. [`Fixed] mode
      charges nothing so deterministic tests stay deterministic. *)
   let ingest evs =
     match config.solver_time with
@@ -240,51 +212,6 @@ let run_with ?(config = default_config) ?restore_snapshot ?snapshot_out ~trace
     (match config.max_sim_time with Some m when !sim >= m -> true | _ -> false)
     || match config.max_rounds with Some m when !rounds >= m -> true | _ -> false
   in
-  let events_mid_solve = ref 0 in
-  let stale_placements = ref 0 in
-  let stale_task_discards = ref 0 in
-  let stale_machine_discards = ref 0 in
-  let capacity_discards = ref 0 in
-  let replayed_placements = ref 0 in
-  (* One scheduling round. Synchronous: the classic schedule call.
-     Pipelined: dispatch the solve, then apply every trace event that
-     lands inside the solver window *while the solve is in flight* — the
-     pipelining gain is exactly that these reach the scheduler one round
-     earlier — and commit with stale-aware reconciliation. Returns the
-     round plus whether mid-solve events changed the cluster. *)
-  let run_round ~now =
-    if not config.pipelined then (Firmament.Scheduler.schedule sched ~now, false)
-    else begin
-      let p = Firmament.Scheduler.begin_round sched ~now in
-      let window =
-        match config.solver_time with
-        | `Measured -> Firmament.Scheduler.solver_runtime sched p
-        | `Fixed f -> f
-      in
-      let evs = Cluster.Event_queue.pop_until events (now +. window) in
-      let applied_n =
-        List.fold_left (fun acc ev -> if apply ev then acc + 1 else acc) 0 evs
-      in
-      Telemetry.Metrics.add m m_events_mid_solve applied_n;
-      events_mid_solve := !events_mid_solve + applied_n;
-      let round = Firmament.Scheduler.commit_round sched p ~now:(now +. window) in
-      let ds = List.length round.Firmament.Scheduler.discarded in
-      Telemetry.Metrics.add m m_stale_placements ds;
-      stale_placements := !stale_placements + ds;
-      List.iter
-        (fun (_tid, reason) ->
-          match reason with
-          | `Stale_task -> incr stale_task_discards
-          | `Stale_machine -> incr stale_machine_discards
-          | `Capacity -> incr capacity_discards)
-        round.Firmament.Scheduler.discarded;
-      Telemetry.Metrics.add m m_replayed_placements
-        round.Firmament.Scheduler.replayed;
-      replayed_placements :=
-        !replayed_placements + round.Firmament.Scheduler.replayed;
-      (round, applied_n > 0)
-    end
-  in
   let running = ref true in
   let needs_round = ref true in
   while !running && not (out_of_budget ()) do
@@ -292,7 +219,7 @@ let run_with ?(config = default_config) ?restore_snapshot ?snapshot_out ~trace
     let changed = ingest evs in
     if changed then needs_round := true;
     if !needs_round || Cluster.State.waiting_count cluster > 0 then begin
-      let round, mid_changed = run_round ~now:!sim in
+      let round = Firmament.Scheduler.schedule sched ~now:!sim in
       incr rounds;
       Telemetry.Metrics.incr m m_rounds;
       (match round.Firmament.Scheduler.degraded with
@@ -334,10 +261,8 @@ let run_with ?(config = default_config) ?restore_snapshot ?snapshot_out ~trace
         || round.Firmament.Scheduler.migrated <> []
         || round.Firmament.Scheduler.preempted <> []
       in
-      (* Events absorbed mid-solve were committed against a stale
-         snapshot's placements; the next round must re-solve for them. *)
-      needs_round := mid_changed;
-      if (not progressed) && (not changed) && not mid_changed then begin
+      needs_round := false;
+      if (not progressed) && not changed then begin
         (* Nothing placeable right now: jump to the next event. *)
         Telemetry.Metrics.incr m m_idle_jumps;
         match Cluster.Event_queue.peek_time events with
@@ -391,12 +316,6 @@ let run_with ?(config = default_config) ?restore_snapshot ?snapshot_out ~trace
     preemptions = !preemptions;
     migrations = !migrations;
     unfinished_waiting = Cluster.State.waiting_count cluster;
-    events_absorbed_mid_solve = !events_mid_solve;
-    stale_placements = !stale_placements;
-    stale_task_discards = !stale_task_discards;
-    stale_machine_discards = !stale_machine_discards;
-    capacity_discards = !capacity_discards;
-    replayed_placements = !replayed_placements;
     structure_violations =
       List.length
         (Firmament.Flow_network.validate_structure

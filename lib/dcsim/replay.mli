@@ -20,19 +20,8 @@ type config = {
           {e and} the measured cost of applying each event batch to
           simulated time — the scheduler is busy while it ingests, so
           events queued behind a round delay it just like the solve
-          does. Events absorbed inside a pipelined solver window are
-          exempt: their ingestion overlaps the in-flight solve. [`Fixed]
-          charges exactly the given solve time and nothing for
+          does. [`Fixed] charges exactly the given solve time and nothing for
           ingestion, which makes replay deterministic for tests. *)
-  pipelined : bool;
-      (** when [true], each round dispatches the solve with
-          {!Firmament.Scheduler.begin_round} and applies the trace events
-          that fall inside the solver window {e while the solve is in
-          flight} (they reach the scheduler one round earlier than in the
-          synchronous model), then commits with stale-aware
-          reconciliation; discarded placements are reported in
-          [stale_placements]. The window is the measured solver runtime
-          (or the [`Fixed] time). Default [false]. *)
   max_sim_time : float option;
   max_rounds : int option;
 }
@@ -57,33 +46,10 @@ type metrics = {
   preemptions : int;
   migrations : int;
   unfinished_waiting : int;  (** tasks still waiting when replay ended *)
-  events_absorbed_mid_solve : int;
-      (** trace events applied while a pipelined solve was in flight
-          (always 0 when [pipelined = false]) *)
-  stale_placements : int;
-      (** solver placements the commit discarded instead of applying —
-          stale against mid-solve events or capacity-rejected; every one
-          is accounted here, none is silently committed. Equals
-          [stale_task_discards + stale_machine_discards +
-          capacity_discards]. *)
-  stale_task_discards : int;
-      (** discards whose task was genuinely invalidated mid-solve
-          (preempted, or finished and re-placed elsewhere) *)
-  stale_machine_discards : int;
-      (** discards whose target machine failed mid-solve *)
-  capacity_discards : int;
-      (** discards rejected by the authoritative capacity re-check *)
-  replayed_placements : int;
-      (** placements recognized as no-op replays — the task finished
-          mid-solve and the solver (re)confirmed the machine it was
-          running on. Counted separately from [stale_placements]: nothing
-          was invalidated, so treating them as stale would overstate
-          commit churn (at one point 695 of 701 "stale" placements in the
-          pipelined bench were replays of completed tasks) *)
   structure_violations : int;
       (** flow-network invariant violations at end of replay (see
           {!Firmament.Flow_network.validate_structure}); 0 on a healthy
-          run, pipelined or not *)
+          run *)
 }
 
 (** [run config trace] replays [trace] to completion (or to the configured

@@ -14,7 +14,7 @@ let fail fmt = Format.kasprintf failwith fmt
    is not the layered DAG the policies build and extraction fails. *)
 let max_hops = 16
 
-(* Hop cap for the backtracking pseudoflow walks (partial/snapshot),
+(* Hop cap for the backtracking pseudoflow walk ([extract_partial]),
    which may revisit layers while probing. Matches the historical cap. *)
 let walk_hops = 64
 
@@ -31,9 +31,9 @@ exception Desync of string
      flow when synced) and [gen.(s)] remembering the arc-pair generation
      stamp, so the next sync can walk only arcs whose flow or identity
      changed;
-   - scratch budgets for the backtracking pseudoflow walks
-     ([extract_partial]/[extract_snapshot]), epoch-stamped so they reset
-     in O(1) and never disturb the delta state. *)
+   - scratch budgets for the backtracking pseudoflow walk
+     ([extract_partial]), epoch-stamped so they reset in O(1) and never
+     disturb the delta state. *)
 type workspace = {
   (* delta decomposition, per forward-arc slot *)
   mutable used : int array;
@@ -60,7 +60,7 @@ type workspace = {
   (* pending (tid, prev-mach) pairs during a sync *)
   mutable pend : int array;
   mutable pend_top : int;
-  (* scratch budgets for pseudoflow walks, per forward-arc slot *)
+  (* scratch budgets for the pseudoflow walk, per forward-arc slot *)
   mutable budget : int array;
   mutable budget_mark : int array; (* epoch marks *)
   mutable budget_epoch : int;
@@ -378,7 +378,7 @@ let extract ?workspace net =
   sync_with_rebuild ws net ~emit:(fun _ _ -> ());
   delta_assignments ws
 
-(* --- backtracking pseudoflow walks (early-terminated solver states) --- *)
+(* --- backtracking pseudoflow walk (early-terminated solver states) --- *)
 
 (* Arm the epoch-stamped per-arc budgets: [remaining] defaults to the
    arc's current flow the first time a slot is touched this walk. *)
@@ -446,65 +446,6 @@ let extract_partial ?workspace net =
   FN.iter_task_nodes net (fun tid node ->
       out := { task = tid; machine = walk node 0 } :: !out);
   List.sort (fun a b -> compare a.task b.task) !out
-
-let extract_snapshot ?workspace g ~sink ~classify ~tasks =
-  (* Same budget/backtracking walk as [extract_partial], but over a solver
-     snapshot that may have diverged from the live network: node
-     classification goes through [classify] (which the scheduler builds
-     from the live tables plus its mid-solve event log) instead of the
-     network's own kind table, so task and machine nodes removed — or
-     whose ids were recycled — after the snapshot was taken are still
-     interpreted as the snapshot saw them. Sink-arc claims scan the
-     snapshot's out-list: cached handles describe the live network, not
-     the snapshot. *)
-  let ws = match workspace with Some w -> w | None -> create_workspace () in
-  arm_budgets ws g;
-  let claim_sink_unit n =
-    let sa = ref (-1) in
-    let it = ref (G.first_out g n) in
-    while !sa < 0 && !it >= 0 do
-      let a = !it in
-      if G.is_forward a && G.dst g a = sink then sa := a;
-      it := G.next_out g a
-    done;
-    if !sa >= 0 && remaining ws g !sa > 0 then begin
-      consume ws g !sa;
-      true
-    end
-    else false
-  in
-  let rec expand n hops =
-    let result = ref None in
-    let it = ref (G.first_out g n) in
-    while !result = None && !it >= 0 do
-      let a = !it in
-      if G.is_forward a && remaining ws g a > 0 then begin
-        consume ws g a;
-        match walk (G.dst g a) (hops + 1) with
-        | Some _ as r -> result := r
-        | None -> refund ws g a
-      end;
-      it := G.next_out g a
-    done;
-    !result
-  and walk n hops =
-    if hops > walk_hops || n = sink then None
-    else
-      match classify n with
-      | `Machine m -> if claim_sink_unit n then Some m else None
-      | `Blocked -> None
-      | `Through -> expand n hops
-  in
-  List.sort
-    (fun a b -> compare a.task b.task)
-    (List.rev_map
-       (fun (tid, node) ->
-         (* The entry node is always walked as a pass-through: it is the
-            task's own node in the snapshot, whatever its id maps to in
-            the live network by now. *)
-         let machine = if G.node_is_live g node then expand node 0 else None in
-         { task = tid; machine })
-       tasks)
 
 let extract_map net =
   let tbl = Hashtbl.create 256 in

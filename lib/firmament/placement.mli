@@ -25,10 +25,10 @@ type assignment = {
 }
 
 (** A reusable extraction state: the delta decomposition plus scratch
-    budgets for the pseudoflow walks. One per scheduler; safe to share
-    between {!extract_delta} and {!extract_partial}/{!extract_snapshot}
-    (the walks use separate epoch-stamped budgets and never disturb the
-    delta state). Not thread-safe. *)
+    budgets for the pseudoflow walk. One per scheduler; safe to share
+    between {!extract_delta} and {!extract_partial} (the walk uses
+    separate epoch-stamped budgets and never disturbs the delta state).
+    Not thread-safe. *)
 type workspace
 
 (** [node_hint]/[arc_hint] (the {!Flow_network.create} topology hints)
@@ -100,26 +100,3 @@ val extract_map :
     disturb its delta state. *)
 val extract_partial : ?workspace:workspace -> Flow_network.t -> assignment list
 
-(** [extract_snapshot g ~sink ~classify ~tasks] is the {!extract_partial}
-    walk applied to a solver {e snapshot} [g] that may have structurally
-    diverged from the live network (nodes added or removed by cluster
-    events absorbed while the solve was in flight). [tasks] lists the
-    tasks that existed when the snapshot was taken, with their node ids
-    {e in the snapshot}; [classify] maps an interior node to how the
-    snapshot saw it — [`Machine m] (a machine, possibly failed since; the
-    walk claims a unit of its sink arc, located by scanning the
-    snapshot's out-list since cached handles describe the live network),
-    [`Through] (an aggregator), or [`Blocked] (unscheduled aggregators
-    and anything unroutable). Entry nodes are always treated as
-    pass-through. On an optimal snapshot this is an exact flow
-    decomposition; on a pseudoflow it is best-effort and capacity-valid,
-    like {!extract_partial}. *)
-val extract_snapshot :
-  ?workspace:workspace ->
-  Flowgraph.Graph.t ->
-  sink:Flowgraph.Graph.node ->
-  classify:
-    (Flowgraph.Graph.node ->
-    [ `Machine of Cluster.Types.machine_id | `Through | `Blocked ]) ->
-  tasks:(Cluster.Types.task_id * Flowgraph.Graph.node) list ->
-  assignment list

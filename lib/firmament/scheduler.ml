@@ -100,44 +100,10 @@ let m_chg_supply =
   Telemetry.Metrics.counter m ~help:"node supply changes applied"
     "sched_graph_supply_changes_total"
 
-(* Pipelined-round observability: how much solver time the caller
-   overlapped with other work, how long commit still had to wait, and
-   which placements the stale-aware commit discarded. *)
-let m_pipeline_overlap_ns =
-  Telemetry.Metrics.histogram m
-    ~help:"solver time overlapped with caller work between begin and commit (ns)"
-    "sched_pipeline_overlap_ns"
-
-let m_pipeline_wait_ns =
-  Telemetry.Metrics.histogram m
-    ~help:"commit-side wait for the in-flight solve (ns)" "sched_pipeline_wait_ns"
-
-let m_rounds_overlapped =
-  Telemetry.Metrics.counter m
-    ~help:"rounds that absorbed cluster events while the solve was in flight"
-    "sched_rounds_overlapped_total"
-
-let m_stale_task_discards =
-  Telemetry.Metrics.counter m
-    ~help:"placements discarded at commit: task finished/preempted mid-solve"
-    "sched_stale_task_discards_total"
-
-let m_stale_machine_discards =
-  Telemetry.Metrics.counter m
-    ~help:"placements discarded at commit: machine failed mid-solve"
-    "sched_stale_machine_discards_total"
-
 let m_capacity_discards =
   Telemetry.Metrics.counter m
     ~help:"placements discarded at commit by the authoritative capacity re-check"
     "sched_capacity_discards_total"
-
-let m_replays =
-  Telemetry.Metrics.counter m
-    ~help:
-      "placements replaying a task that finished mid-solve on the machine it \
-       actually ran on — harmless no-ops, not stale discards"
-    "sched_noop_replays_total"
 
 let t_refresh = Telemetry.Trace.register tr "sched.refresh"
 let t_solve = Telemetry.Trace.register tr "sched.solve"
@@ -177,15 +143,6 @@ let pp_degraded ppf d =
     | `Infeasible_retry -> "infeasible-retry"
     | `Failed -> "failed")
 
-type discard_reason = [ `Stale_task | `Stale_machine | `Capacity ]
-
-let pp_discard_reason ppf r =
-  Format.pp_print_string ppf
-    (match r with
-    | `Stale_task -> "stale-task"
-    | `Stale_machine -> "stale-machine"
-    | `Capacity -> "capacity")
-
 type round = {
   winner : Mcmf.Race.winner;
   solver_stats : Mcmf.Solver_intf.stats;
@@ -198,33 +155,8 @@ type round = {
     (Cluster.Types.task_id * Cluster.Types.machine_id * Cluster.Types.machine_id) list;
   preempted : Cluster.Types.task_id list;
   unscheduled : int;
-  discarded : (Cluster.Types.task_id * discard_reason) list;
-  replayed : int;
+  discarded : Cluster.Types.task_id list;
   phase_ns : (string * int) list;
-}
-
-(* A begun-but-not-committed round. Everything the commit needs to decide
-   whether the solver snapshot is still current: the graph change summary
-   and cluster event epoch at dispatch, plus a log of the structural
-   events absorbed while the solve was in flight (so the snapshot can be
-   read back even though the live node tables moved on — including node
-   ids recycled by the graph's freelist). *)
-type pending = {
-  p_handle : Mcmf.Race.handle;
-  p_stop : Mcmf.Solver_intf.stop;
-  p_epoch : int;
-  p_changes : Flowgraph.Graph.change_summary;
-  mutable p_mid_added : Cluster.Types.task_id list;
-  mutable p_mid_finished : (Cluster.Types.task_id * Flowgraph.Graph.node) list;
-  (* Begin-time assignments of tasks that finished mid-solve, captured
-     before the finish dropped them from [assigned]: the commit uses
-     these to tell a harmless replay (solver re-stating where a finished
-     task actually ran) from a genuinely stale placement. *)
-  mutable p_mid_fin_prev : (Cluster.Types.task_id * Cluster.Types.machine_id) list;
-  mutable p_mid_failed : (Cluster.Types.machine_id * Flowgraph.Graph.node) list;
-  p_ck0 : int;  (* round begin *)
-  p_ck1 : int;  (* refresh end *)
-  p_ck2 : int;  (* dispatch end; begin_round returned here *)
 }
 
 type t = {
@@ -237,8 +169,8 @@ type t = {
   (* Reusable extraction workspace: delta decomposition of the last
      adopted optimal flow plus scratch budgets for the pseudoflow walks. *)
   ws : Placement.workspace;
-  (* Tasks whose delta-reported assignment was discarded at commit
-     (stale/capacity): the decomposition thinks they are placed, the
+  (* Tasks whose delta-reported assignment the capacity re-check
+     discarded at commit: the decomposition thinks they are placed, the
      cluster does not, and the flow may not move again — re-emit their
      stored assignment on the next delta commit so they are not lost. *)
   retry : (Cluster.Types.task_id, unit) Hashtbl.t;
@@ -246,7 +178,6 @@ type t = {
      (the summary on the graph accumulates; nobody may reset it here —
      incremental solvers read it through their own channel). *)
   mutable last_changes : Flowgraph.Graph.change_summary;
-  mutable pending : pending option;
   (* Debug observer for the fuzz harness: called once per committed round
      with the round record, the canonical post-commit graph and — on rounds
      that adopted a certified-optimal solve — a pre-commit snapshot of that
@@ -291,7 +222,6 @@ let create ?(config = default_config) cluster ~policy =
     ws = Placement.create_workspace ~node_hint ~arc_hint ();
     retry = Hashtbl.create 16;
     last_changes = Flowgraph.Graph.peek_changes (FN.graph net);
-    pending = None;
     observer = None;
   }
 
@@ -333,7 +263,6 @@ let of_restored ?(config = default_config) cluster ~net ~policy =
     ws;
     retry = Hashtbl.create 16;
     last_changes = Flowgraph.Graph.peek_changes (FN.graph net);
-    pending = None;
     observer = None;
   }
 
@@ -343,69 +272,20 @@ let of_restored ?(config = default_config) cluster ~net ~policy =
    has finished mutating the graph. *)
 let prepare_warm t = Mcmf.Race.prepare t.race (FN.graph t.net)
 
-(* While a round is pending, the canonical graph is the pre-round warm
-   start — except after an in-place repair, where it holds the round's
-   result until someone needs the warm start back. That someone is every
-   mutator below and every outside reader of {!network} (snapshot base
-   images, debug hooks): the first of them detaches the repair into a
-   scratch copy and rolls the canonical graph back, so interleaved events
-   and snapshots see exactly what they would after a copying solve. A
-   no-op on every other round, and on later calls. *)
-let settle t =
-  match t.pending with
-  | Some p -> Mcmf.Race.detach t.race p.p_handle
-  | None -> ()
-
-let network t =
-  settle t;
-  t.net
-
+let network t = t.net
 let cluster t = t.cluster
 let policy_name t = t.policy.Policy.name
 
-(* Cluster events are legal while a round is in flight: the solvers work
-   on copies taken at begin (an in-place repair is detached by [settle]
-   first), so mutating the canonical graph here is safe. Each event that
-   changes the task/machine node population is logged on the pending
-   round, so the commit can still read the solver's snapshot with
-   begin-time node identities. *)
-
 let submit_job t job =
-  settle t;
   Cluster.State.submit_job t.cluster job;
-  (match t.pending with
-  | Some p ->
-      Array.iter
-        (fun (task : Cluster.Workload.task) ->
-          p.p_mid_added <- task.Cluster.Workload.tid :: p.p_mid_added)
-        job.Cluster.Workload.tasks
-  | None -> ());
   Array.iter (fun task -> t.policy.Policy.task_submitted task) job.Cluster.Workload.tasks
 
 let finish_task t tid ~now =
-  settle t;
-  (match t.pending with
-  | Some p when not (List.mem tid p.p_mid_added) -> (
-      match FN.task_node t.net tid with
-      | Some n ->
-          p.p_mid_finished <- (tid, n) :: p.p_mid_finished;
-          (match Hashtbl.find_opt t.assigned tid with
-          | Some mm -> p.p_mid_fin_prev <- (tid, mm) :: p.p_mid_fin_prev
-          | None -> ())
-      | None -> ())
-  | Some _ | None -> ());
   Cluster.State.finish t.cluster tid ~now;
   t.policy.Policy.task_finished (Cluster.State.task t.cluster tid);
   Hashtbl.remove t.assigned tid
 
 let fail_machine t m =
-  settle t;
-  (match t.pending with
-  | Some p -> (
-      match FN.machine_node t.net m with
-      | Some n -> p.p_mid_failed <- (m, n) :: p.p_mid_failed
-      | None -> ())
-  | None -> ());
   let victims = Cluster.State.fail_machine t.cluster m in
   t.policy.Policy.machine_failed m;
   List.iter
@@ -415,21 +295,32 @@ let fail_machine t m =
     victims
 
 let restore_machine t m =
-  settle t;
   Cluster.State.restore_machine t.cluster m;
   t.policy.Policy.machine_restored m
 
 (* Kick a running task back to the wait queue (an operator or fuzz-harness
-   event, not a solver decision). The cluster stamps the task stale, so a
-   solve in flight cannot re-commit a placement for it; the task node
-   itself stays live, which is exactly what the snapshot reader expects. *)
+   event, not a solver decision). *)
 let preempt_task t tid =
-  settle t;
   Cluster.State.preempt t.cluster tid;
   Hashtbl.remove t.assigned tid;
   t.policy.Policy.task_preempted (Cluster.State.task t.cluster tid)
 
 let set_round_observer t obs = t.observer <- obs
+
+(* Start [tid] on [mm] if the authoritative cluster state still allows
+   it — the task is unassigned and waiting, the machine live with a free
+   slot — moving the cluster, the policy and the assignment table
+   together. [false] means the placement was refused. *)
+let start_if_free t tid mm ~now =
+  (not (Hashtbl.mem t.assigned tid))
+  && Cluster.Workload.is_waiting (Cluster.State.task t.cluster tid)
+  && Cluster.State.free_slots_on t.cluster mm > 0
+  && begin
+       Cluster.State.place t.cluster tid mm ~now;
+       Hashtbl.replace t.assigned tid mm;
+       t.policy.Policy.task_started (Cluster.State.task t.cluster tid) mm;
+       true
+     end
 
 (* Replay one committed placement from a snapshot journal through the
    same apply path a live commit uses: cluster transition, policy
@@ -438,25 +329,10 @@ let set_round_observer t obs = t.observer <- obs
    authoritative re-checks commit performs, so a corrupt or re-ordered
    journal degrades to skipped records rather than exceptions. *)
 let replay_placement t ~now action =
-  settle t;
-  let place tid mm =
-    if
-      (not (Hashtbl.mem t.assigned tid))
-      && Cluster.Workload.is_waiting (Cluster.State.task t.cluster tid)
-      && Cluster.State.machine_is_live t.cluster mm
-      && Cluster.State.free_slots_on t.cluster mm > 0
-    then begin
-      Cluster.State.place t.cluster tid mm ~now;
-      Hashtbl.replace t.assigned tid mm;
-      t.policy.Policy.task_started (Cluster.State.task t.cluster tid) mm
-    end
-  in
+  let place tid mm = ignore (start_if_free t tid mm ~now) in
   let preempt tid =
-    if Cluster.Workload.is_running (Cluster.State.task t.cluster tid) then begin
-      Cluster.State.preempt t.cluster tid;
-      Hashtbl.remove t.assigned tid;
-      t.policy.Policy.task_preempted (Cluster.State.task t.cluster tid)
-    end
+    if Cluster.Workload.is_running (Cluster.State.task t.cluster tid) then
+      preempt_task t tid
   in
   match action with
   | `Start (tid, mm) -> place tid mm
@@ -466,8 +342,8 @@ let replay_placement t ~now action =
   | `Preempt tid -> preempt tid
 
 (* Extract best-effort placements from a deadline-stopped solver's
-   pseudoflow when no events interleaved: the live network tables still
-   describe the snapshot, so the partial graph can be mounted directly.
+   pseudoflow: it is a structure-preserving copy of the canonical graph,
+   so the live network tables describe it and it can be mounted directly.
    The canonical graph must come back even if extraction raises — an
    exception here must not leave the network pointing at the transient
    pseudoflow. *)
@@ -479,151 +355,49 @@ let extract_partial_live t partial_graph =
       FN.set_graph t.net partial_graph;
       Placement.extract_partial ~workspace:t.ws t.net)
 
-(* Reading a solver snapshot after mid-solve events: the tasks that
-   existed at begin are the current task nodes minus those submitted
-   mid-solve, plus those that finished mid-solve (logged with their
-   begin-time node ids before the policy removed them). *)
-let snapshot_tasks t p =
-  let added = Hashtbl.create 16 in
-  List.iter (fun tid -> Hashtbl.replace added tid ()) p.p_mid_added;
-  let acc = ref p.p_mid_finished in
-  FN.iter_task_nodes t.net (fun tid n ->
-      if not (Hashtbl.mem added tid) then acc := (tid, n) :: !acc);
-  !acc
-
-(* Node classification for the snapshot walk. Machines that failed
-   mid-solve are looked up first: their begin-time node ids may since
-   have been recycled by the graph freelist, and for reading the snapshot
-   the failed-machine interpretation is the correct one (the stale check
-   then discards anything routed there). Nodes the live network no longer
-   knows and that are not logged failures can only be removed task nodes,
-   which carry no inbound flow — blocking them is safe. *)
-let snapshot_classifier t p =
-  let failed = Hashtbl.create 8 in
-  List.iter (fun (mid, n) -> Hashtbl.replace failed n mid) p.p_mid_failed;
-  fun n ->
-    match Hashtbl.find_opt failed n with
-    | Some mid -> `Machine mid
-    | None -> (
-        match FN.kind_opt t.net n with
-        | Some (FN.Machine_node mid) -> `Machine mid
-        | Some (FN.Rack_node _ | FN.Cluster_agg | FN.Request_agg _) -> `Through
-        | Some (FN.Task_node _ | FN.Unscheduled_agg _ | FN.Sink) | None -> `Blocked)
-
-let extract_from_snapshot t p graph =
-  Placement.extract_snapshot ~workspace:t.ws graph ~sink:(FN.sink t.net)
-    ~classify:(snapshot_classifier t p) ~tasks:(snapshot_tasks t p)
-
-(* Begin-time assignments of mid-solve-finished tasks, as a lookup for
-   the commit's replay detection; [None] when no task finished. *)
-let fin_prev_table p =
-  match p.p_mid_fin_prev with
-  | [] -> None
-  | l ->
-      let h = Hashtbl.create 16 in
-      List.iter (fun (tid, mm) -> Hashtbl.replace h tid mm) l;
-      Some h
-
-(* A placement (re)stating that a task which finished mid-solve ran on
-   the machine it actually occupied at round begin is a no-op replay —
-   the solver simply had not seen the finish yet — not a stale
-   placement. Anything else about a vanished task (a different machine,
-   i.e. a would-be migration of a finished task) stays a discard. *)
-let is_noop_replay fin_prev task mm =
-  match fin_prev with
-  | None -> false
-  | Some h -> Hashtbl.find_opt h task = Some mm
-
 (* Commit the feasible fraction of a deadline-stopped round: start waiting
    tasks whose unit of flow reached a machine in the intermediate
    pseudoflow. Running tasks are left alone — a half-solved flow is no
-   grounds for migrations or preemptions — and every start is checked for
-   staleness (task or target invalidated mid-solve) and re-checked against
-   the authoritative cluster state (machine live, slot free), so only
-   valid placements commit. *)
-let commit_starts ?fin_prev t ~now placements =
+   grounds for migrations or preemptions — and every start is re-checked
+   against the authoritative cluster state (task waiting, slot free), so
+   only valid placements commit. *)
+let commit_starts t ~now placements =
   let starts = ref [] in
   let discarded = ref [] in
-  let replayed = ref 0 in
-  let discard tid reason counter =
-    discarded := (tid, reason) :: !discarded;
-    Telemetry.Metrics.incr m counter
-  in
   List.iter
     (fun { Placement.task; machine } ->
       match machine with
-      | Some mm ->
-          if Hashtbl.mem t.assigned task then ()
-          else if is_noop_replay fin_prev task mm then begin
-            incr replayed;
-            Telemetry.Metrics.incr m m_replays
+      | Some mm when not (Hashtbl.mem t.assigned task) ->
+          if start_if_free t task mm ~now then starts := (task, mm) :: !starts
+          else begin
+            discarded := task :: !discarded;
+            Telemetry.Metrics.incr m m_capacity_discards
           end
-          else if Cluster.State.task_stale t.cluster task then
-            discard task `Stale_task m_stale_task_discards
-          else if Cluster.State.machine_stale t.cluster mm then
-            discard task `Stale_machine m_stale_machine_discards
-          else if
-            Cluster.Workload.is_waiting (Cluster.State.task t.cluster task)
-            && Cluster.State.free_slots_on t.cluster mm > 0
-          then begin
-            Cluster.State.place t.cluster task mm ~now;
-            Hashtbl.replace t.assigned task mm;
-            t.policy.Policy.task_started (Cluster.State.task t.cluster task) mm;
-            starts := (task, mm) :: !starts
-          end
-          else discard task `Capacity m_capacity_discards
-      | None -> ())
+      | Some _ | None -> ())
     placements;
-  (List.rev !starts, List.rev !discarded, !replayed)
+  (List.rev !starts, List.rev !discarded)
 
 (* Diff the solver's placements against the current assignment and apply
-   them. Stale placements — tasks finished or preempted mid-solve, or
-   aimed at machines that failed mid-solve — are discarded during
-   classification, before any state is mutated; every actual place is
-   then re-checked against the authoritative cluster state, so a slot
-   that vanished under an absorbed event can never be double-booked. *)
-let commit_diff ?fin_prev t ~now placements =
+   them: preemptions and migration sources first, so their slots are free,
+   then the places — each re-checked against the authoritative cluster
+   state, so a slot can never be double-booked. *)
+let commit_diff t ~now placements =
   let starts = ref [] and migrations = ref [] and preempts = ref [] in
-  let unscheduled = ref 0 in
   let discarded = ref [] in
-  let replayed = ref 0 in
-  let discard tid reason counter =
-    discarded := (tid, reason) :: !discarded;
-    Telemetry.Metrics.incr m counter
+  let discard tid =
+    discarded := tid :: !discarded;
+    Telemetry.Metrics.incr m m_capacity_discards
   in
   List.iter
     (fun { Placement.task; machine } ->
       match (Hashtbl.find_opt t.assigned task, machine) with
-      | None, Some mm ->
-          if is_noop_replay fin_prev task mm then begin
-            incr replayed;
-            Telemetry.Metrics.incr m m_replays
-          end
-          else if Cluster.State.task_stale t.cluster task then
-            discard task `Stale_task m_stale_task_discards
-          else if Cluster.State.machine_stale t.cluster mm then
-            discard task `Stale_machine m_stale_machine_discards
-          else starts := (task, mm) :: !starts
+      | None, Some mm -> starts := (task, mm) :: !starts
       | Some m_old, Some m_new when m_old <> m_new ->
-          if Cluster.State.task_stale t.cluster task then
-            discard task `Stale_task m_stale_task_discards
-          else if Cluster.State.machine_stale t.cluster m_new then
-            discard task `Stale_machine m_stale_machine_discards
-          else migrations := (task, m_old, m_new) :: !migrations
-      | Some _, Some _ -> ()
-      | Some _, None ->
-          if Cluster.State.task_stale t.cluster task then
-            discard task `Stale_task m_stale_task_discards
-          else preempts := task :: !preempts
-      | None, None -> incr unscheduled)
+          migrations := (task, m_old, m_new) :: !migrations
+      | Some _, Some _ | None, None -> ()
+      | Some _, None -> preempts := task :: !preempts)
     placements;
-  (* Free slots first (preemptions and migration sources), then place. *)
-  List.iter
-    (fun tid ->
-      Cluster.State.preempt t.cluster tid;
-      Hashtbl.remove t.assigned tid;
-      t.policy.Policy.task_preempted (Cluster.State.task t.cluster tid))
-    !preempts;
+  List.iter (preempt_task t) !preempts;
   List.iter (fun (tid, _, _) -> Cluster.State.preempt t.cluster tid) !migrations;
   let placed_migrations = ref [] in
   List.iter
@@ -639,30 +413,16 @@ let commit_diff ?fin_prev t ~now placements =
            preempted above and returns to the wait queue. *)
         Hashtbl.remove t.assigned tid;
         t.policy.Policy.task_preempted (Cluster.State.task t.cluster tid);
-        discard tid `Capacity m_capacity_discards
+        discard tid
       end)
     !migrations;
   let placed_starts = ref [] in
   List.iter
     (fun (tid, mm) ->
-      if
-        (not (Hashtbl.mem t.assigned tid))
-        && Cluster.Workload.is_waiting (Cluster.State.task t.cluster tid)
-        && Cluster.State.free_slots_on t.cluster mm > 0
-      then begin
-        Cluster.State.place t.cluster tid mm ~now;
-        Hashtbl.replace t.assigned tid mm;
-        t.policy.Policy.task_started (Cluster.State.task t.cluster tid) mm;
-        placed_starts := (tid, mm) :: !placed_starts
-      end
-      else discard tid `Capacity m_capacity_discards)
+      if start_if_free t tid mm ~now then placed_starts := (tid, mm) :: !placed_starts
+      else discard tid)
     !starts;
-  ( !placed_starts,
-    !placed_migrations,
-    List.rev !preempts,
-    !unscheduled,
-    List.rev !discarded,
-    !replayed )
+  (!placed_starts, !placed_migrations, List.rev !preempts, List.rev !discarded)
 
 (* Per-round delta of the graph's cumulative change summary, exported as
    telemetry. Clamped at zero: adopting a different graph object can
@@ -681,10 +441,7 @@ let record_changes t =
   Telemetry.Metrics.add m m_chg_supply supply;
   t.last_changes <- s
 
-let begin_round ?stop t ~now =
-  (match t.pending with
-  | Some _ -> invalid_arg "Scheduler.begin_round: a round is already in flight"
-  | None -> ());
+let schedule ?stop t ~now =
   Telemetry.Metrics.incr m m_rounds;
   Telemetry.Trace.new_round tr;
   let ck0 = Telemetry.Clock.now_ns () in
@@ -701,10 +458,6 @@ let begin_round ?stop t ~now =
     | None -> base
     | Some d -> Mcmf.Solver_intf.either_stop base (Mcmf.Solver_intf.deadline_stop d)
   in
-  (* Stamp the round epoch: the placements this solve will produce are
-     relative to the cluster state as of this instant, and any event that
-     bumps the epoch past the stamp marks its task/machine stale. *)
-  Cluster.State.stamp_round t.cluster;
   (* Path choice: with repair enabled, the race counts the graph's actual
      excess nodes against the budget and tries the O(changes) repair when
      they fit; the kernel gives up on any doubt (or once its searches
@@ -712,100 +465,32 @@ let begin_round ?stop t ~now =
   let delta_budget =
     if t.config.incremental then Some t.config.incremental_budget else None
   in
-  let handle = Mcmf.Race.submit ~stop ?delta_budget t.race (FN.graph t.net) in
-  let ck2 = Telemetry.Clock.now_ns () in
-  (* Dispatch half of the solve phase; the wait half is traced by
-     [commit_round], and the two sum to the round's solve attribution. *)
-  Telemetry.Trace.span tr ~phase:t_solve ~t0:ck1 ~t1:ck2;
-  let p =
-    {
-      p_handle = handle;
-      p_stop = stop;
-      p_epoch = Cluster.State.event_epoch t.cluster;
-      p_changes = Flowgraph.Graph.peek_changes (FN.graph t.net);
-      p_mid_added = [];
-      p_mid_finished = [];
-      p_mid_fin_prev = [];
-      p_mid_failed = [];
-      p_ck0 = ck0;
-      p_ck1 = ck1;
-      p_ck2 = ck2;
-    }
-  in
-  t.pending <- Some p;
-  p
-
-let solver_runtime _t p =
-  (Mcmf.Race.await p.p_handle).Mcmf.Race.stats.Mcmf.Solver_intf.runtime
-
-let commit_round t p ~now =
-  (match t.pending with
-  | Some q when q == p -> t.pending <- None
-  | Some _ | None ->
-      invalid_arg "Scheduler.commit_round: not the round in flight");
-  let ckA = Telemetry.Clock.now_ns () in
-  Telemetry.Metrics.observe m m_pipeline_overlap_ns (max 0 (ckA - p.p_ck2));
-  let first = Mcmf.Race.await p.p_handle in
-  let ckW = Telemetry.Clock.now_ns () in
-  Telemetry.Metrics.observe m m_pipeline_wait_ns (ckW - ckA);
+  let first = Mcmf.Race.solve ~stop ?delta_budget t.race (FN.graph t.net) in
   let result, retried =
     match first.Mcmf.Race.stats.Mcmf.Solver_intf.outcome with
     | Mcmf.Solver_intf.Infeasible ->
         (* A warm start facing heavy churn can report a transient
            infeasibility; one fresh attempt (reset flow, scratch ε)
-           separates that from a genuinely unroutable network. The retry
-           snapshots the *current* graph, so its result is never stale. *)
+           separates that from a genuinely unroutable network. *)
         Log.warn (fun m -> m "round@%.3f infeasible; retrying from scratch" now);
-        (Mcmf.Race.solve ~stop:p.p_stop ~scratch:true t.race (FN.graph t.net), true)
+        (Mcmf.Race.solve ~stop ~scratch:true t.race (FN.graph t.net), true)
     | Mcmf.Solver_intf.Optimal | Mcmf.Solver_intf.Stopped -> (first, false)
   in
   let ck2 = Telemetry.Clock.now_ns () in
-  Telemetry.Trace.span tr ~phase:t_solve ~t0:ckA ~t1:ck2;
-  (* Solve attribution = dispatch half (begin_round) + wait/retry half. *)
-  let solve_ns = (p.p_ck2 - p.p_ck1) + (ck2 - ckA) in
-  Telemetry.Metrics.observe m m_solve_ns solve_ns;
+  Telemetry.Trace.span tr ~phase:t_solve ~t0:ck1 ~t1:ck2;
+  Telemetry.Metrics.observe m m_solve_ns (ck2 - ck1);
   if retried then Telemetry.Metrics.incr m m_rounds_retried;
-  (* Did the canonical graph or cluster state move while the solve was in
-     flight? If not, the solved graph is byte-for-byte the round's
-     snapshot and the synchronous commit paths apply unchanged. *)
-  let interleaved =
-    (not retried)
-    && (p.p_mid_added <> []
-       || p.p_mid_finished <> []
-       || p.p_mid_failed <> []
-       || Cluster.State.event_epoch t.cluster <> p.p_epoch
-       || Flowgraph.Graph.peek_changes (FN.graph t.net) <> p.p_changes)
-  in
-  if interleaved then Telemetry.Metrics.incr m m_rounds_overlapped;
-  (* An in-place repaired result still aliasing the canonical graph here
-     means nothing settled the round: only cluster state moved (every
-     graph mutator settles first). Detach now, so the reconcile path
-     reads a snapshot. A canonical graph that moved under the repair
-     cannot be rolled back, and the detach fails loudly on it
-     (Invalid_argument) rather than let the commit extract from it. *)
-  let result =
-    if interleaved && result.Mcmf.Race.graph == FN.graph t.net then begin
-      Mcmf.Race.detach t.race p.p_handle;
-      Mcmf.Race.await p.p_handle
-    end
-    else result
-  in
   (* Close the round: shared metric recording plus the contiguous phase
      list ([("refresh", …); ("solve", …); branch phases]) whose durations
-     sum to the round's commit-side wall time by construction. *)
+     sum to the round's wall time by construction. *)
   let close_round ?certified ~tail r =
-    let wall =
-      (p.p_ck1 - p.p_ck0) + solve_ns
-      + List.fold_left (fun acc (_, d) -> acc + d) 0 tail
-    in
+    let wall = ck2 - ck0 + List.fold_left (fun acc (_, d) -> acc + d) 0 tail in
     Telemetry.Metrics.observe m m_round_ns wall;
     Telemetry.Metrics.add m m_started (List.length r.started);
     Telemetry.Metrics.add m m_migrated (List.length r.migrated);
     Telemetry.Metrics.add m m_preempted (List.length r.preempted);
     Telemetry.Metrics.set m m_unscheduled r.unscheduled;
-    let r =
-      { r with phase_ns = ("refresh", p.p_ck1 - p.p_ck0) :: ("solve", solve_ns) :: tail }
-    in
+    let r = { r with phase_ns = ("refresh", ck1 - ck0) :: ("solve", ck2 - ck1) :: tail } in
     (match t.observer with
     | Some f -> f r (FN.graph t.net) ~certified
     | None -> ());
@@ -819,8 +504,7 @@ let commit_round t p ~now =
      else the phase spent (copies, the hedge's cancel latency and join). *)
   let win_ns = Telemetry.Clock.ns_of_s algorithm_runtime in
   Telemetry.Metrics.observe m m_solve_win_ns win_ns;
-  Telemetry.Metrics.observe m m_solve_wait_ns (max 0 (solve_ns - win_ns));
-  let fin_prev = fin_prev_table p in
+  Telemetry.Metrics.observe m m_solve_wait_ns (max 0 (ck2 - ck1 - win_ns));
   let base =
     {
       winner = result.Mcmf.Race.winner;
@@ -834,7 +518,6 @@ let commit_round t p ~now =
       preempted = [];
       unscheduled = 0;
       discarded = [];
-      replayed = 0;
       phase_ns = [];
     }
   in
@@ -857,26 +540,21 @@ let commit_round t p ~now =
   | Mcmf.Solver_intf.Stopped ->
       (* Deadline hit: the canonical graph stays at the pre-round warm
          start; the stopped solver's pseudoflow is only read for
-         best-effort placements — through the snapshot reader when events
-         interleaved, since the pseudoflow's node ids then describe the
-         begin-of-round network, not the current one. *)
+         best-effort placements. *)
       Telemetry.Metrics.incr m m_rounds_partial;
-      let started, discarded, replayed, ext_end =
+      let started, discarded, ext_end =
         match result.Mcmf.Race.partial with
         | Some pg ->
-            let placements =
-              if interleaved then extract_from_snapshot t p pg
-              else extract_partial_live t pg
-            in
+            let placements = extract_partial_live t pg in
             let ext_end = Telemetry.Clock.now_ns () in
-            let started, discarded, replayed = commit_starts ?fin_prev t ~now placements in
+            let started, discarded = commit_starts t ~now placements in
             (* The pseudoflow has been consumed; let the next round reuse
                its storage. *)
             Mcmf.Race.recycle t.race pg;
-            (started, discarded, replayed, ext_end)
-        | None -> ([], [], 0, ck2)
+            (started, discarded, ext_end)
+        | None -> ([], [], ck2)
       in
-      List.iter (fun (tid, _) -> Hashtbl.replace t.retry tid ()) discarded;
+      List.iter (fun tid -> Hashtbl.replace t.retry tid ()) discarded;
       Log.debug (fun m ->
           m "round@%.3f degraded to partial: %d best-effort starts, %d waiting" now
             (List.length started)
@@ -889,36 +567,7 @@ let commit_round t p ~now =
       Telemetry.Metrics.observe m m_apply_ns (ck3 - ext_end);
       close_round
         ~tail:[ ("extract", ext_end - ck2); ("apply", ck3 - ext_end) ]
-        { base with degraded = `Partial; started; unscheduled; discarded; replayed }
-  | Mcmf.Solver_intf.Optimal when interleaved ->
-      (* Reconcile: the canonical graph absorbed events while the solve
-         was in flight, so the solved snapshot cannot be adopted — doing
-         so would silently undo those events. Read its placements through
-         the mid-solve event log, apply the stale-filtered diff, and keep
-         the canonical (event-current) graph as the next round's warm
-         start. No price refine either: the canonical flow was never
-         certified optimal. *)
-      let placements = extract_from_snapshot t p result.Mcmf.Race.graph in
-      Mcmf.Race.recycle t.race result.Mcmf.Race.graph;
-      let ck4 = Telemetry.Clock.now_ns () in
-      Telemetry.Trace.span tr ~phase:t_extract ~t0:ck2 ~t1:ck4;
-      Telemetry.Metrics.observe m m_extract_ns (ck4 - ck2);
-      let started, migrated, preempted, unscheduled, discarded, replayed =
-        commit_diff ?fin_prev t ~now placements
-      in
-      List.iter (fun (tid, _) -> Hashtbl.replace t.retry tid ()) discarded;
-      Log.debug (fun m ->
-          m
-            "round@%.3f reconciled: %d started, %d migrated, %d preempted, %d \
-             discarded stale"
-            now (List.length started) (List.length migrated)
-            (List.length preempted) (List.length discarded));
-      let ck5 = Telemetry.Clock.now_ns () in
-      Telemetry.Trace.span tr ~phase:t_apply ~t0:ck4 ~t1:ck5;
-      Telemetry.Metrics.observe m m_apply_ns (ck5 - ck4);
-      close_round
-        ~tail:[ ("extract", ck4 - ck2); ("apply", ck5 - ck4) ]
-        { base with started; migrated; preempted; unscheduled; discarded; replayed }
+        { base with degraded = `Partial; started; unscheduled; discarded }
   | Mcmf.Solver_intf.Optimal ->
       let replaced = FN.graph t.net in
       (* Swap-on-optimal: the displaced canonical graph becomes the next
@@ -985,13 +634,10 @@ let commit_round t p ~now =
       let ck5 = Telemetry.Clock.now_ns () in
       Telemetry.Trace.span tr ~phase:t_prepare ~t0:ck4 ~t1:ck5;
       Telemetry.Metrics.observe m m_prepare_ns (ck5 - ck4);
-      let started, migrated, preempted, _unscheduled, discarded, replayed =
-        commit_diff t ~now placements
-      in
-      List.iter (fun (tid, _) -> Hashtbl.replace t.retry tid ()) discarded;
-      (* The delta change list omits tasks whose assignment did not move,
-         so the (None, None) count commit_diff derives from it undercounts;
-         the authoritative number is the cluster's post-commit wait queue. *)
+      let started, migrated, preempted, discarded = commit_diff t ~now placements in
+      List.iter (fun tid -> Hashtbl.replace t.retry tid ()) discarded;
+      (* The delta change list omits tasks whose assignment did not move;
+         the cluster's post-commit wait queue is the authoritative count. *)
       let unscheduled = Cluster.State.waiting_count t.cluster in
       Log.debug (fun m ->
           m "round@%.3f: %s won in %.4fs; %d started, %d migrated, %d preempted, %d waiting"
@@ -1021,14 +667,7 @@ let commit_round t p ~now =
           preempted;
           unscheduled;
           discarded;
-          replayed;
         }
-
-(* A synchronous round is exactly the pipelined pair with nothing in
-   between: no event can interleave, so [commit_round] always takes the
-   fast (non-reconciling) paths and behaves as the pre-pipelining
-   scheduler did. *)
-let schedule ?stop t ~now = commit_round t (begin_round ?stop t ~now) ~now
 
 let assignments t = t.assigned
 

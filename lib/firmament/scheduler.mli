@@ -30,29 +30,8 @@
     Invariant: the flow network owned by this scheduler is never left
     mid-solve between rounds — {!Mcmf.Race.solve} works on copies or
     repairs in place under an undo journal, and a degraded round keeps
-    the pre-round graph.
-
-    {2 Pipelined rounds}
-
-    A round can also be split at the solver boundary: {!begin_round}
-    refreshes the policy, stamps the round epoch and solves a snapshot;
-    {!commit_round} applies the result.
-    Between the two, cluster events ({!submit_job}, {!finish_task},
-    {!fail_machine}, {!restore_machine}) may mutate the canonical graph —
-    the solver works on its own copies. A round resolved by in-place
-    repair ({!Mcmf.Race.submit}) has none: the first mutator, or the
-    first outside call to {!network}, moves the repaired state to a
-    scratch copy and rolls the canonical graph back to the pre-round
-    warm start ({!Mcmf.Race.detach}), so only those rounds pay a copy
-    and both see exactly what a copying solve would leave. At commit, placements involving a
-    task or machine invalidated mid-solve are {e discarded} rather than
-    applied (reported in [round.discarded] with a {!discard_reason}), and
-    every remaining placement is re-checked against the authoritative
-    cluster state, so absorbed events can never be double-booked or
-    silently undone. When events interleaved with an optimal solve, the
-    solved snapshot is read through the mid-solve event log and the
-    canonical (event-current) graph is kept as the next warm start; when
-    nothing interleaved, commit takes exactly the synchronous paths.
+    the pre-round graph. A round runs to completion inside {!schedule};
+    cluster events are applied between rounds.
 
     Configured with [mode = Cost_scaling_scratch_only] and the Quincy
     policy, this {e is} the paper's Quincy baseline (§7.1). *)
@@ -91,14 +70,6 @@ type degraded = [ `None | `Partial | `Infeasible_retry | `Failed ]
 
 val pp_degraded : Format.formatter -> degraded -> unit
 
-(** Why a solver placement was dropped at commit instead of applied:
-    the task finished or was preempted mid-solve ([`Stale_task]), the
-    target machine failed mid-solve ([`Stale_machine]), or the
-    authoritative capacity re-check found no free slot ([`Capacity]). *)
-type discard_reason = [ `Stale_task | `Stale_machine | `Capacity ]
-
-val pp_discard_reason : Format.formatter -> discard_reason -> unit
-
 (** What one scheduling round did. *)
 type round = {
   winner : Mcmf.Race.winner;
@@ -115,29 +86,18 @@ type round = {
       (** (task, from, to) *)
   preempted : Cluster.Types.task_id list;
   unscheduled : int;  (** live tasks left waiting by this round *)
-  discarded : (Cluster.Types.task_id * discard_reason) list;
-      (** solver placements dropped at commit: stale (the task or target
-          machine was invalidated by an event absorbed mid-solve) or
-          capacity-rejected. Always [[]] on a synchronous {!schedule}
-          round with no concurrent events. *)
-  replayed : int;
-      (** solver placements recognized as no-op replays at commit: the
-          task finished mid-solve and the solver (re)confirmed the very
-          machine it was running on when the solve began. Nothing was
-          invalidated — the solution is simply describing a task that
-          completed meanwhile — so these are counted here instead of
-          being misreported as [`Stale_task] discards. *)
+  discarded : Cluster.Types.task_id list;
+      (** tasks whose solver placement the authoritative capacity
+          re-check rejected at commit (counted in
+          [sched_capacity_discards_total]); they stay waiting and their
+          placement is re-stated on the next adopted round *)
   phase_ns : (string * int) list;
       (** where the round's wall time went, as [(phase, nanoseconds)] in
           execution order. Phases are measured with contiguous monotonic
           checkpoints, so the durations sum to the round's wall time
-          exactly — for a pipelined round, the wall time {e excluding}
-          the overlap window between [begin_round] and [commit_round]
-          (the solve phase counts the dispatch and wait halves only).
-          Always starts [("refresh", _); ("solve", _)]; an optimal round
-          continues [adopt; extract; prepare; apply] (or
-          [extract; apply] when mid-solve events forced reconciliation),
-          a [`Partial] round [extract; apply], a [`Failed] round
+          exactly. Always starts [("refresh", _); ("solve", _)]; an
+          optimal round continues [adopt; extract; prepare; apply], a
+          [`Partial] round [extract; apply], a [`Failed] round
           [apply] — which is what shows where a deadline-bounded round
           actually spent its budget. *)
 }
@@ -153,9 +113,7 @@ val create :
   policy:(drain:bool -> Flow_network.t -> Cluster.State.t -> Policy.t) ->
   t
 
-(** [network t] is the scheduler's flow network. While a round is
-    pending its graph is the pre-round warm start: an in-place repaired
-    round is detached first (see Pipelined rounds). *)
+(** [network t] is the scheduler's flow network. *)
 val network : t -> Flow_network.t
 
 val cluster : t -> Cluster.State.t
@@ -213,9 +171,7 @@ val fail_machine : t -> Cluster.Types.machine_id -> unit
 val restore_machine : t -> Cluster.Types.machine_id -> unit
 
 (** [preempt_task t tid] kicks a running task back to the wait queue (an
-    operator/fuzz-harness event, not a solver decision). The cluster
-    stamps the task stale, so a solve in flight cannot re-commit a
-    placement for it. *)
+    operator/fuzz-harness event, not a solver decision). *)
 val preempt_task : t -> Cluster.Types.task_id -> unit
 
 (** {1 Scheduling} *)
@@ -223,33 +179,8 @@ val preempt_task : t -> Cluster.Types.task_id -> unit
 (** [schedule ?stop t ~now] runs one round. Never raises on an infeasible
     or deadline-stopped solve: the round reports how it degraded in
     [round.degraded] (see the ladder above). [stop] is combined with the
-    configured round deadline, if any. Equivalent to
-    [commit_round t (begin_round ?stop t ~now) ~now]. *)
+    configured round deadline, if any. *)
 val schedule : ?stop:Mcmf.Solver_intf.stop -> t -> now:float -> round
-
-(** A scheduling round in flight: solved by {!begin_round}, awaiting
-    {!commit_round}. *)
-type pending
-
-(** [begin_round ?stop t ~now] refreshes the policy, stamps the round
-    epoch and solves a snapshot of the flow network. The solve finishes
-    inside [begin_round] in every mode (the [Race] hedge's second domain
-    is joined before it returns); what stays pending is the commit.
-    Cluster events may be applied to [t] while the round is pending, as
-    if they had landed during the solve. At most one round may be in
-    flight per scheduler.
-    @raise Invalid_argument if a round is already pending. *)
-val begin_round : ?stop:Mcmf.Solver_intf.stop -> t -> now:float -> pending
-
-(** [solver_runtime t p] is the winner's wall-clock runtime in seconds —
-    what a simulator needs to know how long the solver window was, before
-    committing. *)
-val solver_runtime : t -> pending -> float
-
-(** [commit_round t p ~now] applies the round's solve result with
-    stale-aware reconciliation (see the module docs).
-    @raise Invalid_argument if [p] is not the round in flight. *)
-val commit_round : t -> pending -> now:float -> round
 
 (** Current task → machine assignment (running tasks only). *)
 val assignments :
@@ -267,15 +198,14 @@ val decomposition : t -> Placement.assignment list option
 (** {1 Debugging}
 
     [set_round_observer t (Some f)] installs a debug hook called once per
-    committed round — synchronous or pipelined, on every rung of the
-    degradation ladder — with the finished {!round} record and the
+    round, on every rung of the degradation ladder — with the finished {!round} record and the
     {e canonical post-commit graph} (the next round's warm start, not the
     solver's scratch copy). On rounds that adopted a certified-optimal
     solve ([degraded] is [`None] or [`Infeasible_retry]), [~certified]
     additionally carries a private copy of that solution taken {e before}
     the placement diff rerouted started tasks' arcs — the snapshot on
     which feasibility/optimality validation is meaningful; it is [None] on
-    reconciled, partial and failed rounds. Its potentials are re-priced in
+    partial and failed rounds. Its potentials are re-priced in
     cost units ({!Mcmf.Price_refine.run} [~scale:1]), whatever units the
     canonical graph carries, so {!Flowgraph.Validate.is_reduced_cost_optimal}
     applies directly; a flow with a negative residual cycle keeps its

@@ -109,15 +109,7 @@ let parse_task ~prefix toks =
    potentials — the warm start) plus side-band node-kind records keyed by
    the same dense renumbering {!Flowgraph.Dimacs.emit_state} uses. The
    task → machine assignment table is deliberately absent: it is the same
-   fact as the cluster's running set.
-
-   Taking a base image while a pipelined round is in flight is safe by
-   construction: {!Scheduler.network}'s graph is always the pre-round
-   canonical warm start, never a solver's working state — solvers work
-   on copies, and a round repaired in place is detached by that very
-   call (the repair moves to a scratch copy and the canonical graph is
-   rolled back) — and the in-flight round has committed nothing, so
-   losing it loses no placements. *)
+   fact as the cluster's running set. *)
 let emit_base sched ~now =
   let buf = Buffer.create 65536 in
   let cluster = Scheduler.cluster sched in

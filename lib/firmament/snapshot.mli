@@ -16,11 +16,7 @@
        side-band [node] records mapping the dump's dense node ids back to
        their scheduler roles;}}
     and deliberately {e not} the task → machine assignment table (the
-    cluster's running set is the same fact) or any in-flight round
-    (solvers work on copies, so the canonical graph is always the
-    pre-round warm start; an uncommitted round has placed nothing, so
-    dropping it loses nothing — which is why snapshotting {e mid-round}
-    is safe).
+    cluster's running set is the same fact).
 
     Restore replays the base image through the normal constructors,
     parses the graph dump, rebuilds the network id maps from the [node]
@@ -49,8 +45,9 @@ type event =
   | Fail_machine of Cluster.Types.machine_id
   | Restore_machine of Cluster.Types.machine_id
 
-(** [emit_base sched ~now] renders the base image. Safe while a pipelined
-    round is in flight (see above). *)
+(** [emit_base sched ~now] renders the base image. A round runs to
+    completion inside {!Scheduler.schedule}, so the image is always taken
+    between rounds, of the canonical warm start. *)
 val emit_base : Scheduler.t -> now:float -> string
 
 (** Journal line(s) for one event / one committed round's placement diff

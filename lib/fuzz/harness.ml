@@ -61,13 +61,6 @@ type st = {
   mutable now : float;
   mutable round_idx : int;
   mutable event_idx : int;
-  mutable pending : S.pending option;
-  mutable pending_t0 : int;  (* Clock.now_ns at begin_round dispatch *)
-  mutable sync_round : bool;
-      (* the round being committed is synchronous ([S.schedule]): nothing
-         can have interleaved, so an adopted-optimal claim must come with
-         a certified snapshot. Pipelined commits may legitimately
-         reconcile instead (which also reports [`None], minus snapshot). *)
   mutable fail : failure option;
 }
 
@@ -217,14 +210,11 @@ let check_round st (r : S.round) _post ~certified =
   List.iter (fun (tid, _, mm) -> check_placement tid mm) r.S.migrated;
   (* Optimality-side checks run on the certified snapshot, present exactly
      when the round adopted an optimal solve ([`None]/[`Infeasible_retry]);
-     reconciled, partial and failed rounds have no certified solution to
-     validate. *)
+     partial and failed rounds have no certified solution to validate. *)
   (match (r.S.degraded, certified) with
   | (`None | `Infeasible_retry), None ->
-      if st.sync_round then
-        record st "structure"
-          "synchronous round claims an adopted optimal solve but carries no \
-           certified snapshot"
+      record st "structure"
+        "round claims an adopted optimal solve but carries no certified snapshot"
   | _, Some cg ->
       if not (Flowgraph.Validate.is_feasible cg) then
         record st "feasibility" "certified graph does not route all supply"
@@ -281,30 +271,9 @@ let apply_perturb st ~seed ~arcs =
         end
       done
 
-(* Commit the in-flight round, if any, measuring total elapsed begin→commit
-   wall time as the (loose but sound) bound for the phase sum: a pipelined
-   round's phases exclude the overlap window, which is non-negative. *)
-let commit_pending st =
-  match st.pending with
-  | None -> None
-  | Some p ->
-      st.pending <- None;
-      st.sync_round <- false;
-      let r = S.commit_round st.sched p ~now:st.now in
-      let w1 = Telemetry.Clock.now_ns () in
-      let sum = List.fold_left (fun acc (_, d) -> acc + d) 0 r.S.phase_ns in
-      if sum > w1 - st.pending_t0 then
-        record st "phase-accounting"
-          (Printf.sprintf
-             "pipelined round phases sum to %d ns, more than the %d ns between \
-              begin and commit"
-             sum (w1 - st.pending_t0));
-      st.round_idx <- st.round_idx + 1;
-      Some r
-
-(* One synchronous round, assuming no round is in flight (callers flush
-   via [commit_pending] first). *)
-let sync_round st ~polls =
+(* One scheduling round; [polls > 0] stops the solve after that many stop
+   polls, a deterministic stand-in for a deadline. *)
+let run_round st ~polls =
   let stop =
     if polls <= 0 then None
     else begin
@@ -315,7 +284,6 @@ let sync_round st ~polls =
           !n > polls)
     end
   in
-  st.sync_round <- true;
   let w0 = Telemetry.Clock.now_ns () in
   let r = S.schedule ?stop st.sched ~now:st.now in
   let w1 = Telemetry.Clock.now_ns () in
@@ -327,20 +295,12 @@ let sync_round st ~polls =
   st.round_idx <- st.round_idx + 1;
   r
 
-let run_round st ~polls =
-  ignore (commit_pending st);
-  sync_round st ~polls
-
 (* [journal] receives each resolved mutation as it is applied — the
    concrete job value, the picked task id, the committed round — so a
    crash-recovery run can mirror the trace into a snapshot journal.
    [`Perturb] has no journal encoding; the caller must rebase. *)
 let apply_event ?journal st (ev : Dcsim.Churn.event) =
   let note j = match journal with Some f -> f j | None -> () in
-  let note_round = function
-    | Some r -> note (`Round (r : S.round))
-    | None -> ()
-  in
   match ev with
   | Dcsim.Churn.Submit { jid; tasks; duration; locality } ->
       let job = apply_submit st ~jid ~tasks ~duration ~locality in
@@ -373,16 +333,7 @@ let apply_event ?journal st (ev : Dcsim.Churn.event) =
   | Perturb_costs { seed; arcs } ->
       apply_perturb st ~seed ~arcs;
       note `Perturb
-  | Round { polls } ->
-      (* flush any in-flight round first — its placements must hit the
-         journal too *)
-      note_round (commit_pending st);
-      note_round (Some (sync_round st ~polls))
-  | Begin_round ->
-      note_round (commit_pending st);
-      st.pending_t0 <- Telemetry.Clock.now_ns ();
-      st.pending <- Some (S.begin_round st.sched ~now:st.now)
-  | Commit_round -> note_round (commit_pending st)
+  | Round { polls } -> note (`Round (run_round st ~polls))
 
 let run_mode config mode events =
   let topo =
@@ -412,9 +363,6 @@ let run_mode config mode events =
       now = 0.;
       round_idx = 0;
       event_idx = 0;
-      pending = None;
-      pending_t0 = 0;
-      sync_round = false;
       fail = None;
     }
   in
@@ -433,8 +381,7 @@ let run_mode config mode events =
                apply_event st ev;
                st.now <- st.now +. 0.5
              end)
-           events;
-         if st.fail = None then ignore (commit_pending st)
+           events
        with exn ->
          record st "exception"
            (Printf.sprintf "event %d raised %s" st.event_idx
@@ -508,9 +455,6 @@ let run_crash_recovery config ~seed events =
       now = 0.;
       round_idx = 0;
       event_idx = 0;
-      pending = None;
-      pending_t0 = 0;
-      sync_round = false;
       fail = None;
     }
   in
@@ -535,10 +479,10 @@ let run_crash_recovery config ~seed events =
         Snapshot.Writer.rebase !writer !st.sched ~now:!st.now
     | `Round r -> Snapshot.Writer.round !writer r ~now:!st.now
   in
-  (* Kill the scheduler dead (the in-flight round, if any, dies with it),
-     restore from the snapshot, audit that no committed placement was
-     lost or invented, then drive the first post-restore round — which
-     the observer's oracle certifies like any other. *)
+  (* Kill the scheduler dead, restore from the snapshot, audit that no
+     committed placement was lost or invented, then drive the first
+     post-restore round — which the observer's oracle certifies like any
+     other. *)
   let crash_and_restore () =
     incr kills;
     let s = !st in
@@ -608,8 +552,7 @@ let run_crash_recovery config ~seed events =
        function of the seed *)
     let roll n = Random.State.int rng n = 0 in
     match (ev : Dcsim.Churn.event) with
-    | Round _ | Commit_round -> roll 4 (* round boundary *)
-    | Begin_round -> roll 2 (* mid-round, solver in flight *)
+    | Round _ -> roll 4 (* round boundary *)
     | _ -> roll 12
   in
   let saved_floor = !Mcmf.Cost_scaling.debug_eps_floor in
@@ -631,11 +574,8 @@ let run_crash_recovery config ~seed events =
                if !st.fail = None && kill then crash_and_restore ()
              end)
            events;
-         if !st.fail = None then begin
-           (match commit_pending !st with Some r -> journal (`Round r) | None -> ());
-           (* every seed must exercise at least one restore *)
-           if !st.fail = None && !kills = 0 then crash_and_restore ()
-         end
+         (* every seed must exercise at least one restore *)
+         if !st.fail = None && !kills = 0 then crash_and_restore ()
        with exn ->
          record !st "exception"
            (Printf.sprintf "event %d raised %s" !st.event_idx

@@ -49,7 +49,7 @@ val default_config : config
 val all_modes : Mcmf.Race.mode list
 
 (** Mode names as used by artifacts and the [firmament_fuzz] CLI
-    ([race], [fastest], [relaxation], [incremental-cs], [quincy-cs]). *)
+    ([race], [relaxation], [incremental-cs], [quincy-cs]). *)
 val mode_name : Mcmf.Race.mode -> string
 
 (** @raise Failure on an unknown name. *)
@@ -98,14 +98,13 @@ type crash_report = {
 (** [run_crash_recovery config ~seed events] interprets the trace under
     the first configured mode while mirroring every resolved event into a
     {!Firmament.Snapshot} journal, and — at seed-determined points: after
-    round boundaries, mid-round between [begin_round] and [commit_round],
-    and after arbitrary cluster events — kills the scheduler and restores
-    it from the snapshot. Each restore asserts no committed placement was
-    lost or invented ([crash-lost-placement]), the restored assignment
-    table matches the restored cluster's running set, waiting/live task
-    counts survive, and then drives a recovery round through the same
-    observer battery as {!run} — so the SSP oracle certifies every
-    post-restore committed round. A snapshot that fails to load reports
+    round boundaries and after arbitrary cluster events — kills the
+    scheduler and restores it from the snapshot. Each restore asserts no
+    committed placement was lost or invented ([crash-lost-placement]),
+    the restored assignment table matches the restored cluster's running
+    set, waiting/live task counts survive, and then drives a recovery
+    round through the same observer battery as {!run} — so the SSP oracle
+    certifies every post-restore committed round. A snapshot that fails to load reports
     [crash-restore]. At least one kill always happens, even on traces
     where the seed never fires. *)
 val run_crash_recovery :

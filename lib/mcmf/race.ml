@@ -45,7 +45,7 @@ let m_hedges =
 
 let m_graph_copies =
   Telemetry.Metrics.counter m
-    ~help:"scratch copies of the input graph taken by the race (solver copies and repair detaches)"
+    ~help:"scratch copies of the input graph taken by the race"
     "mcmf_race_graph_copies_total"
 
 let t_rx = Telemetry.Trace.register tr "race.relaxation"
@@ -92,20 +92,16 @@ type t = {
      whose potentials are known to certify its flow as optimal, and the
      scaled-cost units those potentials live in. Set by {!prepare} after
      adoption; a graph not physically equal to [pot_graph] never takes
-     the repair path, which makes interleaved commits, partial rounds and
-     failed refines safe by construction. *)
+     the repair path, which makes partial rounds and failed refines safe by
+     construction. *)
   mutable pot_graph : G.t option;
   mutable pot_scale : int;
-  (* The graph a successful repair produced, so {!prepare} can skip the
-     refine pass when the scheduler adopts it (its potentials were
-     certified by the repair itself, at [repaired_scale]): the input
-     itself, or the scratch copy {!detach} moved the repair to. *)
+  (* The graph a successful repair produced (the input itself, repaired
+     in place), so {!prepare} can skip the refine pass when the scheduler
+     adopts it: the repair already certified its potentials, at
+     [repaired_scale]. *)
   mutable repaired_graph : G.t option;
   mutable repaired_scale : int;
-  (* The handle of the in-place repair whose undo journal is still live
-     in [inc_ws]: the one round {!detach} can still split from its
-     input. Its [graph] is the input until then. *)
-  mutable armed : result ref option;
 }
 
 and winner = Relaxation | Cost_scaling | Repair
@@ -141,7 +137,6 @@ let create ?(alpha = 9) ?(price_refine = true) ?(incremental = true)
       pot_scale = 1;
       repaired_graph = None;
       repaired_scale = 1;
-      armed = None;
     }
   in
   (* First-round warmup: pre-size the solver workspaces and pre-build the
@@ -320,7 +315,7 @@ let two_solver_result ~input ~g_rx ~g_cs rx cs =
       ~cost_scaling_stats:(Some cs) rx
   end
 
-(* The single-solver modes; [submit] sends [Race] to {!solve_race}. *)
+(* The single-solver modes; [solve] sends [Race] to {!solve_race}. *)
 let solve_single ?stop ~scratch t g =
   let c = take t g in
   if scratch then G.reset_flow c;
@@ -421,7 +416,7 @@ let solve_race ?(stop = Solver_intf.never_stop) ~scratch t g =
    failed certification, stop) has already rolled the input back through
    the kernel's undo journal, so the configured mode runs on exactly the
    graph it would have seen — the fallback ladder below never sees a
-   difference. A success leaves the journal armed for {!detach}. *)
+   difference. *)
 let excess_nodes_within g budget =
   let n = ref 0 in
   (try
@@ -447,60 +442,28 @@ let try_repair ?stop ~scratch ~delta_budget t g =
             t.repaired_graph <- Some g;
             t.repaired_scale <- t.pot_scale;
             Telemetry.Metrics.incr m m_wins_repair;
-            let r =
-              ref
-                {
-                  graph = g;
-                  partial = None;
-                  winner = Repair;
-                  stats;
-                  relaxation_stats = None;
-                  cost_scaling_stats = None;
-                }
-            in
-            t.armed <- Some r;
-            Some r
+            Some
+              {
+                graph = g;
+                partial = None;
+                winner = Repair;
+                stats;
+                relaxation_stats = None;
+                cost_scaling_stats = None;
+              }
         | Incremental.Gave_up _ -> None)
     | _ -> None
 
-(* Every handle is ready at submit; the ref lets {!detach} redirect an
-   in-place repaired round (the one [armed] points at) to a copy. *)
-type handle = result ref
-
-let submit ?stop ?(scratch = false) ?delta_budget t g =
+let solve ?stop ?(scratch = false) ?delta_budget t g =
   Telemetry.Metrics.incr m m_solves;
-  (* A repaired-copy marker is only meaningful between the submit that
-     produced it and the {!prepare} of its adoption; a commit that did
-     not adopt (interleaved reconcile) leaves it stale, and the copy may
-     already be back in the scratch pool — drop it before it can
-     spuriously match a future adoption. *)
+  (* A repaired-graph marker is only meaningful between the solve that
+     produced it and the {!prepare} of its adoption; a caller that never
+     adopted it must not see it match a later graph. *)
   t.repaired_graph <- None;
-  t.armed <- None;
   match try_repair ?stop ~scratch ~delta_budget t g with
-  | Some h -> h
+  | Some r -> r
   | None -> (
       match t.mode with
-      | Race -> ref (solve_race ?stop ~scratch t g)
+      | Race -> solve_race ?stop ~scratch t g
       | Relaxation_only | Incremental_cost_scaling_only | Cost_scaling_scratch_only ->
-          ref (solve_single ?stop ~scratch t g))
-
-let await h = !h
-
-let solve ?stop ?scratch ?delta_budget t g =
-  await (submit ?stop ?scratch ?delta_budget t g)
-
-(* The lazy copy behind in-place repair: only a round whose input is
-   touched before commit pays it. The repaired state moves to a scratch
-   slot, which becomes the result (and the graph {!prepare} will
-   recognise as certified), and the journal rolls the input back to the
-   pre-round warm start. *)
-let detach t h =
-  match t.armed with
-  | Some a when a == h ->
-      t.armed <- None;
-      let g = !h.graph in
-      let c = take t g in
-      Incremental.rollback t.inc_ws g;
-      t.repaired_graph <- Some c;
-      h := { !h with graph = c }
-  | Some _ | None -> ()
+          solve_single ?stop ~scratch t g)

@@ -10,7 +10,7 @@
     - relaxation runs alone, in the caller's domain, on one scratch copy;
     - once it has run for the hedge deadline H, cost scaling starts on a
       second domain, on its own copy of the input, warm; the first
-      Optimal result cancels the other, and {!submit} joins the hedge
+      Optimal result cancels the other, and {!solve} joins the hedge
       before it returns;
     - H is 2× the median of relaxation's last 8 optimal warm runtimes;
     - H is 0, so both start at once, when there is no history yet, on a
@@ -41,8 +41,8 @@
     {b In-place repair.} A round resolved by the repair path copies
     nothing: {!Incremental.repair} works on the input graph itself under
     its undo journal, and the result's [graph] {e is} the input. Every
-    scratch copy the race takes (one per solver that runs, one per
-    {!detach}) counts in [mcmf_race_graph_copies_total]. *)
+    scratch copy the race takes (one per solver that runs) counts in
+    [mcmf_race_graph_copies_total]. *)
 
 type mode =
   | Race  (** the hedged race above *)
@@ -59,7 +59,7 @@ type t
 
     [incremental] (default [true]) enables the O(changes) flow-repair
     path: {!prepare} then tracks which graph's potentials certify its
-    flow as optimal, and a later {!submit} with [?delta_budget] on that
+    flow as optimal, and a later {!solve} with [?delta_budget] on that
     same graph may resolve the round by {!Incremental.repair} instead of
     running any solver.
 
@@ -97,9 +97,8 @@ type result = {
           optimal solution when the round solved, and the {e untouched}
           input graph when it ended [Stopped] or [Infeasible] — a bad
           round never corrupts the caller's warm-start state. On a
-          [Repair] win it is the input graph itself, repaired in place,
-          until {!detach} moves the repair to a scratch copy; adopting it
-          then needs no swap and leaves nothing to {!recycle} *)
+          [Repair] win it is the input graph itself, repaired in place;
+          adopting it needs no swap and leaves nothing to {!recycle} *)
   partial : Flowgraph.Graph.t option;
       (** on [Stopped]: the stopped solver's intermediate pseudoflow
           (a structure-preserving copy of the input), suitable for
@@ -123,68 +122,31 @@ type result = {
     of cluster changes. Price-refines the potentials (no-op when price
     refine is disabled, the mode never runs cost scaling, or the flow is
     not optimal — first run), and records whether [g]'s potentials now
-    certify its flow: only then may the next {!submit} with
+    certify its flow: only then may the next {!solve} with
     [?delta_budget] take the incremental repair path. A graph just
     adopted from a [Repair]-winner round skips the refine pass — the
     repair already certified it. *)
 val prepare : t -> Flowgraph.Graph.t -> unit
 
-(** A solved round, as {!submit} returns it. A round repaired in place
-    still aliases the input until {!detach} copies it. *)
-type handle
-
-(** [submit ?stop ?scratch t g] solves [g] and returns the finished
-    round's handle: every solver, the [Race] hedge included, has returned
-    or been joined by then. Solvers work on scratch copies, so [g] may be
-    mutated afterwards without affecting the result.
+(** [solve ?stop ?scratch ?delta_budget t g] solves [g]; every solver,
+    the [Race] hedge included, has returned or been joined by then. Every
+    solver runs on a structure-preserving copy (same node/arc ids), and
+    [result.graph] is the copy to adopt on success or [g] itself on a
+    degraded outcome. Never raises on infeasibility or cancellation —
+    inspect [result.stats.outcome]. When a hedged round's solvers
+    disagree, an [Infeasible] verdict (a sound proof) takes precedence
+    over [Stopped].
 
     [?delta_budget] allows the repair path: if [g] is the graph the last
     {!prepare} certified and carries at most [delta_budget] excess nodes
     (counted in O(n) on [g] itself, with no copy), the round is first
     attempted as an O(changes) {!Incremental.repair} of [g] {e in place}
-    — on success the handle holds [winner = Repair] and
+    — on success the result has [winner = Repair] and
     [result.graph == g]; on any give-up (reasons exported as
     [mcmf_incremental_giveup_*_total]) the kernel has already rolled [g]
     back, and the configured mode runs on copies exactly as if
-    [delta_budget] had not been passed.
-
-    So the "scratch copies" guarantee above has one exception: after an
-    in-place repair, [g] holds the round's result. A caller that wants
-    to mutate [g] while such a round is pending (and read the pre-round
-    warm start from it) must call {!detach} first. *)
-val submit :
-  ?stop:Solver_intf.stop ->
-  ?scratch:bool ->
-  ?delta_budget:int ->
-  t ->
-  Flowgraph.Graph.t ->
-  handle
-
-(** [detach h] splits an in-place repaired round from its input graph:
-    the repaired state is copied into a scratch slot, which becomes the
-    result's [graph] (what {!await} returns from now on, and the graph
-    {!prepare} recognises as certified), and the input is rolled back to
-    its pre-round state through the repair's undo journal. After that
-    the input may be mutated freely, exactly as after a copying solve.
-    A no-op for every other handle, for a handle already detached, and
-    once a later {!submit} has replaced the repair's journal.
-    @raise Invalid_argument if the input's structure, costs, capacities
-    or supplies changed since the repair — the journal cannot undo a
-    mutation it did not record, and the round's result is then lost. *)
-val detach : t -> handle -> unit
-
-(** [await h] is the round's result. *)
-val await : handle -> result
-
-(** [solve ?stop ?scratch t g] is [await (submit ?stop ?scratch t g)].
-    Every solver runs on a structure-preserving copy (same node/arc ids),
-    and [result.graph] is the copy to adopt on success or [g] itself on a
-    degraded outcome; [g] is only mutated by a successful in-place repair
-    (see [?delta_budget] on {!submit}), which returns [g] itself. Never
-    raises on infeasibility or cancellation — inspect
-    [result.stats.outcome]. When a hedged round's solvers disagree, an
-    [Infeasible] verdict (a sound proof) takes precedence over
-    [Stopped].
+    [delta_budget] had not been passed. That success is the only way
+    [solve] mutates [g].
 
     [~scratch:true] discards the warm start: copies get a fresh
     {!Flowgraph.Graph.reset_flow}, cost scaling takes the full scratch ε

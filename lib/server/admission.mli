@@ -3,7 +3,7 @@
 
     The event loop pushes every decoded client event here; round driving
     pops batches (up to the configured batch size) and applies them to the
-    scheduler between — or, pipelined, during — solves. The bound is the
+    scheduler between rounds. The bound is the
     backpressure mechanism: {!push} refusing an event is what turns into a
     NACK frame with a retry-after hint on the wire.
 

@@ -493,8 +493,7 @@ let drive_trace st ~schedule =
               send (P.Fail_machine { seq; machine = mid }) ~weight:1
           | Dcsim.Churn.Restore_machine mid ->
               send (P.Restore_machine { seq; machine = mid }) ~weight:1
-          | Dcsim.Churn.Perturb_costs _ | Dcsim.Churn.Round _
-          | Dcsim.Churn.Begin_round | Dcsim.Churn.Commit_round ->
+          | Dcsim.Churn.Perturb_costs _ | Dcsim.Churn.Round _ ->
               (* Firehose.wire_events filtered these *)
               ())
         end

@@ -271,45 +271,6 @@ let test_replay_deadline_degrades_gracefully () =
    + m.Dcsim.Replay.failed_rounds);
   checki "nothing committed by degraded rounds" 200 m.Dcsim.Replay.unfinished_waiting
 
-let test_replay_pipelined_reconciles () =
-  (* Pipelined replay absorbs trace events while the solve is in flight
-     and commits with stale-aware reconciliation: every dropped placement
-     is accounted in [stale_placements], the flow network stays
-     structurally clean, and the replay still drains. *)
-  let trace =
-    Cluster.Trace.generate
-      {
-        (Cluster.Trace.default_params ~machines:10 ()) with
-        target_utilization = 0.6;
-        horizon_s = 20.;
-        batch_task_median_s = 10.;
-        machine_mtbf_s = 4.;
-        machine_downtime_s = 5.;
-        seed = 21;
-      }
-  in
-  let run pipelined =
-    Dcsim.Replay.run
-      {
-        Dcsim.Replay.default_config with
-        solver_time = `Fixed 0.05;
-        pipelined;
-        max_sim_time = Some 500.;
-      }
-      trace
-  in
-  let p = run true in
-  checkb "rounds ran" true (p.Dcsim.Replay.rounds > 0);
-  checkb "tasks placed" true (p.Dcsim.Replay.tasks_placed > 0);
-  checkb "events absorbed mid-solve" true (p.Dcsim.Replay.events_absorbed_mid_solve > 0);
-  checki "network structurally clean" 0 p.Dcsim.Replay.structure_violations;
-  checkb "discards never negative" true (p.Dcsim.Replay.stale_placements >= 0);
-  let s = run false in
-  checki "synchronous replay absorbs nothing mid-solve" 0
-    s.Dcsim.Replay.events_absorbed_mid_solve;
-  checki "synchronous replay discards nothing" 0 s.Dcsim.Replay.stale_placements;
-  checki "synchronous replay structurally clean" 0 s.Dcsim.Replay.structure_violations
-
 let test_replay_generous_deadline_unaffected () =
   let trace = small_trace () in
   let m =
@@ -530,8 +491,6 @@ let () =
             test_replay_deadline_degrades_gracefully;
           Alcotest.test_case "generous deadline unaffected" `Quick
             test_replay_generous_deadline_unaffected;
-          Alcotest.test_case "pipelined replay reconciles" `Quick
-            test_replay_pipelined_reconciles;
         ] );
       ( "workloads",
         [

@@ -763,167 +763,7 @@ let test_scheduler_phase_attribution () =
   checkb "phase sum ~ round wall time" true
     (float_of_int sum >= 0.9 *. float_of_int wall)
 
-(* {1 Pipelined rounds} *)
-
-let discard_reason_t =
-  Alcotest.testable Firmament.Scheduler.pp_discard_reason (fun a b -> a = b)
-
-let round_sig (r : Firmament.Scheduler.round) =
-  ( r.Firmament.Scheduler.degraded,
-    r.Firmament.Scheduler.started,
-    r.Firmament.Scheduler.migrated,
-    r.Firmament.Scheduler.preempted,
-    r.Firmament.Scheduler.unscheduled,
-    r.Firmament.Scheduler.discarded )
-
-(* A four-step cluster scenario (placements, completions, a machine
-   failure, a restore) whose per-round optimum is unique — every
-   candidate path has a strictly distinct cost — so two runs must produce
-   identical rounds even under the nondeterministic parallel race. *)
-let equivalence_script sched run_round =
-  let task ~tid ~job ~submit ~prefer ~alt =
-    quincy_task ~tid ~job ~submit ~duration:100. ~input_mb:90.
-      ~input_machines:[ prefer; prefer; alt ]
-  in
-  Firmament.Scheduler.submit_job sched
-    (job_of_tasks ~jid:0 ~submit:0.
-       (List.init 8 (fun i ->
-            task ~tid:i ~job:0 ~submit:0. ~prefer:(i mod 4) ~alt:((i + 2) mod 4))));
-  let r1 = run_round ~now:0. in
-  Firmament.Scheduler.finish_task sched 0 ~now:5.;
-  Firmament.Scheduler.finish_task sched 1 ~now:5.;
-  Firmament.Scheduler.submit_job sched
-    (job_of_tasks ~jid:1 ~submit:5.
-       [
-         task ~tid:100 ~job:1 ~submit:5. ~prefer:0 ~alt:2;
-         task ~tid:101 ~job:1 ~submit:5. ~prefer:1 ~alt:3;
-       ]);
-  let r2 = run_round ~now:5. in
-  Firmament.Scheduler.fail_machine sched 3;
-  let r3 = run_round ~now:6. in
-  Firmament.Scheduler.restore_machine sched 3;
-  let r4 = run_round ~now:7. in
-  [ r1; r2; r3; r4 ]
-
-let test_pipeline_equivalence_across_modes () =
-  (* Driving rounds as begin_round + await + commit_round with no events
-     in between must be indistinguishable from the synchronous schedule
-     call: same starts, migrations, preemptions and (absent) discards,
-     and an equally optimal adopted graph — in every race mode. *)
-  List.iter
-    (fun mode ->
-      let mk () =
-        let cluster = mk_cluster ~machines:4 ~slots:2 in
-        Firmament.Scheduler.create
-          ~config:{ Firmament.Scheduler.default_config with mode }
-          cluster
-          ~policy:(fun ~drain net st -> Firmament.Policy_quincy.make ~drain net st)
-      in
-      let sync_sched = mk () in
-      let sync_rounds =
-        equivalence_script sync_sched (fun ~now ->
-            Firmament.Scheduler.schedule sync_sched ~now)
-      in
-      let split_sched = mk () in
-      let split_rounds =
-        equivalence_script split_sched (fun ~now ->
-            let p = Firmament.Scheduler.begin_round split_sched ~now in
-            let rt = Firmament.Scheduler.solver_runtime split_sched p in
-            checkb "solver runtime non-negative" true (rt >= 0.);
-            Firmament.Scheduler.commit_round split_sched p ~now)
-      in
-      checki "both ran four rounds" (List.length sync_rounds) (List.length split_rounds);
-      List.iteri
-        (fun i (a, b) ->
-          checkb (Printf.sprintf "round %d identical" (i + 1)) true
-            (round_sig a = round_sig b);
-          checkb (Printf.sprintf "round %d has no discards" (i + 1)) true
-            (a.Firmament.Scheduler.discarded = []))
-        (List.combine sync_rounds split_rounds);
-      checki "first round places all eight" 8
-        (List.length (List.hd sync_rounds).Firmament.Scheduler.started);
-      let g_of s = FN.graph (Firmament.Scheduler.network s) in
-      checkb "sync graph optimal" true (Flowgraph.Validate.is_optimal (g_of sync_sched));
-      checkb "split graph optimal" true (Flowgraph.Validate.is_optimal (g_of split_sched));
-      checki "same adopted solution cost"
-        (G.total_cost (g_of sync_sched))
-        (G.total_cost (g_of split_sched)))
-    all_race_modes
-
-let test_pipeline_stale_reconciliation () =
-  (* Events absorbed while a solve is in flight invalidate exactly the
-     placements they touch — the commit discards those, applies the rest,
-     and leaves the warm start certified. *)
-  let cluster = mk_cluster ~machines:3 ~slots:2 in
-  let sched =
-    Firmament.Scheduler.create cluster ~policy:(fun ~drain net st ->
-        Firmament.Policy_quincy.make ~drain net st)
-  in
-  let pref ~tid ~job ~m ~submit =
-    quincy_task ~tid ~job ~submit ~duration:100. ~input_mb:90.
-      ~input_machines:[ m; m; m ]
-  in
-  Firmament.Scheduler.submit_job sched
-    (job_of_tasks ~jid:0 ~submit:0.
-       [
-         pref ~tid:0 ~job:0 ~m:0 ~submit:0.;
-         pref ~tid:1 ~job:0 ~m:1 ~submit:0.;
-         pref ~tid:2 ~job:0 ~m:2 ~submit:0.;
-       ]);
-  let r1 = solve_sched sched ~now:0. in
-  checki "three running" 3 (List.length r1.Firmament.Scheduler.started);
-  Firmament.Scheduler.submit_job sched
-    (job_of_tasks ~jid:1 ~submit:1.
-       [
-         pref ~tid:10 ~job:1 ~m:0 ~submit:1.;
-         pref ~tid:11 ~job:1 ~m:1 ~submit:1.;
-         pref ~tid:12 ~job:1 ~m:2 ~submit:1.;
-       ]);
-  let p = Firmament.Scheduler.begin_round sched ~now:1. in
-  (* Mid-solve: task 0 finishes; machine 2 dies, taking task 2 with it.
-     The in-flight snapshot still routes 0 -> m0, 2 -> m2, 12 -> m2. *)
-  Firmament.Scheduler.finish_task sched 0 ~now:1.;
-  Firmament.Scheduler.fail_machine sched 2;
-  let r2 = Firmament.Scheduler.commit_round sched p ~now:1. in
-  Alcotest.(check (list (pair int int)))
-    "fresh placements commit" [ (10, 0); (11, 1) ] r2.Firmament.Scheduler.started;
-  Alcotest.(check (list (pair int discard_reason_t)))
-    "exactly the stale placements discarded"
-    [ (2, `Stale_task); (12, `Stale_machine) ]
-    r2.Firmament.Scheduler.discarded;
-  (* Task 0 finished mid-solve and the snapshot re-confirms the machine
-     it was running on: a no-op replay, not a stale discard. *)
-  checki "finished task's placement is a replay" 1 r2.Firmament.Scheduler.replayed;
-  checki "no bogus preemptions" 0 (List.length r2.Firmament.Scheduler.preempted);
-  checki "no bogus migrations" 0 (List.length r2.Firmament.Scheduler.migrated);
-  checkb "network invariants hold" true
-    (FN.validate_structure (Firmament.Scheduler.network sched) = []);
-  (* The canonical graph was never corrupted by the stale snapshot: the
-     next full round is clean and places the remaining waiting work. *)
-  Firmament.Scheduler.restore_machine sched 2;
-  let r3 = solve_sched sched ~now:2. in
-  Alcotest.check degraded_t "warm start still certified" `None
-    r3.Firmament.Scheduler.degraded;
-  checki "victims and discards rescheduled" 2
-    (List.length r3.Firmament.Scheduler.started);
-  checki "none waiting" 0 (Cluster.State.waiting_count cluster)
-
-let test_pipeline_one_round_in_flight () =
-  let cluster = mk_cluster ~machines:2 ~slots:1 in
-  let sched =
-    Firmament.Scheduler.create cluster ~policy:(fun ~drain net st ->
-        Firmament.Policy_load_spread.make ~drain net st)
-  in
-  Firmament.Scheduler.submit_job sched (simple_job ~jid:0 ~n:1 ~submit:0. ~duration:10.);
-  let p = Firmament.Scheduler.begin_round sched ~now:0. in
-  Alcotest.check_raises "second begin rejected"
-    (Invalid_argument "Scheduler.begin_round: a round is already in flight")
-    (fun () -> ignore (Firmament.Scheduler.begin_round sched ~now:0.));
-  let r = Firmament.Scheduler.commit_round sched p ~now:0. in
-  checki "placed" 1 (List.length r.Firmament.Scheduler.started);
-  Alcotest.check_raises "double commit rejected"
-    (Invalid_argument "Scheduler.commit_round: not the round in flight")
-    (fun () -> ignore (Firmament.Scheduler.commit_round sched p ~now:0.))
+(* {1 Quincy policy} *)
 
 let test_quincy_machine_restored_reinstalls_preferences () =
   (* Regression: a task submitted while its data's machine is down gets
@@ -982,7 +822,7 @@ let test_quincy_refresh_wait_cost_bucketing () =
 
    Brute-force audit of the extraction pass: however the single-pass
    tracing attributes tasks, the number of tasks it assigns to a machine
-   must equal (strict [extract] and [extract_snapshot] on an optimal flow)
+   must equal (strict [extract] on an optimal flow)
    or never exceed ([extract_partial] on a stopped solver's pseudoflow)
    the flow that machine actually forwards to the sink. *)
 
@@ -1077,40 +917,6 @@ let prop_extract_partial_capacity_valid_on_pseudoflow =
          placements must stay capacity-valid against the actual flow. *)
       ignore (Mcmf.Ssp.solve ~stop (FN.graph net));
       flow_audit ~exact:false net (Firmament.Placement.extract_partial net) mnodes)
-
-let prop_extract_snapshot_matches_flow_audit =
-  QCheck.Test.make ~name:"extract_snapshot = machine sink flow on a snapshot"
-    ~count:80
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let net, tnodes, mnodes, agg, _ = random_audit_net seed in
-      let g = FN.graph net in
-      let st = Mcmf.Ssp.solve g in
-      st.Mcmf.Solver_intf.outcome = Mcmf.Solver_intf.Optimal
-      && begin
-           let snap = G.copy g in
-           let classify n =
-             match List.find_opt (fun (_, mn) -> mn = n) mnodes with
-             | Some (mid, _) -> `Machine mid
-             | None -> if n = agg then `Through else `Blocked
-           in
-           let a =
-             Firmament.Placement.extract_snapshot snap ~sink:(FN.sink net)
-               ~classify ~tasks:tnodes
-           in
-           let placed l =
-             List.sort compare
-               (List.map
-                  (fun p ->
-                    ( p.Firmament.Placement.task,
-                      p.Firmament.Placement.machine <> None ))
-                  l)
-           in
-           flow_audit ~exact:true net a mnodes
-           (* Attribution through an aggregator may permute, but which
-              tasks are placed at all is flow-determined. *)
-           && placed a = placed (Firmament.Placement.extract net)
-         end)
 
 (* {1 Delta extraction under churn} *)
 
@@ -1291,20 +1097,6 @@ let sorted_assignments sched =
     []
   |> List.sort compare
 
-(* The DIMACS state dump embedded in a base image. *)
-let graph_section snapshot =
-  let lines = String.split_on_char '\n' snapshot in
-  let rec go = function
-    | [] -> Alcotest.fail "snapshot has no graph section"
-    | l :: rest -> (
-        match String.split_on_char ' ' l |> List.filter (fun s -> s <> "") with
-        | [ "graph"; n ] ->
-            let n = int_of_string n in
-            String.concat "\n" (List.filteri (fun i _ -> i < n) rest) ^ "\n"
-        | _ -> go rest)
-  in
-  go lines
-
 let test_snapshot_round_trip () =
   let cluster = mk_cluster ~machines:4 ~slots:2 in
   let sched = Firmament.Scheduler.create cluster ~policy:quincy_policy in
@@ -1411,44 +1203,6 @@ let test_snapshot_journal_replay () =
       checkb "journaled machine failure replayed" false
         (Cluster.State.machine_is_live (Firmament.Scheduler.cluster restored) 2))
 
-let test_snapshot_midround_captures_canonical () =
-  (* Regression: a snapshot taken between begin_round and commit_round
-     must serialize the pre-round canonical graph — never the racing
-     copy — and restoring it must yield exactly the begin-time state,
-     with no placement from the uncommitted round. *)
-  let cluster = mk_cluster ~machines:4 ~slots:2 in
-  let sched = Firmament.Scheduler.create cluster ~policy:quincy_policy in
-  Firmament.Scheduler.submit_job sched (simple_job ~jid:0 ~n:4 ~submit:0. ~duration:100.);
-  let _ = solve_sched sched ~now:0. in
-  Firmament.Scheduler.submit_job sched (simple_job ~jid:1 ~n:3 ~submit:1. ~duration:100.);
-  let assigned_before = sorted_assignments sched in
-  let waiting_before = Cluster.State.waiting_count cluster in
-  let p = Firmament.Scheduler.begin_round sched ~now:1. in
-  (* Mid-solve. The canonical graph is the pre-round warm start. *)
-  let pre = Flowgraph.Dimacs.emit_state (FN.graph (Firmament.Scheduler.network sched)) in
-  let base = Snapshot.emit_base sched ~now:1. in
-  Alcotest.(check string) "mid-round snapshot embeds the canonical graph" pre
-    (graph_section base);
-  let r = Firmament.Scheduler.commit_round sched p ~now:1. in
-  checki "the in-flight round then places the new tasks" 3
-    (List.length r.Firmament.Scheduler.started);
-  let post = Flowgraph.Dimacs.emit_state (FN.graph (Firmament.Scheduler.network sched)) in
-  checkb "adopted graph differs from the snapshotted warm start" true (post <> pre);
-  (* Restoring the mid-round snapshot yields begin-time state: the
-     uncommitted round's placements are absent (nothing lost — they were
-     never committed anywhere), and a fresh round re-places the work. *)
-  let { Snapshot.scheduler = restored; _ } =
-    Snapshot.restore_string ~policy:quincy_policy base
-  in
-  Alcotest.(check (list (pair int int)))
-    "restored to begin-time assignment" assigned_before (sorted_assignments restored);
-  checki "begin-time waiting set" waiting_before
-    (Cluster.State.waiting_count (Firmament.Scheduler.cluster restored));
-  let rr = solve_sched restored ~now:1. in
-  Alcotest.check degraded_t "restored round clean" `None rr.Firmament.Scheduler.degraded;
-  checki "waiting tasks re-placed after restore" 3
-    (List.length rr.Firmament.Scheduler.started)
-
 (* {1 Repair path under steady churn} *)
 
 (* The paper's steady-state round at 1,000 machines: a cluster settled at
@@ -1521,174 +1275,6 @@ let test_one_percent_churn_takes_repair_path () =
   done;
   checki "every repaired round certified" 5 !certified
 
-(* {1 In-place repair while a round is pending} *)
-
-let metric name =
-  let m = Telemetry.Metrics.global () in
-  match Telemetry.Metrics.find m name with
-  | Some id -> Telemetry.Metrics.value m id
-  | None -> Alcotest.failf "metric %s not registered" name
-
-(* A Quincy cluster settled at 50%, then [warm] 1%-churn rounds so the
-   canonical graph carries a certified optimum. Deterministic in [seed]:
-   two calls build twins that stay identical round for round. *)
-let settled_quincy ~machines ~seed ~warm =
-  let base = Cluster.Trace.default_params ~machines () in
-  let trace =
-    Cluster.Trace.generate { base with target_utilization = 0.5; horizon_s = 0.; seed }
-  in
-  let cluster = Cluster.State.create trace.Cluster.Trace.topology in
-  let sched = Firmament.Scheduler.create cluster ~policy:quincy_policy in
-  List.iter
-    (fun job -> Firmament.Scheduler.submit_job sched (W.clone_job job))
-    trace.Cluster.Trace.initial_jobs;
-  ignore (solve_sched sched ~now:0.);
-  let rng = Random.State.make [| seed |] in
-  (* 1% of the running tasks finish and one job of the same size arrives. *)
-  let churn i ~now =
-    let running = Array.of_list (List.map fst (sorted_assignments sched)) in
-    let n = max 1 (Array.length running / 100) in
-    for k = 0 to n - 1 do
-      let j = k + Random.State.int rng (Array.length running - k) in
-      let tid = running.(j) in
-      running.(j) <- running.(k);
-      Firmament.Scheduler.finish_task sched tid ~now
-    done;
-    let jid = 1_000_000 + i in
-    Firmament.Scheduler.submit_job sched
-      (job_of_tasks ~jid ~submit:now
-         (List.init n (fun k ->
-              quincy_task ~tid:(10_000_000 + (1000 * i) + k) ~job:jid ~submit:now
-                ~duration:120. ~input_mb:500.
-                ~input_machines:(List.init 3 (fun _ -> Random.State.int rng machines)))))
-  in
-  for i = 1 to warm do
-    let now = 100. +. float_of_int i in
-    churn i ~now;
-    ignore (solve_sched sched ~now)
-  done;
-  (sched, churn)
-
-let test_snapshot_during_in_place_repair () =
-  (* A base image emitted while an in-place repaired round is pending
-     must be the pre-round image: the read detaches the repair (one
-     copy) and rolls the canonical graph back. *)
-  let sched, churn = settled_quincy ~machines:200 ~seed:21 ~warm:2 in
-  let now = 103. in
-  churn 3 ~now;
-  let pre = Snapshot.emit_base sched ~now in
-  let copies0 = metric "mcmf_race_graph_copies_total" in
-  let repairs0 = metric "mcmf_race_wins_repair_total" in
-  let p = Firmament.Scheduler.begin_round sched ~now in
-  checki "the round repaired" (repairs0 + 1) (metric "mcmf_race_wins_repair_total");
-  checki "in place: no copy" copies0 (metric "mcmf_race_graph_copies_total");
-  let mid = Snapshot.emit_base sched ~now in
-  checki "the base image detached the repair" (copies0 + 1)
-    (metric "mcmf_race_graph_copies_total");
-  Alcotest.(check string) "base image while pending = base image before begin_round" pre mid;
-  let r = Firmament.Scheduler.commit_round sched p ~now in
-  checkb "the repaired round commits" true
-    (r.Firmament.Scheduler.winner = Mcmf.Race.Repair
-    && r.Firmament.Scheduler.degraded = `None
-    && r.Firmament.Scheduler.started <> []);
-  checkb "the committed round moved the graph" true (Snapshot.emit_base sched ~now <> pre)
-
-let test_commit_refuses_graph_moved_under_repair () =
-  (* A network handle taken before the round lets a caller mutate the
-     canonical graph behind the scheduler's back. Under an in-place
-     repair that graph is the round's result: the commit must refuse it
-     loudly rather than extract placements from it. *)
-  let sched, churn = settled_quincy ~machines:200 ~seed:25 ~warm:2 in
-  let net = Firmament.Scheduler.network sched in
-  let now = 103. in
-  churn 3 ~now;
-  let p = Firmament.Scheduler.begin_round sched ~now in
-  let g = FN.graph net in
-  let a = ref (-1) in
-  G.iter_arcs g (fun x -> if !a < 0 then a := x);
-  G.set_cost g !a (G.cost g !a + 1);
-  Alcotest.check_raises "moved canonical graph refused"
-    (Invalid_argument "Incremental.rollback: the graph changed after the repair")
-    (fun () -> ignore (Firmament.Scheduler.commit_round sched p ~now))
-
-let test_pipelined_events_after_in_place_repair () =
-  (* Mid-round finish, fail and submit after an in-place repair commit
-     the round a copying solve would: the reconciled placements are the
-     repaired snapshot's (the synchronous twin's round) minus the stale
-     ones, and the canonical graph keeps the events. *)
-  let a, churn_a = settled_quincy ~machines:200 ~seed:23 ~warm:2 in
-  let b, churn_b = settled_quincy ~machines:200 ~seed:23 ~warm:2 in
-  checkb "twins" true (sorted_assignments a = sorted_assignments b);
-  let now = 103. in
-  churn_a 3 ~now;
-  churn_b 3 ~now;
-  let running_before = sorted_assignments a in
-  let rb = solve_sched b ~now in
-  checkb "twin repaired" true (rb.Firmament.Scheduler.winner = Mcmf.Race.Repair);
-  let tid0, m0 =
-    match rb.Firmament.Scheduler.started with
-    | x :: _ -> x
-    | [] -> Alcotest.fail "the twin round started nothing"
-  in
-  let finished, _ =
-    match List.filter (fun (_, mm) -> mm <> m0) running_before with
-    | x :: _ -> x
-    | [] -> Alcotest.fail "no running task off the failed machine"
-  in
-  let copies0 = metric "mcmf_race_graph_copies_total" in
-  let overlapped0 = metric "sched_rounds_overlapped_total" in
-  let p = Firmament.Scheduler.begin_round a ~now in
-  checki "in place: no copy" copies0 (metric "mcmf_race_graph_copies_total");
-  Firmament.Scheduler.finish_task a finished ~now;
-  checki "the first event detached the repair" (copies0 + 1)
-    (metric "mcmf_race_graph_copies_total");
-  Firmament.Scheduler.fail_machine a m0;
-  Firmament.Scheduler.submit_job a (simple_job ~jid:2_000_000 ~n:2 ~submit:now ~duration:50.);
-  let ra = Firmament.Scheduler.commit_round a p ~now in
-  checki "one copy for the whole round" (copies0 + 1) (metric "mcmf_race_graph_copies_total");
-  checki "the round reconciled" (overlapped0 + 1) (metric "sched_rounds_overlapped_total");
-  checkb "repair won" true (ra.Firmament.Scheduler.winner = Mcmf.Race.Repair);
-  (* Decompositions of one flow agree on which tasks are scheduled, not
-     on which of two tasks merging at an aggregator takes which machine,
-     so the comparison is on task sets. *)
-  let started_a = List.map fst ra.Firmament.Scheduler.started in
-  let started_b = List.map fst rb.Firmament.Scheduler.started in
-  let discarded_a = List.map fst ra.Firmament.Scheduler.discarded in
-  List.iter
-    (fun tid ->
-      checkb (Printf.sprintf "task %d started in the snapshot too" tid) true
-        (List.mem tid started_b))
-    started_a;
-  List.iter
-    (fun tid ->
-      checkb
-        (Printf.sprintf "snapshot start of task %d committed or discarded" tid)
-        true
-        (List.mem tid started_a || List.mem tid discarded_a))
-    started_b;
-  checkb "the placement on the failed machine is a stale discard" true
-    (List.mem (tid0, `Stale_machine) ra.Firmament.Scheduler.discarded);
-  let net = Firmament.Scheduler.network a in
-  Alcotest.(check (list string)) "network structure" [] (FN.validate_structure net);
-  checkb "the canonical graph kept the events" true
-    (FN.task_node net finished = None
-    && FN.machine_node net m0 = None
-    && FN.task_node net 2_000_000_000 <> None);
-  (* The next round starts from the event-current graph and certifies. *)
-  let certified = ref 0 in
-  Firmament.Scheduler.set_round_observer a
-    (Some
-       (fun _ _ ~certified:c ->
-         match c with
-         | Some g ->
-             incr certified;
-             checkb "next round feasible" true (Flowgraph.Validate.is_feasible g);
-             checkb "next round optimal" true (Flowgraph.Validate.is_reduced_cost_optimal g)
-         | None -> ()));
-  let r = solve_sched a ~now:(now +. 1.) in
-  checkb "next round clean" true (r.Firmament.Scheduler.degraded = `None);
-  checki "next round certified" 1 !certified
-
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -1729,7 +1315,6 @@ let () =
           [
             prop_extract_matches_flow_audit;
             prop_extract_partial_capacity_valid_on_pseudoflow;
-            prop_extract_snapshot_matches_flow_audit;
           ] );
       ( "scheduler",
         [
@@ -1767,13 +1352,8 @@ let () =
           Alcotest.test_case "partial round attributes phases" `Quick
             test_scheduler_phase_attribution;
         ] );
-      ( "pipelined-rounds",
+      ( "quincy-policy",
         [
-          Alcotest.test_case "split round equals synchronous round" `Quick
-            test_pipeline_equivalence_across_modes;
-          Alcotest.test_case "stale placements reconciled at commit" `Quick
-            test_pipeline_stale_reconciliation;
-          Alcotest.test_case "one round in flight" `Quick test_pipeline_one_round_in_flight;
           Alcotest.test_case "machine restore reinstalls preferences" `Quick
             test_quincy_machine_restored_reinstalls_preferences;
           Alcotest.test_case "refresh quantizes wait-cost churn" `Quick
@@ -1789,18 +1369,10 @@ let () =
             test_snapshot_round_trip;
           Alcotest.test_case "journal replay reconverges" `Quick
             test_snapshot_journal_replay;
-          Alcotest.test_case "mid-round snapshot captures canonical graph" `Quick
-            test_snapshot_midround_captures_canonical;
         ] );
       ( "repair-path",
         [
           Alcotest.test_case "1% churn at 1k machines repairs, certified" `Quick
             test_one_percent_churn_takes_repair_path;
-          Alcotest.test_case "snapshot while an in-place repair is pending" `Quick
-            test_snapshot_during_in_place_repair;
-          Alcotest.test_case "mid-round events after an in-place repair" `Quick
-            test_pipelined_events_after_in_place_repair;
-          Alcotest.test_case "commit refuses a graph moved under the repair" `Quick
-            test_commit_refuses_graph_moved_under_repair;
         ] );
     ]

@@ -19,7 +19,12 @@ let test_churn_roundtrip () =
     checki "length" 80 (List.length trace);
     let trace' = Churn.of_lines (Churn.to_lines trace) in
     checkb "serialization round-trips" true (trace = trace')
-  done
+  done;
+  List.iter
+    (fun l ->
+      checkb (l ^ " is not an event") true
+        (try ignore (Churn.of_line l); false with Failure _ -> true))
+    [ "begin"; "commit" ]
 
 let test_churn_deterministic () =
   let a = Churn.generate ~seed:42 ~machines:6 ~length:50 in
@@ -220,7 +225,7 @@ let test_artifact_rejects_garbage () =
   checkb "empty" true (bad "");
   checkb "bad header" true (bad "not-an-artifact\n");
   checkb "truncated trace" true
-    (bad "firmament-fuzz-artifact v1\nmode quincy-cs\nmachines 6\nslots 2\ninject-eps 1\ncheck x\ndetail y\ntrace 3\nbegin\n")
+    (bad "firmament-fuzz-artifact v1\nmode quincy-cs\nmachines 6\nslots 2\ninject-eps 1\ncheck x\ndetail y\ntrace 3\nround 0\n")
 
 let () =
   Alcotest.run "fuzz"

@@ -1030,37 +1030,24 @@ let test_repair_rollback_guards () =
 
 let test_race_repair_in_place () =
   (* A [Repair] round copies nothing: its result is the input graph
-     itself. [detach] then moves the repair to a scratch copy (one copy)
-     and rolls the input back to its pre-round state, exactly once. *)
+     itself, repaired in place, and adopting it skips the refine pass. *)
   let race = Mcmf.Race.create ~mode:Mcmf.Race.Race () in
   let r1 = Mcmf.Race.solve race (netgen_instance 7) in
   Alcotest.check outcome_t "round 1 optimal" S.Optimal r1.Mcmf.Race.stats.S.outcome;
   let g = r1.Mcmf.Race.graph in
   Mcmf.Race.prepare race g;
   source_burst ~k:4 ~mseed:7 g;
-  let pre = repair_state g in
   let copies0 = counter_value "mcmf_race_graph_copies_total" in
-  let h = Mcmf.Race.submit ~delta_budget:64 race g in
-  let r2 = Mcmf.Race.await h in
+  let r2 = Mcmf.Race.solve ~delta_budget:64 race g in
   checkb "winner is Repair" true (r2.Mcmf.Race.winner = Mcmf.Race.Repair);
   checkb "result aliases the input" true (r2.Mcmf.Race.graph == g);
   checki "no scratch copy taken" copies0 (counter_value "mcmf_race_graph_copies_total");
   checkb "repaired in place" true (Validate.is_optimal g && Validate.is_feasible g);
-  let repaired = repair_state g in
-  Mcmf.Race.detach race h;
-  let r3 = Mcmf.Race.await h in
-  checki "detach takes one copy" (copies0 + 1) (counter_value "mcmf_race_graph_copies_total");
-  checkb "result moved off the input" true (r3.Mcmf.Race.graph != g);
-  checkb "the copy holds the repair" true (repair_state r3.Mcmf.Race.graph = repaired);
-  checkb "the input is back at its pre-round state" true (repair_state g = pre);
-  Mcmf.Race.detach race h;
-  checkb "a second detach is a no-op" true ((Mcmf.Race.await h).Mcmf.Race.graph == r3.Mcmf.Race.graph);
-  checki "and copies nothing" (copies0 + 1) (counter_value "mcmf_race_graph_copies_total");
-  (* Adopting the detached copy still skips the refine pass: the next
-     quiet round on it repairs again. *)
-  Mcmf.Race.prepare race r3.Mcmf.Race.graph;
-  let r4 = Mcmf.Race.solve ~delta_budget:64 race r3.Mcmf.Race.graph in
-  checkb "detached copy stays certified" true (r4.Mcmf.Race.winner = Mcmf.Race.Repair)
+  (* The next quiet round on the adopted graph repairs again. *)
+  Mcmf.Race.prepare race g;
+  let r3 = Mcmf.Race.solve ~delta_budget:64 race g in
+  checkb "adopted repair stays certified" true (r3.Mcmf.Race.winner = Mcmf.Race.Repair);
+  checki "still no copy" copies0 (counter_value "mcmf_race_graph_copies_total")
 
 let prop_batched_repair_matches_ssp =
   (* Batched primal-dual repair must land on the SSP optimum when a round
@@ -1552,7 +1539,7 @@ let () =
         :: Alcotest.test_case "no-change round" `Quick test_repair_no_change_round
         :: Alcotest.test_case "work cap gives up oversized" `Quick test_repair_work_cap
         :: Alcotest.test_case "rollback guards" `Quick test_repair_rollback_guards
-        :: Alcotest.test_case "race repairs in place, detach copies once" `Quick
+        :: Alcotest.test_case "race repairs in place, copies nothing" `Quick
              test_race_repair_in_place
         :: qcheck
              [

@@ -538,6 +538,38 @@ let test_e2e_drain_over_steps () =
       Alcotest.(check int) "every event acked" 10 !acks;
       Unix.close c.fd)
 
+(* Shutdown drops, and counts, the admitted events no round applied:
+   nothing is in flight between steps, so nothing else is lost or
+   committed late. *)
+let test_e2e_shutdown_drops_queued () =
+  let path = tmp_sock "fmt_test_shut.sock" in
+  let srv = Svc.create { (test_config path) with batch_max = 4; queue_capacity = 16 } in
+  let reg = Telemetry.Metrics.global () in
+  let dropped () =
+    match Telemetry.Metrics.find reg "srv_events_dropped_shutdown_total" with
+    | Some id -> Telemetry.Metrics.value reg id
+    | None -> Alcotest.fail "srv_events_dropped_shutdown_total not registered"
+  in
+  Fun.protect
+    ~finally:(fun () -> Svc.stop srv)
+    (fun () ->
+      let c = client_connect path in
+      Svc.step srv ~timeout_s:0.002;
+      Alcotest.(check int) "connection accepted" 1 (Svc.connections srv);
+      for seq = 1 to 10 do
+        client_send c
+          (P.Submit_job { seq; jid = 100 + seq; task_count = 1; duration = 30.; locality = seq })
+      done;
+      Svc.step srv ~timeout_s:0.002;
+      Alcotest.(check int) "one round applied batch_max" 6 (Svc.queued srv);
+      let before = dropped () in
+      Svc.request_shutdown srv;
+      Svc.step srv ~timeout_s:0.002;
+      Alcotest.(check int) "the queued events are dropped and counted" 6
+        (dropped () - before);
+      Alcotest.(check int) "queue empty" 0 (Svc.queued srv);
+      Unix.close c.fd)
+
 (* {1 Restart from snapshot}
 
    A three-server relay on one snapshot file: server 1 fills a tiny
@@ -709,6 +741,8 @@ let () =
             test_e2e_place_in_admitting_step;
           Alcotest.test_case "queue beyond batch_max drains over steps" `Quick
             test_e2e_drain_over_steps;
+          Alcotest.test_case "shutdown drops and counts queued events" `Quick
+            test_e2e_shutdown_drops_queued;
           Alcotest.test_case
             "restart from snapshot: rebase, journal tail, subscriber re-attach"
             `Quick test_e2e_restart_from_snapshot;
