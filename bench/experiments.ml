@@ -13,17 +13,6 @@ let row = Stats.row
 let header = Stats.header
 let pp = Setup.pp_secs
 
-(* [--incr-budget N] override for the incremental-repair budget (most
-   excess nodes a round may carry and still try repair). [None]
-   keeps the scheduler default; the sweep experiment threads it into the
-   round config and records it in the JSON output. *)
-let incr_budget : int option ref = ref None
-
-let sweep_config () =
-  match !incr_budget with
-  | None -> Firmament.Scheduler.default_config
-  | Some b -> { Firmament.Scheduler.default_config with incremental_budget = b }
-
 (* {1 Static tables} *)
 
 let table1 ~scale:_ () =
@@ -929,8 +918,7 @@ let sweep ~scale () =
   List.iter
     (fun machines ->
       let s =
-        Setup.settle ~config:(sweep_config ()) ~machines ~util:0.5 ~policy:Setup.Quincy
-          ~seed:42 ()
+        Setup.settle ~machines ~util:0.5 ~policy:Setup.Quincy ~seed:42 ()
       in
       let rounds = if machines >= 12_500 then 10 else 20 in
       let times, bytes, major, phase_means =
@@ -962,7 +950,6 @@ let sweep ~scale () =
            ("round_alloc_bytes", b_mean);
            ("round_major_bytes", j_mean);
            ("rounds_per_sec", 1. /. Float.max 1e-9 mean);
-           ("incremental_budget", float_of_int (sweep_config ()).incremental_budget);
          ]
         @ List.map (fun (p, m) -> ("phase_" ^ p ^ "_mean_s", m)) phase_means))
     points

@@ -7,8 +7,6 @@ let usage () =
   print_endline "  EXPERIMENT: one of the ids below, 'all', or 'micro'";
   print_endline "  --scale S : machine-count multiplier (1.0 = paper size; default 0.2)";
   print_endline "  --json FILE : also write machine-readable results (JSON array)";
-  print_endline
-    "  --incr-budget N : incremental-repair budget override, in excess nodes (sweep experiment)";
   print_endline "";
   List.iter
     (fun (name, descr, _) -> Printf.printf "  %-8s %s\n" name descr)
@@ -34,13 +32,6 @@ let () =
         parse rest
     | "--json" :: f :: rest ->
         json_file := Some f;
-        parse rest
-    | "--incr-budget" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some b when b > 0 -> Experiments.incr_budget := Some b
-        | Some _ | None ->
-            prerr_endline "bench: --incr-budget expects a positive integer";
-            exit 2);
         parse rest
     | ("--help" | "-h") :: _ ->
         usage ();

@@ -90,14 +90,12 @@ let save_artifact ?crash_seed cfg f' shrunk ~artifact_dir ~seed =
   Fuzz.Artifact.save path artifact;
   path
 
-let fuzz_crash seeds events machines slots inject_eps force_incremental mode
-    artifact_dir =
+let fuzz_crash seeds events machines slots inject_eps mode artifact_dir =
   let cfg =
     {
       Fuzz.Harness.machines;
       slots;
       inject_eps;
-      force_incremental;
       modes =
         (match mode with
         | None -> [ Mcmf.Race.Race ]
@@ -149,13 +147,12 @@ let fuzz_crash seeds events machines slots inject_eps force_incremental mode
     1
   end
 
-let fuzz seeds events machines slots inject_eps force_incremental mode artifact_dir =
+let fuzz seeds events machines slots inject_eps mode artifact_dir =
   let cfg =
     {
       Fuzz.Harness.machines;
       slots;
       inject_eps;
-      force_incremental;
       modes =
         (match mode with None -> Fuzz.Harness.all_modes | Some m -> [ m ]);
     }
@@ -227,15 +224,13 @@ let replay path =
       Printf.printf "did not reproduce: trace runs clean\n";
       2
 
-let run replay_file crash_recovery seeds events machines slots inject_eps
-    force_incremental mode artifact_dir =
+let run replay_file crash_recovery seeds events machines slots inject_eps mode
+    artifact_dir =
   match replay_file with
   | Some path -> replay path
   | None when crash_recovery ->
-      fuzz_crash seeds events machines slots inject_eps force_incremental mode
-        artifact_dir
-  | None ->
-      fuzz seeds events machines slots inject_eps force_incremental mode artifact_dir
+      fuzz_crash seeds events machines slots inject_eps mode artifact_dir
+  | None -> fuzz seeds events machines slots inject_eps mode artifact_dir
 
 let cmd =
   let replay_file =
@@ -289,15 +284,6 @@ let cmd =
                 optimality. The harness must catch this ($(b,1) = off; used \
                 to validate the harness itself).")
   in
-  let force_incremental =
-    Arg.(
-      value & flag
-      & info [ "force-incremental" ]
-          ~doc:"Lift the scheduler's incremental-repair budget so every \
-                round with a certified previous solution takes the \
-                O(changes) repair path; the oracle and validators then \
-                gate the repair kernel instead of the full race.")
-  in
   let mode =
     Arg.(
       value & opt mode_conv None
@@ -317,6 +303,6 @@ let cmd =
     (Cmd.info "firmament_fuzz" ~doc)
     Term.(
       const run $ replay_file $ crash_recovery $ seeds $ events $ machines
-      $ slots $ inject_eps $ force_incremental $ mode $ artifact_dir)
+      $ slots $ inject_eps $ mode $ artifact_dir)
 
 let () = exit (Cmd.eval' cmd)

@@ -48,25 +48,14 @@ let with_out path f =
           Format.pp_print_flush ppf ())
 
 let run listen metrics_listen machines machines_per_rack slots policy mode deadline
-    incremental_budget batch_max queue_cap grace_s snapshot restore
-    metrics_out metrics_summary =
+    batch_max queue_cap grace_s snapshot restore metrics_out metrics_summary =
   let policy_factory ~drain net st =
     match policy with
     | Quincy -> Firmament.Policy_quincy.make ~drain net st
     | Load_spread -> Firmament.Policy_load_spread.make ~drain net st
     | Network_aware -> Firmament.Policy_network_aware.make ~drain net st
   in
-  let scheduler =
-    {
-      Firmament.Scheduler.default_config with
-      mode;
-      deadline;
-      incremental_budget =
-        (match incremental_budget with
-        | Some b -> b
-        | None -> Firmament.Scheduler.default_config.incremental_budget);
-    }
-  in
+  let scheduler = { Firmament.Scheduler.default_config with mode; deadline } in
   let config =
     {
       Server.Service.default_config with
@@ -161,16 +150,6 @@ let cmd =
       & info [ "deadline" ] ~docv:"SECONDS"
           ~doc:"Per-round wall-clock deadline; overruns degrade to partial placement.")
   in
-  let incremental_budget =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "incremental-budget" ] ~docv:"N"
-          ~doc:
-            "Most excess nodes a round may carry and still take the O(changes) \
-             incremental repair path instead of a full solve. Default: the \
-             scheduler's built-in budget.")
-  in
   let batch_max =
     Arg.(
       value & opt int 1024
@@ -229,7 +208,7 @@ let cmd =
     (Cmd.info "firmament_serve" ~doc)
     Term.(
       const run $ listen $ metrics_listen $ machines $ machines_per_rack $ slots $ policy
-      $ mode $ deadline $ incremental_budget $ batch_max $ queue_cap $ grace_s
+      $ mode $ deadline $ batch_max $ queue_cap $ grace_s
       $ snapshot $ restore $ metrics_out $ metrics_summary)
 
 let () = exit (Cmd.eval cmd)

@@ -49,8 +49,7 @@ let export_metrics metrics_out metrics_json metrics_summary =
   end
 
 let run machines util horizon speedup seed policy mode max_rounds deadline
-    incremental_budget snapshot_out restore metrics_out metrics_json
-    metrics_summary =
+    snapshot_out restore metrics_out metrics_json metrics_summary =
   let trace =
     Cluster.Trace.generate
       {
@@ -70,16 +69,7 @@ let run machines util horizon speedup seed policy mode max_rounds deadline
   let config =
     {
       Dcsim.Replay.default_config with
-      scheduler =
-        {
-          Firmament.Scheduler.default_config with
-          mode;
-          deadline;
-          incremental_budget =
-            (match incremental_budget with
-            | Some b -> b
-            | None -> Firmament.Scheduler.default_config.incremental_budget);
-        };
+      scheduler = { Firmament.Scheduler.default_config with mode; deadline };
       policy = policy_factory;
       max_rounds = Some max_rounds;
     }
@@ -168,16 +158,6 @@ let cmd =
             "Per-round wall-clock deadline. A round that exceeds it degrades to \
              best-effort partial placement instead of running long.")
   in
-  let incremental_budget =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "incremental-budget" ] ~docv:"N"
-          ~doc:
-            "Most excess nodes a round may carry and still take the O(changes) \
-             incremental repair path instead of a full solve. Default: the \
-             scheduler's built-in budget.")
-  in
   let snapshot_out =
     Arg.(
       value
@@ -228,7 +208,7 @@ let cmd =
     (Cmd.info "firmament_sim" ~doc)
     Term.(
       const run $ machines $ util $ horizon $ speedup $ seed $ policy $ mode $ max_rounds
-      $ deadline $ incremental_budget $ snapshot_out $ restore
+      $ deadline $ snapshot_out $ restore
       $ metrics_out $ metrics_json $ metrics_summary)
 
 let () = exit (Cmd.eval cmd)

@@ -119,7 +119,6 @@ type config = {
   drain_on_removal : bool;
   deadline : float option;
   incremental : bool;
-  incremental_budget : int;
 }
 
 let default_config =
@@ -130,7 +129,6 @@ let default_config =
     drain_on_removal = true;
     deadline = None;
     incremental = true;
-    incremental_budget = 512;
   }
 
 type degraded = [ `None | `Partial | `Infeasible_retry | `Failed ]
@@ -458,14 +456,11 @@ let schedule ?stop t ~now =
     | None -> base
     | Some d -> Mcmf.Solver_intf.either_stop base (Mcmf.Solver_intf.deadline_stop d)
   in
-  (* Path choice: with repair enabled, the race counts the graph's actual
-     excess nodes against the budget and tries the O(changes) repair when
-     they fit; the kernel gives up on any doubt (or once its searches
-     outgrow the graph) and the full race runs instead. *)
-  let delta_budget =
-    if t.config.incremental then Some t.config.incremental_budget else None
-  in
-  let first = Mcmf.Race.solve ~stop ?delta_budget t.race (FN.graph t.net) in
+  (* Path choice: with repair enabled (the race was created with
+     [config.incremental]) every round on a certified graph first tries
+     the O(changes) repair; the kernel gives up on any doubt, or once its
+     searches outgrow the graph, and the full race runs instead. *)
+  let first = Mcmf.Race.solve ~stop t.race (FN.graph t.net) in
   let result, retried =
     match first.Mcmf.Race.stats.Mcmf.Solver_intf.outcome with
     | Mcmf.Solver_intf.Infeasible ->

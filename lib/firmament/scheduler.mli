@@ -48,17 +48,12 @@ type config = {
           default) never stops a solve. *)
   incremental : bool;
       (** enable the O(changes) incremental-repair path (default [true]):
-          when the previous round's adopted solution is certified optimal
-          and this round's excess nodes fit the budget, the round is solved by
-          {!Mcmf.Incremental.repair} on the warm graph instead of running
-          the full solver race; any repair give-up falls back to the
-          configured [mode] untouched *)
-  incremental_budget : int;
-      (** repair budget (default 512): the most excess nodes a round may
-          carry and still take the repair path. The race counts them on the
-          canonical graph before copying it; the kernel counts again after
-          its saturation pass, and separately gives up once its searches
-          have scanned 32 times as many arcs as the graph has live arcs *)
+          when the previous round's adopted solution is certified optimal,
+          the round is first tried as {!Mcmf.Incremental.repair} on the
+          warm graph, in place, whatever the size of its change set. The
+          kernel gives up once its searches have scanned 32 times as many
+          arcs as the graph has live arcs (or on any other doubt), and a
+          give-up falls back to the configured [mode] untouched *)
 }
 
 val default_config : config

@@ -31,10 +31,8 @@ let config t =
     Harness.machines = t.machines;
     slots = t.slots;
     inject_eps = t.inject_eps;
-    (* Not serialized: replays run with the default repair budget (the
-       incremental path is on by default, so repair-found bugs still
-       reproduce on eligible rounds). *)
-    force_incremental = false;
+    (* The fuzzer runs only the default scheduler config, so a replay
+       runs under exactly the config the failure was found under. *)
     modes = [ t.mode ];
   }
 

@@ -7,7 +7,6 @@ type config = {
   machines : int;
   slots : int;
   inject_eps : int;
-  force_incremental : bool;
   modes : Mcmf.Race.mode list;
 }
 
@@ -21,7 +20,7 @@ let all_modes =
     ]
 
 let default_config =
-  { machines = 6; slots = 2; inject_eps = 1; force_incremental = false; modes = all_modes }
+  { machines = 6; slots = 2; inject_eps = 1; modes = all_modes }
 
 let mode_name = function
   | Mcmf.Race.Race -> "race"
@@ -342,15 +341,7 @@ let run_mode config mode events =
   in
   let cluster = Cluster.State.create topo in
   let sched =
-    (* [force_incremental] lifts the repair budget so every eligible round
-       takes the incremental path regardless of change-set size — the
-       checks then exercise the repair kernel instead of the full race. *)
-    let sched_config =
-      if config.force_incremental then
-        { S.default_config with mode; incremental_budget = max_int }
-      else { S.default_config with mode }
-    in
-    S.create ~config:sched_config cluster
+    S.create ~config:{ S.default_config with mode } cluster
       ~policy:(fun ~drain net st -> Firmament.Policy_quincy.make ~drain net st)
   in
   let st =
@@ -409,11 +400,6 @@ type crash_report = {
   cr_cold_ns : int;
 }
 
-let sched_config_of config mode =
-  if config.force_incremental then
-    { S.default_config with mode; incremental_budget = max_int / 4 }
-  else { S.default_config with mode }
-
 let assignment_list sched =
   Hashtbl.fold (fun tid m acc -> (tid, m) :: acc) (S.assignments sched) []
   |> List.sort compare
@@ -435,7 +421,7 @@ let run_crash_recovery config ~seed events =
   let mode =
     match config.modes with m :: _ -> m | [] -> Mcmf.Race.Race
   in
-  let scfg = sched_config_of config mode in
+  let scfg = { S.default_config with mode } in
   let policy ~drain net cl = Firmament.Policy_quincy.make ~drain net cl in
   let path = Filename.temp_file "firmament-crash" ".snap" in
   let rng = Random.State.make [| 0x6b696c6c; seed |] in

@@ -34,12 +34,6 @@ type config = {
           duration of the run (1 = off). Lets tests and
           [firmament_fuzz --inject-eps] prove the harness catches a
           solver that silently stops at an ε-optimal flow. *)
-  force_incremental : bool;
-      (** lift the scheduler's incremental-repair budget to (near)
-          unbounded so every round whose previous solution certified
-          takes the O(changes) repair path — the differential checks
-          then gate {!Mcmf.Incremental} instead of the full race.
-          Give-ups still fall back to the configured mode. *)
   modes : Mcmf.Race.mode list;  (** race modes to run, in order *)
 }
 

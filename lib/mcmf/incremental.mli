@@ -31,8 +31,9 @@
     [mcmf_incremental_giveup_*_total]). *)
 type reason =
   | Oversized
-      (** more excess nodes than [budget], or the searches scanned 32
-          times as many arcs as the graph has live arcs (the work cap) *)
+      (** the searches scanned more than [max_scan] arcs (by default 32
+          times as many as the graph has live arcs: the work cap), or
+          their rate per unit of excess routed projects past it *)
   | No_path  (** an excess could not reach any deficit *)
   | Not_certified  (** repair finished but certification failed *)
   | Stopped_mid_repair  (** the stop callback fired *)
@@ -50,23 +51,22 @@ val create_workspace : unit -> workspace
     [bound] so first use doesn't grow mid-round. *)
 val reserve : workspace -> int -> unit
 
-(** [repair ~scale ~budget g] mutates [g] (flows {e and} potentials, in
+(** [repair ~scale g] mutates [g] (flows {e and} potentials, in
     cost scaling's scaled units at [scale]) toward a certified optimal
     solution. On [Gave_up] the graph is rolled back to its entry state
     (see the journal above), so [g] may be the caller's canonical graph.
-    [budget] caps
-    the number of excess nodes after the saturation pass; independently,
-    the repair gives up [Oversized] once its searches have scanned more
-    than [max_scan] residual arcs (default: 32 times [g]'s live arc
-    count; see DESIGN.md for how it was set). Allocates a constant amount
-    per call (a few closures and the result), nothing per phase or per
-    augmentation, once the journal has grown to the largest repair's
-    size. *)
+    The change set may be any size: the repair gives up [Oversized] only
+    once its searches have scanned more than [max_scan] residual arcs
+    (default: 32 times [g]'s live arc count; see DESIGN.md for how it was
+    set), or earlier, from the second phase on, once the arcs scanned per
+    unit of excess routed since the first phase project the remaining
+    excess past [max_scan]. Allocates a constant amount per call (a few
+    closures and the result), nothing per phase or per augmentation, once
+    the journal has grown to the largest repair's size. *)
 val repair :
   ?stop:Solver_intf.stop ->
   ?max_scan:int ->
   scale:int ->
-  budget:int ->
   ?workspace:workspace ->
   Flowgraph.Graph.t ->
   outcome

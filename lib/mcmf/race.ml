@@ -408,59 +408,41 @@ let solve_race ?(stop = Solver_intf.never_stop) ~scratch t g =
       reclaim t r [ g_rx; g_cs ];
       r
 
-(* Delta path: when the caller allows repair ([delta_budget]) and the
-   input graph is the one whose potentials {!prepare} certified, count the
-   input's excess nodes — O(n), no copy — and only when there are at most
-   [delta_budget] of them repair the input itself, in place, before
-   dispatching any solver. A give-up (oversized delta, unroutable excess,
-   failed certification, stop) has already rolled the input back through
-   the kernel's undo journal, so the configured mode runs on exactly the
-   graph it would have seen — the fallback ladder below never sees a
-   difference. *)
-let excess_nodes_within g budget =
-  let n = ref 0 in
-  (try
-     G.iter_nodes g (fun v ->
-         if G.excess g v > 0 then begin
-           incr n;
-           if !n > budget then raise Exit
-         end)
-   with Exit -> ());
-  !n <= budget
+(* Delta path: when repair is enabled and the input graph is the one
+   whose potentials {!prepare} certified, repair the input itself, in
+   place, before dispatching any solver. The kernel alone decides when
+   the delta is too big: it gives up once its searches outgrow the graph.
+   A give-up (work cap, unroutable excess, failed certification, stop)
+   has already rolled the input back through the kernel's undo journal,
+   so the configured mode runs on exactly the graph it would have seen —
+   the fallback ladder below never sees a difference. *)
+let try_repair ?stop ~scratch t g =
+  match t.pot_graph with
+  | Some pg when t.incremental && (not scratch) && pg == g -> (
+      match Incremental.repair ?stop ~scale:t.pot_scale ~workspace:t.inc_ws g with
+      | Incremental.Repaired stats ->
+          t.repaired_graph <- Some g;
+          t.repaired_scale <- t.pot_scale;
+          Telemetry.Metrics.incr m m_wins_repair;
+          Some
+            {
+              graph = g;
+              partial = None;
+              winner = Repair;
+              stats;
+              relaxation_stats = None;
+              cost_scaling_stats = None;
+            }
+      | Incremental.Gave_up _ -> None)
+  | _ -> None
 
-let try_repair ?stop ~scratch ~delta_budget t g =
-  if scratch || not t.incremental then None
-  else
-    match (delta_budget, t.pot_graph) with
-    | Some budget, Some pg
-      when pg == g && budget > 0 && excess_nodes_within g budget -> (
-        match
-          Incremental.repair ?stop ~scale:t.pot_scale ~budget
-            ~workspace:t.inc_ws g
-        with
-        | Incremental.Repaired stats ->
-            t.repaired_graph <- Some g;
-            t.repaired_scale <- t.pot_scale;
-            Telemetry.Metrics.incr m m_wins_repair;
-            Some
-              {
-                graph = g;
-                partial = None;
-                winner = Repair;
-                stats;
-                relaxation_stats = None;
-                cost_scaling_stats = None;
-              }
-        | Incremental.Gave_up _ -> None)
-    | _ -> None
-
-let solve ?stop ?(scratch = false) ?delta_budget t g =
+let solve ?stop ?(scratch = false) t g =
   Telemetry.Metrics.incr m m_solves;
   (* A repaired-graph marker is only meaningful between the solve that
      produced it and the {!prepare} of its adoption; a caller that never
      adopted it must not see it match a later graph. *)
   t.repaired_graph <- None;
-  match try_repair ?stop ~scratch ~delta_budget t g with
+  match try_repair ?stop ~scratch t g with
   | Some r -> r
   | None -> (
       match t.mode with

@@ -59,9 +59,9 @@ type t
 
     [incremental] (default [true]) enables the O(changes) flow-repair
     path: {!prepare} then tracks which graph's potentials certify its
-    flow as optimal, and a later {!solve} with [?delta_budget] on that
-    same graph may resolve the round by {!Incremental.repair} instead of
-    running any solver.
+    flow as optimal, and a later {!solve} of that same graph first tries
+    to resolve the round by {!Incremental.repair} instead of running any
+    solver.
 
     [node_hint]/[arc_hint] pre-size the solver workspaces and the two
     pooled scratch graphs so the first round runs steady-state (no
@@ -122,31 +122,30 @@ type result = {
     of cluster changes. Price-refines the potentials (no-op when price
     refine is disabled, the mode never runs cost scaling, or the flow is
     not optimal — first run), and records whether [g]'s potentials now
-    certify its flow: only then may the next {!solve} with
-    [?delta_budget] take the incremental repair path. A graph just
-    adopted from a [Repair]-winner round skips the refine pass — the
-    repair already certified it. *)
+    certify its flow: only then may the next {!solve} take the
+    incremental repair path. A graph just adopted from a [Repair]-winner
+    round skips the refine pass — the repair already certified it. *)
 val prepare : t -> Flowgraph.Graph.t -> unit
 
-(** [solve ?stop ?scratch ?delta_budget t g] solves [g]; every solver,
-    the [Race] hedge included, has returned or been joined by then. Every
-    solver runs on a structure-preserving copy (same node/arc ids), and
+(** [solve ?stop ?scratch t g] solves [g]; every solver, the [Race]
+    hedge included, has returned or been joined by then. Every solver
+    runs on a structure-preserving copy (same node/arc ids), and
     [result.graph] is the copy to adopt on success or [g] itself on a
     degraded outcome. Never raises on infeasibility or cancellation —
     inspect [result.stats.outcome]. When a hedged round's solvers
     disagree, an [Infeasible] verdict (a sound proof) takes precedence
     over [Stopped].
 
-    [?delta_budget] allows the repair path: if [g] is the graph the last
-    {!prepare} certified and carries at most [delta_budget] excess nodes
-    (counted in O(n) on [g] itself, with no copy), the round is first
-    attempted as an O(changes) {!Incremental.repair} of [g] {e in place}
-    — on success the result has [winner = Repair] and
-    [result.graph == g]; on any give-up (reasons exported as
-    [mcmf_incremental_giveup_*_total]) the kernel has already rolled [g]
-    back, and the configured mode runs on copies exactly as if
-    [delta_budget] had not been passed. That success is the only way
-    [solve] mutates [g].
+    Repair path: when [t] was created [~incremental:true], [~scratch] is
+    not set and [g] is the graph the last {!prepare} certified, the round
+    is first attempted as an O(changes) {!Incremental.repair} of [g]
+    {e in place}, whatever the size of the change set — the kernel's own
+    work cap decides when it is too big. On success the result has
+    [winner = Repair] and [result.graph == g]; on any give-up (reasons
+    exported as [mcmf_incremental_giveup_*_total]) the kernel has already
+    rolled [g] back, and the configured mode runs on copies exactly as if
+    no repair had been tried. That success is the only way [solve]
+    mutates [g].
 
     [~scratch:true] discards the warm start: copies get a fresh
     {!Flowgraph.Graph.reset_flow}, cost scaling takes the full scratch ε
@@ -155,7 +154,6 @@ val prepare : t -> Flowgraph.Graph.t -> unit
 val solve :
   ?stop:Solver_intf.stop ->
   ?scratch:bool ->
-  ?delta_budget:int ->
   t ->
   Flowgraph.Graph.t ->
   result

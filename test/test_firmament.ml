@@ -1232,7 +1232,9 @@ let test_one_percent_churn_takes_repair_path () =
   ignore (solve_sched sched ~now:0.);
   let rng = Random.State.make [| 11 |] in
   let next_tid = ref 10_000_000 in
-  let churn_round i =
+  (* Finishes 1% of the running tasks and submits [arrivals] (default: as
+     many) as one job. *)
+  let churn_round ?arrivals i =
     let now = 100. +. float_of_int i in
     let running = ref [] in
     Cluster.State.iter_tasks cluster (fun t -> if W.is_running t then running := t.W.tid :: !running);
@@ -1247,7 +1249,7 @@ let test_one_percent_churn_takes_repair_path () =
     let jid = 1_000_000 + i in
     Firmament.Scheduler.submit_job sched
       (job_of_tasks ~jid ~submit:now
-         (List.init n (fun _ ->
+         (List.init (Option.value arrivals ~default:n) (fun _ ->
               incr next_tid;
               quincy_task ~tid:!next_tid ~job:jid ~submit:now ~duration:120. ~input_mb:500.
                 ~input_machines:(List.init 3 (fun _ -> Random.State.int rng 1000)))));
@@ -1273,7 +1275,13 @@ let test_one_percent_churn_takes_repair_path () =
     checkb (Printf.sprintf "round %d repaired" i) true
       (r.Firmament.Scheduler.winner = Mcmf.Race.Repair)
   done;
-  checki "every repaired round certified" 5 !certified
+  (* A burst the size of a settle chunk: 800 arrivals, hundreds of excess
+     nodes. Its size is no reason to skip repair; only the kernel's work
+     cap could send it to the full race, and it stays well inside it. *)
+  let r = churn_round ~arrivals:800 9 in
+  Alcotest.check degraded_t "clean burst round" `None r.Firmament.Scheduler.degraded;
+  checkb "800-arrival burst repaired" true (r.Firmament.Scheduler.winner = Mcmf.Race.Repair);
+  checki "every repaired round certified" 6 !certified
 
 let qcheck = List.map QCheck_alcotest.to_alcotest
 

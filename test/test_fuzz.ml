@@ -35,15 +35,25 @@ let test_churn_deterministic () =
 
 (* {1 Harness} *)
 
+let repairs () =
+  let m = Telemetry.Metrics.global () in
+  match Telemetry.Metrics.find m "mcmf_race_wins_repair_total" with
+  | Some id -> Telemetry.Metrics.value m id
+  | None -> 0
+
 let test_harness_clean_seeds () =
-  (* Healthy code under every race mode: no check may fire. *)
+  (* Healthy code under every race mode: no check may fire. Every round
+     whose previous solution certified tries the O(changes) repair first,
+     so the checks gate the repair kernel as well as the full solvers. *)
+  let repairs0 = repairs () in
   for seed = 0 to 4 do
     let trace = Churn.generate ~seed ~machines:6 ~length:40 in
     match Harness.run Harness.default_config trace with
     | Ok () -> ()
     | Error f ->
         Alcotest.failf "seed %d: %a" seed Harness.pp_failure f
-  done
+  done;
+  checkb "rounds took the repair path" true (repairs () > repairs0)
 
 let quincy_cs_only =
   {
@@ -53,7 +63,10 @@ let quincy_cs_only =
 
 let find_injected_failure () =
   (* The ε-ladder truncation makes cost scaling stop ε-optimal while
-     claiming Optimal; the harness must catch it on some small seed. *)
+     claiming Optimal; the harness must catch it on some small seed. The
+     repair path (on by default) does not blind it: the injection
+     corrupts the very first adopted solve, which has no certified
+     previous round to repair from. *)
   let cfg = { quincy_cs_only with Harness.inject_eps = 4096 } in
   let rec go seed =
     if seed > 9 then Alcotest.fail "injected eps-floor bug never caught"
@@ -100,41 +113,6 @@ let test_injected_bug_shrinks_and_replays () =
       checki "same round" a.Harness.f_round b.Harness.f_round;
       checki "same event" a.Harness.f_event b.Harness.f_event
   | _ -> Alcotest.fail "replay did not reproduce the failure"
-
-let test_forced_incremental_clean () =
-  (* With the repair budget forced unbounded, every certified-previous-round
-     schedule takes the O(changes) repair path — the oracle and validators
-     must stay silent on healthy code. *)
-  let cfg = { Harness.default_config with Harness.force_incremental = true } in
-  for seed = 0 to 4 do
-    let trace = Churn.generate ~seed ~machines:6 ~length:40 in
-    match Harness.run cfg trace with
-    | Ok () -> ()
-    | Error f -> Alcotest.failf "forced-incremental seed %d: %a" seed Harness.pp_failure f
-  done
-
-let test_forced_incremental_canary_still_fails () =
-  (* Forcing the repair path must not blind the harness: the ε-floor
-     injection corrupts the very first adopted solve (there is no previous
-     certified round to repair from), so the canary keeps failing. *)
-  let cfg =
-    {
-      quincy_cs_only with
-      Harness.inject_eps = 4096;
-      Harness.force_incremental = true;
-    }
-  in
-  let rec go seed =
-    if seed > 9 then Alcotest.fail "injected bug not caught under forced incremental"
-    else
-      let trace = Churn.generate ~seed ~machines:6 ~length:40 in
-      match Harness.run cfg trace with
-      | Error f ->
-          checkb "optimality-side check fired" true
-            (List.mem f.Harness.f_check [ "optimality"; "oracle-cost" ])
-      | Ok () -> go (seed + 1)
-  in
-  go 0
 
 let test_injection_scoped () =
   (* The injection knob must be restored after a run, even a failing one. *)
@@ -247,10 +225,6 @@ let () =
             `Slow test_injected_bug_shrinks_and_replays;
           Alcotest.test_case "injection is scoped to the run" `Quick
             test_injection_scoped;
-          Alcotest.test_case "forced incremental path stays clean" `Slow
-            test_forced_incremental_clean;
-          Alcotest.test_case "canary still caught under forced incremental" `Quick
-            test_forced_incremental_canary_still_fails;
           Alcotest.test_case "kill/restore seeds stay clean" `Slow
             test_crash_recovery_clean_seeds;
           Alcotest.test_case "canary still caught across kill/restore" `Quick

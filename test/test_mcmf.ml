@@ -791,7 +791,7 @@ let prop_incremental_repair_matches_full =
         let g_scratch = G.copy g in
         G.reset_flow g_scratch;
         let s_ref = Mcmf.Ssp.solve g_scratch in
-        match Mcmf.Incremental.repair ~max_scan:max_int ~scale:1 ~budget:max_int g with
+        match Mcmf.Incremental.repair ~max_scan:max_int ~scale:1 g with
         | Mcmf.Incremental.Repaired st ->
             if s_ref.S.outcome <> S.Optimal then
               QCheck.Test.fail_report "repair certified an infeasible instance"
@@ -809,9 +809,9 @@ let prop_incremental_repair_matches_full =
 
 let prop_race_repair_path_matches =
   (* Race-level integration: prepare on the adopted optimum, mutate, then
-     submit with a delta budget — whatever path the orchestrator takes
-     (repair or full race), the result must match a scratch solve. *)
-  QCheck.Test.make ~name:"race with delta budget = scratch solve" ~count:60
+     solve — whatever path the orchestrator takes (repair or full race),
+     the result must match a scratch solve. *)
+  QCheck.Test.make ~name:"prepared race = scratch solve" ~count:60
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let race = Mcmf.Race.create ~mode:Mcmf.Race.Race () in
@@ -824,7 +824,7 @@ let prop_race_repair_path_matches =
         let g_scratch = G.copy g in
         G.reset_flow g_scratch;
         let s_ref = Mcmf.Ssp.solve g_scratch in
-        let r2 = Mcmf.Race.solve ~delta_budget:1_000_000 race g in
+        let r2 = Mcmf.Race.solve race g in
         r2.Mcmf.Race.stats.S.outcome = S.Optimal
         && s_ref.S.outcome = S.Optimal
         && G.total_cost r2.Mcmf.Race.graph = G.total_cost g_scratch
@@ -851,7 +851,7 @@ let test_race_repair_taken_and_telemetry () =
   let some_arc = ref (-1) in
   G.iter_arcs g (fun a -> if !some_arc < 0 then some_arc := a);
   G.set_cost g !some_arc (G.cost g !some_arc + 2);
-  let r2 = Mcmf.Race.solve ~delta_budget:64 race g in
+  let r2 = Mcmf.Race.solve race g in
   Alcotest.check outcome_t "repair round optimal" S.Optimal r2.Mcmf.Race.stats.S.outcome;
   checkb "winner is Repair" true (r2.Mcmf.Race.winner = Mcmf.Race.Repair);
   checkb "no per-solver stats on repair rounds" true
@@ -860,9 +860,9 @@ let test_race_repair_taken_and_telemetry () =
     (counter_value "mcmf_race_wins_repair_total" > repairs0);
   checkb "repaired graph optimal" true (Validate.is_optimal r2.Mcmf.Race.graph);
   (* Without a fresh prepare (or after a round that did not certify), the
-     next delta-budget submit must fall back to the full race. *)
+     next solve must fall back to the full race. *)
   let g2 = r2.Mcmf.Race.graph in
-  let r3 = Mcmf.Race.solve ~delta_budget:64 race (G.copy g2) in
+  let r3 = Mcmf.Race.solve race (G.copy g2) in
   checkb "no repair without prepare on that graph" true
     (r3.Mcmf.Race.winner <> Mcmf.Race.Repair)
 
@@ -875,20 +875,20 @@ let test_repair_give_up_reasons () =
   ignore (Mcmf.Ssp.solve g);
   checkb "solved" true (Validate.is_optimal g);
   G.set_capacity g a 0;
-  (match Mcmf.Incremental.repair ~scale:1 ~budget:64 g with
+  (match Mcmf.Incremental.repair ~scale:1 g with
   | Mcmf.Incremental.Gave_up Mcmf.Incremental.No_path -> ()
   | Mcmf.Incremental.Gave_up r ->
       Alcotest.failf "expected No_path, got %s" (Mcmf.Incremental.reason_name r)
   | Mcmf.Incremental.Repaired _ -> Alcotest.fail "repaired an unroutable cut");
-  (* Oversized: a burst minting more excess nodes than the budget. *)
+  (* Oversized: a burst whose searches scan past a work cap of 0. *)
   let g = netgen_instance 9 in
   ignore (Mcmf.Relaxation.solve g);
   repair_burst ~mseed:9 g;
-  (match Mcmf.Incremental.repair ~scale:1 ~budget:0 g with
+  (match Mcmf.Incremental.repair ~max_scan:0 ~scale:1 g with
   | Mcmf.Incremental.Gave_up Mcmf.Incremental.Oversized -> ()
   | Mcmf.Incremental.Gave_up r ->
       Alcotest.failf "expected Oversized, got %s" (Mcmf.Incremental.reason_name r)
-  | Mcmf.Incremental.Repaired _ -> Alcotest.fail "budget 0 must not repair");
+  | Mcmf.Incremental.Repaired _ -> Alcotest.fail "a work cap of 0 must not repair");
   (* Stopped: the stop callback fires before the first augmentation. *)
   let g = G.create () in
   let s = G.add_node g ~supply:2 in
@@ -898,7 +898,7 @@ let test_repair_give_up_reasons () =
   ignore b;
   ignore (Mcmf.Ssp.solve g);
   G.set_capacity g a 1;
-  (match Mcmf.Incremental.repair ~stop:(fun () -> true) ~scale:1 ~budget:64 g with
+  (match Mcmf.Incremental.repair ~stop:(fun () -> true) ~scale:1 g with
   | Mcmf.Incremental.Gave_up Mcmf.Incremental.Stopped_mid_repair -> ()
   | Mcmf.Incremental.Gave_up r ->
       Alcotest.failf "expected Stopped, got %s" (Mcmf.Incremental.reason_name r)
@@ -951,11 +951,10 @@ let repair_state g =
   (!nodes, !arcs)
 
 let prop_repair_giveup_restores_graph =
-  (* Every forced give-up — an excess budget of 0, a tiny scan cap, a
-     stop after the first phase, an unroutable unit — must leave flows,
-     excesses, potentials and active-arc sets exactly as a pre-repair
-     copy has them; a repair that succeeds anyway must be undone by
-     [rollback] just as exactly. NETGEN families with cost, capacity and
+  (* Every forced give-up — a scan cap of 0 or 3, a stop after the first
+     phase, an unroutable unit — must leave flows, excesses, potentials
+     and active-arc sets exactly as a pre-repair copy has them; a repair
+     that succeeds anyway must be undone by [rollback] just as exactly. NETGEN families with cost, capacity and
      source bursts, as in the batched-repair property. *)
   QCheck.Test.make ~name:"forced give-ups and rollback restore the entry state"
     ~count:80
@@ -980,12 +979,10 @@ let prop_repair_giveup_restores_graph =
         in
         let outcome =
           match force with
-          | 0 -> Mcmf.Incremental.repair ~scale:1 ~budget:0 ~workspace:ws g
-          | 1 -> Mcmf.Incremental.repair ~max_scan:3 ~scale:1 ~budget:max_int ~workspace:ws g
-          | 2 ->
-              Mcmf.Incremental.repair ~stop ~max_scan:max_int ~scale:1 ~budget:max_int
-                ~workspace:ws g
-          | _ -> Mcmf.Incremental.repair ~max_scan:max_int ~scale:1 ~budget:max_int ~workspace:ws g
+          | 0 -> Mcmf.Incremental.repair ~max_scan:0 ~scale:1 ~workspace:ws g
+          | 1 -> Mcmf.Incremental.repair ~max_scan:3 ~scale:1 ~workspace:ws g
+          | 2 -> Mcmf.Incremental.repair ~stop ~max_scan:max_int ~scale:1 ~workspace:ws g
+          | _ -> Mcmf.Incremental.repair ~max_scan:max_int ~scale:1 ~workspace:ws g
         in
         (match outcome with
         | Mcmf.Incremental.Gave_up _ -> (
@@ -1008,7 +1005,7 @@ let test_repair_rollback_guards () =
   ignore (Mcmf.Relaxation.solve g);
   source_burst ~k:3 ~mseed:5 g;
   let ws = Mcmf.Incremental.create_workspace () in
-  (match Mcmf.Incremental.repair ~max_scan:max_int ~scale:1 ~budget:max_int ~workspace:ws g with
+  (match Mcmf.Incremental.repair ~max_scan:max_int ~scale:1 ~workspace:ws g with
   | Mcmf.Incremental.Repaired _ -> ()
   | Mcmf.Incremental.Gave_up r ->
       Alcotest.failf "expected a repair, got %s" (Mcmf.Incremental.reason_name r));
@@ -1038,14 +1035,14 @@ let test_race_repair_in_place () =
   Mcmf.Race.prepare race g;
   source_burst ~k:4 ~mseed:7 g;
   let copies0 = counter_value "mcmf_race_graph_copies_total" in
-  let r2 = Mcmf.Race.solve ~delta_budget:64 race g in
+  let r2 = Mcmf.Race.solve race g in
   checkb "winner is Repair" true (r2.Mcmf.Race.winner = Mcmf.Race.Repair);
   checkb "result aliases the input" true (r2.Mcmf.Race.graph == g);
   checki "no scratch copy taken" copies0 (counter_value "mcmf_race_graph_copies_total");
   checkb "repaired in place" true (Validate.is_optimal g && Validate.is_feasible g);
   (* The next quiet round on the adopted graph repairs again. *)
   Mcmf.Race.prepare race g;
-  let r3 = Mcmf.Race.solve ~delta_budget:64 race g in
+  let r3 = Mcmf.Race.solve race g in
   checkb "adopted repair stays certified" true (r3.Mcmf.Race.winner = Mcmf.Race.Repair);
   checki "still no copy" copies0 (counter_value "mcmf_race_graph_copies_total")
 
@@ -1067,7 +1064,7 @@ let prop_batched_repair_matches_ssp =
         let g_scratch = G.copy g in
         G.reset_flow g_scratch;
         let s_ref = Mcmf.Ssp.solve g_scratch in
-        match Mcmf.Incremental.repair ~max_scan:max_int ~scale:1 ~budget:max_int g with
+        match Mcmf.Incremental.repair ~max_scan:max_int ~scale:1 g with
         | Mcmf.Incremental.Repaired st ->
             s_ref.S.outcome = S.Optimal
             && st.S.outcome = S.Optimal
@@ -1102,15 +1099,25 @@ let test_repair_work_cap () =
     g
   in
   let oversized0 = counter_value "mcmf_incremental_giveup_oversized_total" in
-  (match Mcmf.Incremental.repair ~scale:1 ~budget:(2 * k) (instance ()) with
+  (* [stop] is polled once per phase, so it counts them. *)
+  let phases = ref 0 in
+  let stop () =
+    incr phases;
+    false
+  in
+  (match Mcmf.Incremental.repair ~stop ~scale:1 (instance ()) with
   | Mcmf.Incremental.Gave_up Mcmf.Incremental.Oversized -> ()
   | Mcmf.Incremental.Gave_up r ->
       Alcotest.failf "expected Oversized, got %s" (Mcmf.Incremental.reason_name r)
   | Mcmf.Incremental.Repaired _ -> Alcotest.fail "a delta past the work cap must give up");
   checkb "counted as an oversized give-up" true
     (counter_value "mcmf_incremental_giveup_oversized_total" > oversized0);
+  (* One unit per phase at a growing scan each: the rate after two phases
+     already projects the remaining units past the cap, so the repair
+     stops there instead of scanning until the cap itself trips. *)
+  checkb (Printf.sprintf "gave up on the projection (%d phases)" !phases) true (!phases <= 3);
   let g = instance () in
-  match Mcmf.Incremental.repair ~max_scan:max_int ~scale:1 ~budget:(2 * k) g with
+  match Mcmf.Incremental.repair ~max_scan:max_int ~scale:1 g with
   | Mcmf.Incremental.Repaired _ ->
       checkb "uncapped repair optimal" true (Validate.is_optimal g)
   | Mcmf.Incremental.Gave_up r ->
@@ -1121,7 +1128,7 @@ let test_repair_no_change_round () =
   let g = netgen_instance 5 in
   ignore (Mcmf.Relaxation.solve g);
   let cost = G.total_cost g in
-  match Mcmf.Incremental.repair ~scale:1 ~budget:1 g with
+  match Mcmf.Incremental.repair ~scale:1 g with
   | Mcmf.Incremental.Repaired st ->
       Alcotest.check outcome_t "optimal" S.Optimal st.S.outcome;
       checki "cost unchanged" cost (G.total_cost g)
@@ -1141,9 +1148,11 @@ let stop_relaxation () =
   fun () -> Domain.self () = main
 
 let test_race_fresh_starts_both () =
-  (* No history yet: both solvers start at once, and both report. *)
+  (* No history yet: both solvers start at once, and both report. Repair
+     is off: [prepare] certifies the flowless graph's zero potentials, so
+     the repair path would otherwise solve it before any racer starts. *)
   let hedges0 = counter_value "mcmf_race_hedges_total" in
-  let race = Mcmf.Race.create ~mode:Mcmf.Race.Race () in
+  let race = Mcmf.Race.create ~mode:Mcmf.Race.Race ~incremental:false () in
   let g = diamond () in
   Mcmf.Race.prepare race g;
   let r = Mcmf.Race.solve race g in
