@@ -114,6 +114,46 @@ let test_injected_bug_shrinks_and_replays () =
       checki "same event" a.Harness.f_event b.Harness.f_event
   | _ -> Alcotest.fail "replay did not reproduce the failure"
 
+let test_forced_incremental_clean () =
+  (* The repair path needs no forcing: on the default config every round
+     whose previous solution certified tries the O(changes) repair first,
+     whatever the size of its change set. Seeds 5..9 extend the clean
+     seeds above, and each one on its own must take that path. *)
+  for seed = 5 to 9 do
+    let repairs0 = repairs () in
+    let trace = Churn.generate ~seed ~machines:6 ~length:40 in
+    (match Harness.run Harness.default_config trace with
+    | Ok () -> ()
+    | Error f -> Alcotest.failf "seed %d: %a" seed Harness.pp_failure f);
+    checkb (Printf.sprintf "seed %d took the repair path" seed) true
+      (repairs () > repairs0)
+  done
+
+let test_forced_incremental_canary_still_fails () =
+  (* The repair path must not blind the harness under the warm-started
+     solver either: with incremental cost scaling as the only full solver,
+     the ε-floor injection corrupts the very first adopted solve (there is
+     no previous certified round to repair from), so the canary keeps
+     failing. *)
+  let cfg =
+    {
+      Harness.default_config with
+      Harness.modes = [ Mcmf.Race.Incremental_cost_scaling_only ];
+      Harness.inject_eps = 4096;
+    }
+  in
+  let rec go seed =
+    if seed > 9 then Alcotest.fail "injected bug not caught under incremental cost scaling"
+    else
+      let trace = Churn.generate ~seed ~machines:6 ~length:40 in
+      match Harness.run cfg trace with
+      | Error f ->
+          checkb "optimality-side check fired" true
+            (List.mem f.Harness.f_check [ "optimality"; "oracle-cost" ])
+      | Ok () -> go (seed + 1)
+  in
+  go 0
+
 let test_injection_scoped () =
   (* The injection knob must be restored after a run, even a failing one. *)
   let cfg = { quincy_cs_only with Harness.inject_eps = 4096 } in
@@ -225,6 +265,10 @@ let () =
             `Slow test_injected_bug_shrinks_and_replays;
           Alcotest.test_case "injection is scoped to the run" `Quick
             test_injection_scoped;
+          Alcotest.test_case "forced incremental path stays clean" `Slow
+            test_forced_incremental_clean;
+          Alcotest.test_case "canary still caught under forced incremental" `Quick
+            test_forced_incremental_canary_still_fails;
           Alcotest.test_case "kill/restore seeds stay clean" `Slow
             test_crash_recovery_clean_seeds;
           Alcotest.test_case "canary still caught across kill/restore" `Quick
