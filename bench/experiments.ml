@@ -791,9 +791,10 @@ let measure_sched_rounds s ~rounds ~frac =
    --scale 0.2):
    - solver-only warm rounds: prepare + Race.solve on the already-optimal
      graph, the pure steady-state re-solve the scratch-graph/workspace
-     reuse targets — once in [Race] mode (relaxation, which resolves
-     these rounds before the hedge starts) and once under
-     [Incremental_cost_scaling_only], so the budget covers both solvers;
+     reuse targets, with repair off so the full solvers run — once in
+     [Race] mode (relaxation, which resolves these rounds before the
+     hedge starts) and once under [Incremental_cost_scaling_only], so
+     the budget covers both solvers;
    - full scheduler rounds with 1% churn: the end-to-end rounds/sec
      number, policy updates included.
    Reports mean/p99 wall time and allocated bytes per round, and
@@ -811,7 +812,7 @@ let alloc ~scale () =
   (* Solver-only warm rounds, mirroring the scheduler's adopt/recycle
      protocol on an unchanged optimal graph. *)
   let solver_rounds mode =
-    let race = Mcmf.Race.create ~alpha:9 ~mode () in
+    let race = Mcmf.Race.create ~alpha:9 ~mode ~incremental:false () in
     let g = ref (G.copy (FN.graph net)) in
     let solve_round () =
       Mcmf.Race.prepare race !g;

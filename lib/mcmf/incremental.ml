@@ -39,16 +39,7 @@ module G = Flowgraph.Graph
    that point a full race is likely the cheaper way out. The factor is
    measured, not derived — one graph's worth sent hard but repairable
    rounds of a 200-machine, 80%-utilization replay to full races that
-   took far longer than the repairs they replaced (DESIGN.md). The
-   repair also gives up [Oversized] as soon as it can see the cap coming:
-   from the second phase on it projects the scan still needed as the
-   remaining excess times the arcs scanned per unit routed since the
-   first phase, and stops once scanned plus that projection passes the
-   cap. The first phase is left out of the rate because it routes the
-   cheap bulk of a batch; what the later phases cost per unit is what
-   the rest will cost. An oversubscribed burst, whose later phases route
-   one to five units per whole-graph scan, gives up after two or three
-   phases instead of about forty.
+   took far longer than the repairs they replaced (DESIGN.md).
 
    The kernel mutates [g] (flows and potentials) in place, under an undo
    journal: every push and the first write of each node's potential are
@@ -159,7 +150,7 @@ let m_repairs =
 
 let m_giveup_oversized =
   Telemetry.Metrics.counter m
-    ~help:"incremental repairs abandoned: searches outgrew, or were projected to outgrow, the work cap (32x live arcs)"
+    ~help:"incremental repairs abandoned: searches outgrew the work cap (32x live arcs)"
     "mcmf_incremental_giveup_oversized_total"
 
 let m_giveup_no_path =
@@ -497,9 +488,6 @@ let repair ?(stop = Solver_intf.never_stop) ?max_scan ~scale ?workspace g =
         else if e < 0 then deficit_exists := true);
     if !nsrc > 0 && not !deficit_exists then raise (Give_up No_path);
     let heap = ws.heap in
-    (* Excess left and arcs scanned after the first phase: the base of the
-       projection below. *)
-    let want1 = ref 0 and scanned1 = ref 0 in
     while !nsrc > 0 do
       if stop () then raise (Give_up Stopped_mid_repair);
       ws.epoch <- ws.epoch + 1;
@@ -522,15 +510,6 @@ let repair ?(stop = Solver_intf.never_stop) ?max_scan ~scale ?workspace g =
         end
       done;
       nsrc := !live;
-      if !phases = 1 then begin
-        want1 := !want;
-        scanned1 := !scanned
-      end
-      else if !phases > 1 then begin
-        let routed = !want1 - !want in
-        if routed > 0 && (!scanned - !scanned1) * !want / routed > cap - !scanned then
-          raise (Give_up Oversized)
-      end;
       if !live > 0 then begin
         incr phases;
         let tlen = dijkstra ws g ~scale ~want:!want ~scanned ~cap in

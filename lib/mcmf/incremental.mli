@@ -32,8 +32,7 @@
 type reason =
   | Oversized
       (** the searches scanned more than [max_scan] arcs (by default 32
-          times as many as the graph has live arcs: the work cap), or
-          their rate per unit of excess routed projects past it *)
+          times as many as the graph has live arcs: the work cap) *)
   | No_path  (** an excess could not reach any deficit *)
   | Not_certified  (** repair finished but certification failed *)
   | Stopped_mid_repair  (** the stop callback fired *)
@@ -58,11 +57,9 @@ val reserve : workspace -> int -> unit
     The change set may be any size: the repair gives up [Oversized] only
     once its searches have scanned more than [max_scan] residual arcs
     (default: 32 times [g]'s live arc count; see DESIGN.md for how it was
-    set), or earlier, from the second phase on, once the arcs scanned per
-    unit of excess routed since the first phase project the remaining
-    excess past [max_scan]. Allocates a constant amount per call (a few
-    closures and the result), nothing per phase or per augmentation, once
-    the journal has grown to the largest repair's size. *)
+    set). Allocates a constant amount per call (a few closures and the
+    result), nothing per phase or per augmentation, once the journal has
+    grown to the largest repair's size. *)
 val repair :
   ?stop:Solver_intf.stop ->
   ?max_scan:int ->
