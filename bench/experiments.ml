@@ -372,11 +372,11 @@ let fig13 ~scale () =
 
 (* {1 End-to-end replay (Figs. 14, 15, 16, 17, 18)} *)
 
-let replay_config ?(mode = Mcmf.Race.Race) ?(policy = Setup.Quincy)
+let replay_config ?(mode = Mcmf.Race.Race) ?(incremental = true) ?(policy = Setup.Quincy)
     ?(max_rounds = 2000) ?max_sim_time () =
   {
     Dcsim.Replay.default_config with
-    scheduler = { Firmament.Scheduler.default_config with mode };
+    scheduler = { Firmament.Scheduler.default_config with mode; incremental };
     policy = Setup.policy_factory policy;
     max_rounds = Some max_rounds;
     max_sim_time;
@@ -542,9 +542,17 @@ let fig16 ~scale () =
     }
   in
   row [ "mode"; "pre-burst p50"; "burst p50"; "burst max"; "post-burst p50" ];
+  (* The single-solver rows run with repair off: with it on, every round
+     after the first on a certified graph is the same in-place repair
+     whatever the mode, and the rows would compare nothing. The replay
+     is bounded by the trace's 90 s horizon, not by a round count, so
+     every row reaches its post-burst phase at any scale. *)
   List.iter
-    (fun (name, mode) ->
-      let m = Dcsim.Replay.run (replay_config ~mode ~max_rounds:400 ()) (mk_trace ()) in
+    (fun (name, mode, incremental) ->
+      let config =
+        { (replay_config ~mode ~incremental ~max_sim_time:90. ()) with max_rounds = None }
+      in
+      let m = Dcsim.Replay.run config (mk_trace ()) in
       let phase lo hi =
         List.filter_map
           (fun (t, rt) -> if t >= lo && t < hi then Some rt else None)
@@ -560,9 +568,9 @@ let fig16 ~scale () =
           safe (fun xs -> pp (Stats.percentile xs 50.)) (phase 60. 1e9);
         ])
     [
-      ("relaxation-only", Mcmf.Race.Relaxation_only);
-      ("quincy (cost scaling)", Mcmf.Race.Cost_scaling_scratch_only);
-      ("firmament", Mcmf.Race.Race);
+      ("relaxation-only", Mcmf.Race.Relaxation_only, false);
+      ("quincy (cost scaling)", Mcmf.Race.Cost_scaling_scratch_only, false);
+      ("firmament", Mcmf.Race.Race, true);
     ]
 
 let fig17 ~scale () =
@@ -965,8 +973,10 @@ let sweep ~scale () =
    round whose delta grows with the cluster. Runs each ladder point twice
    on identically settled clusters: repair disabled (full-race baseline),
    then enabled. Returns round times, solve mean, repaired rounds, mean
-   events per round, and the scratch graph copies the race took during
-   repaired rounds (0: repairs run in place). *)
+   events per round, the scratch graph copies the race took during
+   repaired rounds (0: repairs run in place), and how many repairs and
+   delta extractions of the measured rounds fell back to a full scan
+   because the graph's dirty log was unusable (0 once repairs chain). *)
 let measure_delta_rounds s ~rounds ~delta =
   let reg = Telemetry.Metrics.global () in
   let hist name =
@@ -1002,6 +1012,9 @@ let measure_delta_rounds s ~rounds ~delta =
   let events = ref 0 in
   let repair_copies = ref 0 in
   let copies () = Option.value (counter "mcmf_race_graph_copies_total") ~default:0 in
+  let full_scans name = Option.value (counter name) ~default:0 in
+  let repair_full0 = full_scans "mcmf_incremental_full_scans_total" in
+  let extract_full0 = full_scans "sched_extract_full_scans_total" in
   for i = 3 to rounds + 2 do
     let now = float_of_int i in
     events := !events + feed ~now;
@@ -1025,7 +1038,9 @@ let measure_delta_rounds s ~rounds ~delta =
     solve_mean,
     repair_rounds,
     float_of_int !events /. float_of_int rounds,
-    !repair_copies )
+    !repair_copies,
+    ( full_scans "mcmf_incremental_full_scans_total" - repair_full0,
+      full_scans "sched_extract_full_scans_total" - extract_full0 ) )
 
 let incr ~scale () =
   header "Incremental repair: fixed-delta and 1%-churn rounds, delta-solve vs full race";
@@ -1054,8 +1069,13 @@ let incr ~scale () =
             in
             measure_delta_rounds s ~rounds ~delta
           in
-          let _, solve_full, _, _, _ = run ~incremental:false in
-          let times_incr, solve_incr, repair_rounds, events, repair_copies =
+          let _, solve_full, _, _, _, _ = run ~incremental:false in
+          let ( times_incr,
+                solve_incr,
+                repair_rounds,
+                events,
+                repair_copies,
+                (repair_full_scans, extract_full_scans) ) =
             run ~incremental:true
           in
           let speedup = solve_full /. Float.max 1e-9 solve_incr in
@@ -1083,6 +1103,8 @@ let incr ~scale () =
               ("round_incr_p99_s", Stats.percentile times_incr 99.);
               ("repair_rounds", float_of_int repair_rounds);
               ("repair_round_copies", float_of_int repair_copies);
+              ("repair_full_scans", float_of_int repair_full_scans);
+              ("extract_full_scans", float_of_int extract_full_scans);
             ])
         [ ("32 events", `Events 32, 0.); ("1% churn", `Churn 0.01, 0.01) ])
     points

@@ -14,7 +14,14 @@
     decomposition, and {!extract_delta} re-walks only tasks whose stored
     path crosses an arc whose flow or identity changed since the last
     sync (per-arc generation stamps, {!Flowgraph.Graph.arc_generation}).
-    A full {!extract} is the same machinery run from an empty workspace.
+    It finds those arcs in the graph's dirty log when the log still runs
+    from this workspace's last sync, and reads every arc pair otherwise
+    (a copied or swapped-in graph, a first sync), counted in
+    [sched_extract_full_scans_total]; each sync then re-syncs the log
+    ({!Flowgraph.Graph.sync_log}). Each arc keeps the list of stored
+    paths crossing it, so only those paths are revisited. A full
+    {!extract} is the same machinery run from an empty workspace; it
+    reads every pair and leaves the graph's log alone.
     All hot-path state lives in preallocated int arrays (epoch-stamped
     marks, an {!Int_table} for task slots) — steady-state syncs allocate
     only the returned change list. *)

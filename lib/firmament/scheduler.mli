@@ -33,8 +33,11 @@
     the pre-round graph. A round runs to completion inside {!schedule};
     cluster events are applied between rounds.
 
-    Configured with [mode = Cost_scaling_scratch_only] and the Quincy
-    policy, this {e is} the paper's Quincy baseline (§7.1). *)
+    Configured with [mode = Cost_scaling_scratch_only], [incremental =
+    false] and the Quincy policy, this {e is} the paper's Quincy baseline
+    (§7.1). With [incremental = true] (the default) rounds on a certified
+    graph take the O(changes) repair whatever the mode, and no solver of
+    the mode runs. *)
 
 type config = {
   mode : Mcmf.Race.mode;

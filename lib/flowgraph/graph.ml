@@ -41,6 +41,19 @@ type t = {
   mutable ch_capacity : int;
   mutable ch_supply : int;
   mutable ch_max_cost : int;
+  (* Dirty log: each arc pair (by pair index [a/2]) and node mutated since
+     the last [sync_log], once, with a byte mark per pair/node for the
+     dedup. [log_on] says the log is complete since that sync;
+     [log_duals] that no unjournaled potential write happened since
+     either. A log longer than [log_cap] is dropped (off) instead of
+     grown: past that a full pass is as cheap as reading it. *)
+  log_pairs : int Vec.t;
+  log_nodes : int Vec.t;
+  mutable pair_mark : Bytes.t;
+  mutable node_mark : Bytes.t;
+  mutable log_on : bool;
+  mutable log_duals : bool;
+  mutable log_epoch : int;
 }
 
 type change_summary = {
@@ -59,6 +72,11 @@ let no_changes =
     supply_changes = 0;
     max_changed_cost = 0;
   }
+
+(* Process-wide stamp source for [sync_log]: a stamp names one graph's
+   log since one sync, so a reader can tell its own sync point from
+   anyone else's without holding the graph. *)
+let log_counter = Atomic.make 1
 
 let create ?(node_hint = 16) ?(arc_hint = 64) () =
   (* Residual storage holds two entries per arc pair. *)
@@ -89,6 +107,15 @@ let create ?(node_hint = 16) ?(arc_hint = 64) () =
     ch_capacity = 0;
     ch_supply = 0;
     ch_max_cost = 0;
+    (* A new graph's log is complete from creation: every node and arc it
+       will hold is logged as it is added. *)
+    log_pairs = Vec.create ~dummy:0 ();
+    log_nodes = Vec.create ~dummy:0 ();
+    pair_mark = Bytes.empty;
+    node_mark = Bytes.empty;
+    log_on = true;
+    log_duals = true;
+    log_epoch = Atomic.fetch_and_add log_counter 1;
   }
 
 let node_bound g = Vec.length g.supply
@@ -101,6 +128,75 @@ let arc_is_live g a = a >= 0 && a < arc_bound g && Vec.get g.arc_live a
 let check_node g n ctx = if not (node_is_live g n) then invalid_arg ("Graph: dead node in " ^ ctx)
 let check_arc g a ctx = if not (arc_is_live g a) then invalid_arg ("Graph: dead arc in " ^ ctx)
 
+(* {2 Dirty log} *)
+
+let log_cap bound = max 1024 (bound / 4)
+
+let drop_log g =
+  for i = 0 to Vec.length g.log_pairs - 1 do
+    Bytes.unsafe_set g.pair_mark (Vec.unsafe_get g.log_pairs i) '\000'
+  done;
+  for i = 0 to Vec.length g.log_nodes - 1 do
+    Bytes.unsafe_set g.node_mark (Vec.unsafe_get g.log_nodes i) '\000'
+  done;
+  Vec.clear g.log_pairs;
+  Vec.clear g.log_nodes;
+  g.log_on <- false;
+  g.log_duals <- false
+
+let grow_marks b i =
+  let b' = Bytes.make (max (i + 1) (max 1024 (2 * Bytes.length b))) '\000' in
+  Bytes.blit b 0 b' 0 (Bytes.length b);
+  b'
+
+let log_pair g k =
+  if k >= Bytes.length g.pair_mark then g.pair_mark <- grow_marks g.pair_mark k;
+  if Bytes.unsafe_get g.pair_mark k = '\000' then begin
+    Bytes.unsafe_set g.pair_mark k '\001';
+    ignore (Vec.push g.log_pairs k);
+    if Vec.length g.log_pairs > log_cap (Vec.length g.head / 2) then drop_log g
+  end
+
+let log_node g n =
+  if n >= Bytes.length g.node_mark then g.node_mark <- grow_marks g.node_mark n;
+  if Bytes.unsafe_get g.node_mark n = '\000' then begin
+    Bytes.unsafe_set g.node_mark n '\001';
+    ignore (Vec.push g.log_nodes n);
+    if Vec.length g.log_nodes > log_cap (Vec.length g.supply) then drop_log g
+  end
+
+(* The mutators' entry points: a dropped log records nothing, so the
+   full solvers' pushes on their scratch copies cost one test. *)
+let[@inline] note_pair g a = if g.log_on then log_pair g (a lsr 1)
+let[@inline] note_node g n = if g.log_on then log_node g n
+
+let sync_log g =
+  drop_log g;
+  g.log_on <- true;
+  g.log_duals <- true;
+  g.log_epoch <- Atomic.fetch_and_add log_counter 1
+
+let log_complete g = g.log_on
+let log_bounds_duals g = g.log_on && g.log_duals
+let log_epoch g = g.log_epoch
+
+let iter_dirty_pairs g f =
+  let i = ref 0 in
+  while !i < Vec.length g.log_pairs do
+    f (Vec.unsafe_get g.log_pairs !i);
+    incr i
+  done
+
+let iter_dirty_nodes g f =
+  for i = 0 to Vec.length g.log_nodes - 1 do
+    f (Vec.unsafe_get g.log_nodes i)
+  done;
+  for i = 0 to Vec.length g.log_pairs - 1 do
+    let a = 2 * Vec.unsafe_get g.log_pairs i in
+    f (Vec.unsafe_get g.head a);
+    f (Vec.unsafe_get g.head (a + 1))
+  done
+
 let note_cost_change g c =
   g.ch_cost <- g.ch_cost + 1;
   if abs c > g.ch_max_cost then g.ch_max_cost <- abs c
@@ -108,25 +204,29 @@ let note_cost_change g c =
 let add_node g ~supply =
   g.ch_structural <- g.ch_structural + 1;
   g.live_nodes <- g.live_nodes + 1;
-  if Vec.is_empty g.free_nodes then begin
-    let n = Vec.push g.supply supply in
-    ignore (Vec.push g.excess supply);
-    ignore (Vec.push g.potential 0);
-    ignore (Vec.push g.first_out (-1));
-    ignore (Vec.push g.first_active (-1));
-    ignore (Vec.push g.node_live true);
-    n
-  end
-  else begin
-    let n = Vec.pop g.free_nodes in
-    Vec.set g.supply n supply;
-    Vec.set g.excess n supply;
-    Vec.set g.potential n 0;
-    Vec.set g.first_out n (-1);
-    Vec.set g.first_active n (-1);
-    Vec.set g.node_live n true;
-    n
-  end
+  let n =
+    if Vec.is_empty g.free_nodes then begin
+      let n = Vec.push g.supply supply in
+      ignore (Vec.push g.excess supply);
+      ignore (Vec.push g.potential 0);
+      ignore (Vec.push g.first_out (-1));
+      ignore (Vec.push g.first_active (-1));
+      ignore (Vec.push g.node_live true);
+      n
+    end
+    else begin
+      let n = Vec.pop g.free_nodes in
+      Vec.set g.supply n supply;
+      Vec.set g.excess n supply;
+      Vec.set g.potential n 0;
+      Vec.set g.first_out n (-1);
+      Vec.set g.first_active n (-1);
+      Vec.set g.node_live n true;
+      n
+    end
+  in
+  note_node g n;
+  n
 
 (* Unchecked Vec accessors for the kernels below. Every index fed to them
    is proven live by construction: it came off one of the graph's own
@@ -166,12 +266,17 @@ let set_supply g n b =
   if b <> old then begin
     Vec.set g.supply n b;
     Vec.set g.excess n (Vec.get g.excess n + b - old);
-    g.ch_supply <- g.ch_supply + 1
+    g.ch_supply <- g.ch_supply + 1;
+    note_node g n
   end
 
 let excess g n = uget g.excess n
 let potential g n = uget g.potential n
-let set_potential g n p = uset g.potential n p
+let set_potential g n p =
+  uset g.potential n p;
+  g.log_duals <- false
+
+let set_potential_journaled g n p = uset g.potential n p
 
 let reduced_cost g a =
   uget g.arc_cost a - uget g.potential (src g a) + uget g.potential (dst g a)
@@ -275,6 +380,7 @@ let add_arc g ~src:s ~dst:d ~cost:c ~cap =
   link_out g ~from:d (a + 1);
   sync_active g a;
   sync_active g (a + 1);
+  note_pair g a;
   a
 
 let remove_arc g a0 =
@@ -297,6 +403,11 @@ let remove_arc g a0 =
   Vec.set g.arc_live (a + 1) false;
   g.live_arcs <- g.live_arcs - 1;
   g.ch_structural <- g.ch_structural + 1;
+  (* The endpoints are logged as nodes too: a recycled slot's pair entry
+     names its new endpoints, not these. *)
+  note_pair g a;
+  note_node g s;
+  note_node g d;
   ignore (Vec.push g.free_pairs a)
 
 let remove_node g n =
@@ -326,7 +437,8 @@ let set_cost g a c =
   if Vec.get g.arc_cost a <> c then begin
     Vec.set g.arc_cost a c;
     Vec.set g.arc_cost (rev a) (-c);
-    note_cost_change g c
+    note_cost_change g c;
+    note_pair g a
   end
 
 let set_capacity g a u =
@@ -346,7 +458,8 @@ let set_capacity g a u =
     Vec.set g.excess d (Vec.get g.excess d - over)
   end;
   sync_active g a;
-  sync_active g (rev a)
+  sync_active g (rev a);
+  note_pair g a
 
 let push g a d =
   if d < 0 then invalid_arg "Graph.push: negative amount";
@@ -360,7 +473,8 @@ let push g a d =
     uset g.excess s (uget g.excess s - d);
     uset g.excess t (uget g.excess t + d);
     if uget g.rescap a = 0 then deactivate g ~from:s a;
-    activate g ~from:t (rev a)
+    activate g ~from:t (rev a);
+    note_pair g a
   end
 
 let iter_out g n f =
@@ -418,9 +532,28 @@ let iter_negative g ~scale f =
     a := a0 + 2
   done
 
-(* Pass 1 of delta placement extraction reads every pair slot; hoisting
-   the arrays replaces three checked cross-module reads per slot with
-   one closure call. *)
+(* [iter_negative] over the logged pairs only. *)
+let iter_dirty_negative g ~scale f =
+  let i = ref 0 in
+  while !i < Vec.length g.log_pairs do
+    let a0 = 2 * Vec.unsafe_get g.log_pairs !i in
+    if uget g.arc_live a0 then begin
+      let rc =
+        (uget g.arc_cost a0 * scale)
+        - uget g.potential (uget g.head (a0 + 1))
+        + uget g.potential (uget g.head a0)
+      in
+      if rc < 0 then begin
+        if uget g.rescap a0 > 0 then f a0 rc
+      end
+      else if rc > 0 && uget g.rescap (a0 + 1) > 0 then f (a0 + 1) (- rc)
+    end;
+    incr i
+  done
+
+(* Pass 1 of delta placement extraction reads every pair slot when the
+   dirty log is unusable; hoisting the arrays replaces three checked
+   cross-module reads per slot with one closure call. *)
 let iter_pairs g f =
   let live = Vec.unsafe_data g.arc_live and rescap = Vec.unsafe_data g.rescap in
   let gen = Vec.unsafe_data g.arc_gen in
@@ -447,6 +580,7 @@ let max_arc_cost g =
   !m
 
 let reset_flow g =
+  drop_log g;
   iter_arcs g (fun a ->
       let u = capacity g a in
       Vec.set g.rescap a u;
@@ -484,10 +618,18 @@ let copy g =
     ch_capacity = g.ch_capacity;
     ch_supply = g.ch_supply;
     ch_max_cost = g.ch_max_cost;
+    log_pairs = Vec.create ~dummy:0 ();
+    log_nodes = Vec.create ~dummy:0 ();
+    pair_mark = Bytes.empty;
+    node_mark = Bytes.empty;
+    log_on = false;
+    log_duals = false;
+    log_epoch = 0;
   }
 
 let copy_into dst src =
   if dst != src then begin
+    drop_log dst;
     Vec.copy_into_int dst.supply src.supply;
     Vec.copy_into_int dst.excess src.excess;
     Vec.copy_into_int dst.potential src.potential;

@@ -65,7 +65,18 @@ val set_supply : t -> node -> int -> unit
 
 val excess : t -> node -> int
 val potential : t -> node -> int
+
+(** [set_potential g n p] sets [n]'s potential. The dirty log no longer
+    bounds the negative arcs afterwards ({!log_bounds_duals} turns false
+    until the next {!sync_log}): every full solver and price refine
+    writes potentials through here. *)
 val set_potential : t -> node -> int -> unit
+
+(** [set_potential_journaled] is {!set_potential} without that effect,
+    for a caller whose potential writes either end in a whole-graph
+    certification or are undone: the incremental repair, under its undo
+    journal. *)
+val set_potential_journaled : t -> node -> int -> unit
 val iter_nodes : t -> (node -> unit) -> unit
 
 (** {1 Arcs} *)
@@ -173,11 +184,17 @@ val iter_arcs : t -> (arc -> unit) -> unit
     repair and certification passes that scan every arc. *)
 val iter_negative : t -> scale:int -> (arc -> int -> unit) -> unit
 
+(** [iter_dirty_negative g ~scale f] is {!iter_negative} restricted to
+    the arc pairs in the dirty log (below). When {!log_bounds_duals}
+    holds and the graph was dual feasible at [scale] at the last
+    {!sync_log}, the two visit the same arcs. Same rules for [f]. *)
+val iter_dirty_negative : t -> scale:int -> (arc -> int -> unit) -> unit
+
 (** [iter_pairs g f] applies [f k flow gen] to every arc-pair slot [k]
     below [arc_bound g / 2] (forward arc [2k]): [flow] is the pair's flow
     and [gen] its {!arc_generation}, both 0 on a dead slot. A tight loop
-    over the arc arrays for the extractor's per-round dirty scan; [f]
-    must not mutate [g]. *)
+    over the arc arrays for the extractor's dirty scan when the dirty
+    log (below) is unusable; [f] must not mutate [g]. *)
 val iter_pairs : t -> (int -> int -> int -> unit) -> unit
 
 val out_degree : t -> node -> int
@@ -208,6 +225,52 @@ val copy : t -> t
     primitive behind {!Mcmf.Race}'s allocation-free rounds. No-op when
     [dst == src]. *)
 val copy_into : t -> t -> unit
+
+(** {1 Dirty log}
+
+    The graph logs, each once, the arc pairs and nodes that its mutators
+    touched since the last {!sync_log}: {!push}, {!add_arc},
+    {!remove_arc} (which also logs both endpoints), {!set_cost},
+    {!set_capacity}, {!set_supply} and {!add_node}. A consumer that
+    synced the log at a point where the flow was feasible and optimal
+    can then find what changed without scanning the graph: the only arcs
+    whose flow or identity moved are logged pairs, and the only nodes
+    with nonzero excess are logged nodes or endpoints of logged pairs.
+
+    The log is {e dropped} (unusable until the next {!sync_log}, and it
+    records nothing meanwhile) by {!copy} (on the copy), {!copy_into}
+    (on the destination), {!reset_flow}, and by growing past a quarter
+    of the graph's pairs or nodes. A {!set_potential} keeps the log but
+    means it no longer bounds the negative arcs ({!log_bounds_duals}).
+    A consumer that finds the log unusable falls back to its full pass.
+    A new graph's log is complete from creation. *)
+
+(** [sync_log g] empties the log and starts a complete one, under a new
+    {!log_epoch}. *)
+val sync_log : t -> unit
+
+(** [log_complete g]: every mutation since the last {!sync_log} is in
+    the log. *)
+val log_complete : t -> bool
+
+(** [log_bounds_duals g]: {!log_complete}, and no {!set_potential} since
+    the last {!sync_log}. *)
+val log_bounds_duals : t -> bool
+
+(** [log_epoch g] is a process-unique stamp of the last {!sync_log} of
+    [g], so a consumer can tell whether the log still runs from its own
+    sync. *)
+val log_epoch : t -> int
+
+(** [iter_dirty_pairs g f] applies [f k] to each logged pair index [k]
+    (forward arc [2k]; the slot may be dead now). [f] may push on arcs
+    of logged pairs. *)
+val iter_dirty_pairs : t -> (int -> unit) -> unit
+
+(** [iter_dirty_nodes g f] applies [f] to every logged node and to both
+    endpoints of every logged pair, possibly more than once and possibly
+    to dead nodes (whose excess is 0). *)
+val iter_dirty_nodes : t -> (node -> unit) -> unit
 
 (** {1 Change tracking}
 

@@ -80,6 +80,10 @@ let min_prio h =
   if h.size = 0 then invalid_arg "Heap.min_prio: empty";
   h.prios.(0)
 
+let min_elt h =
+  if h.size = 0 then invalid_arg "Heap.min_elt: empty";
+  h.elts.(0)
+
 let pop_min h =
   if h.size = 0 then invalid_arg "Heap.pop_min: empty";
   let e = h.elts.(0) in

@@ -19,6 +19,10 @@ val insert : t -> int -> int -> unit
     @raise Invalid_argument on an empty heap. *)
 val min_prio : t -> int
 
+(** [min_elt h] is the element with minimal priority, without removing
+    it. @raise Invalid_argument on an empty heap. *)
+val min_elt : t -> int
+
 (** [pop_min h] removes and returns the element with minimal priority
     (read {!min_prio} first for its priority). Allocation-free.
     @raise Invalid_argument on an empty heap. *)

@@ -17,11 +17,19 @@ module G = Flowgraph.Graph
       or else saturate it (creating excesses only at endpoints of
       changed arcs);
    2. collect the excess nodes, once: how many there are is no reason
-      to give up — only the work cap below is;
+      to give up — only the work cap below is.
+      Steps 1 and 2 read the graph's dirty log when it bounds the
+      negative arcs ({!Flowgraph.Graph.log_bounds_duals}): the caller
+      synced it on the last certified optimum, so only logged pairs can
+      be negative and only logged nodes and endpoints of logged pairs
+      can hold excess. Otherwise they scan the whole graph;
    3. per phase, raise each remaining excess node's potential until its
       cheapest residual arc is tight, then run one multi-source Dijkstra
       over scaled reduced costs (all nonnegative after step 1) from all
       of them, until the settled deficits can absorb the whole excess.
+      A label equal to the one being settled (a zero-reduced-cost arc:
+      most of them, on the scheduling graph's zero-cost plateau) goes on
+      a FIFO instead of the heap.
       The potential update touches only the settled nodes: p(v) += D −
       dist(v), with D the last settled label, keeps every reduced cost
       nonnegative and makes each shortest path zero-cost, unlike the
@@ -31,8 +39,9 @@ module G = Flowgraph.Graph
       pointers), so one search routes the whole batch instead of one
       unit per search;
    5. certify: zero excess everywhere and {!Price_refine.certified} at
-      the caller's scale. Any failure returns the reason and the caller
-      falls back to the untouched full race.
+      the caller's scale, both over the whole graph. Any failure returns
+      the reason and the caller falls back to the untouched full race;
+      this is also the backstop should the dirty log ever miss an arc.
 
    Work cap: once the searches have scanned [scan_factor] times as many
    arcs as the graph has live arcs, the repair gives up [Oversized]: past
@@ -73,7 +82,8 @@ let dead = 3 (* settled, no admissible way on to a deficit this phase *)
    only shrink excesses, never mint new ones), a current-arc pointer per
    settled node, and [stack]: the settled deficits whose expansion waits
    until the search moves past their label during Dijkstra, then the DFS
-   path during the blocking flow. *)
+   path during the blocking flow. [fifo] holds the nodes labelled at the
+   label being settled, from [qhead] to [qtail]. *)
 type workspace = {
   mutable nbound : int;
   mutable dist : int array;
@@ -83,6 +93,9 @@ type workspace = {
   mutable touched : int array;
   mutable sources : int array;
   mutable stack : int array;
+  mutable fifo : int array;
+  mutable qhead : int;
+  mutable qtail : int;
   heap : Heap.t;
   (* Undo journal. [rid] numbers the repairs; [pot_mark.(v) = rid] once
      [v]'s entry potential is saved in [j_node]/[j_pot]. Pushes go to
@@ -111,6 +124,9 @@ let create_workspace () =
     touched = [||];
     sources = [||];
     stack = [||];
+    fifo = [||];
+    qhead = 0;
+    qtail = 0;
     heap = Heap.create ~capacity:16;
     rid = 0;
     pot_mark = [||];
@@ -137,6 +153,7 @@ let reserve ws bound =
     ws.touched <- Array.make n 0;
     ws.sources <- Array.make n 0;
     ws.stack <- Array.make n 0;
+    ws.fifo <- Array.make n 0;
     ws.pot_mark <- Array.make n 0;
     ws.nbound <- n
   end
@@ -167,6 +184,11 @@ let m_giveup_stopped =
   Telemetry.Metrics.counter m
     ~help:"incremental repairs abandoned: stop callback fired mid-repair"
     "mcmf_incremental_giveup_stopped_total"
+
+let m_full_scans =
+  Telemetry.Metrics.counter m
+    ~help:"incremental repairs that scanned the whole graph for negative arcs and excesses: its dirty log was unusable"
+    "mcmf_incremental_full_scans_total"
 
 let m_repair_ns =
   Telemetry.Metrics.histogram m
@@ -214,7 +236,7 @@ let set_pot ws g v p =
     ws.j_pot.(n) <- G.potential g v;
     ws.j_npot <- n + 1
   end;
-  G.set_potential g v p
+  G.set_potential_journaled g v p
 
 let push ws g a d =
   if d > 0 then begin
@@ -243,7 +265,7 @@ let undo ws g =
     G.push g (G.rev ws.j_arc.(i)) ws.j_amt.(i)
   done;
   for i = 0 to ws.j_npot - 1 do
-    G.set_potential g ws.j_node.(i) ws.j_pot.(i)
+    G.set_potential_journaled g ws.j_node.(i) ws.j_pot.(i)
   done;
   discard ws
 
@@ -296,13 +318,15 @@ let try_shift ws g ~scale v ~amount ~lower =
    feasibility is judged there too. Each residual arc with negative scaled
    reduced cost is repaired by a local potential shift when one is free,
    and saturated otherwise (creating an excess at its head and a deficit
-   at its tail). *)
-let saturate ws g ~scale =
-  G.iter_negative g ~scale (fun b rc ->
-      if
-        (not (try_shift ws g ~scale (G.src g b) ~amount:(- rc) ~lower:true))
-        && not (try_shift ws g ~scale (G.dst g b) ~amount:(- rc) ~lower:false)
-      then push ws g b (G.rescap g b))
+   at its tail). [dirty] restricts the scan to the graph's dirty log. *)
+let saturate ws g ~scale ~dirty =
+  let fix b rc =
+    if
+      (not (try_shift ws g ~scale (G.src g b) ~amount:(- rc) ~lower:true))
+      && not (try_shift ws g ~scale (G.dst g b) ~amount:(- rc) ~lower:false)
+    then push ws g b (G.rescap g b)
+  in
+  if dirty then G.iter_dirty_negative g ~scale fix else G.iter_negative g ~scale fix
 
 (* Raise source [s]'s potential until its cheapest residual out-arc has
    zero reduced cost. Arcs into [s] only gain reduced cost, so duals stay
@@ -322,7 +346,9 @@ let raise_price ws g ~scale s =
   done;
   if !least > 0 && !least < max_int then set_pot ws g s (ps + !least)
 
-(* Relax [u]'s active out-arcs from label [du]. *)
+(* Relax [u]'s active out-arcs from label [du], the label being settled:
+   a neighbour reached at [du] itself goes on the FIFO, any other on the
+   heap. *)
 let expand ws g ~scale ~scanned u du =
   let dist = ws.dist and state = ws.state in
   let base = 4 * ws.epoch in
@@ -336,56 +362,83 @@ let expand ws g ~scale ~scanned u du =
       if state.(v) < base || dv < dist.(v) then begin
         dist.(v) <- dv;
         state.(v) <- base + labelled;
-        Heap.insert ws.heap v dv
+        if dv = du then begin
+          ws.fifo.(ws.qtail) <- v;
+          ws.qtail <- ws.qtail + 1
+        end
+        else Heap.insert ws.heap v dv
       end
     end;
     incr scanned;
     it := G.next_active g a
   done
 
-(* One phase's Dijkstra from every remaining excess (all seeded at label 0
-   by the caller). It stops once the settled deficits can absorb [want]
-   units, after settling every node tied at that label D — ties are what
-   give the blocking flow room to spread — or when nothing is left to
-   settle. A deficit is expanded only if the search moves past its label:
-   one at label D needs no expansion for the potential update to stay
-   valid, and not expanding it keeps a deficit hub (the sink) from pulling
-   its whole zero-reduced-cost neighbourhood into the tie. Every settled
-   node goes on [touched] with its current arc reset; returns the number
-   settled. [scanned] accumulates across phases and trips the work cap. *)
+(* One phase's Dijkstra from every remaining excess (all seeded on the
+   FIFO at label 0 by the caller). It stops once the settled deficits
+   can absorb [want] units, after settling every node tied at that label
+   D — ties are what give the blocking flow room to spread — or when
+   nothing is left to settle. The next node is the FIFO's head while the
+   FIFO holds any (all at the current label, the smallest outstanding),
+   else the heap's minimum; a node moved onto the FIFO keeps its older,
+   larger heap entry, which is skipped as stale once popped. A deficit
+   is expanded only if the search moves past its label: one at label D
+   needs no expansion for the potential update to stay valid, and not
+   expanding it keeps a deficit hub (the sink) from pulling its whole
+   zero-reduced-cost neighbourhood into the tie. Every settled node goes
+   on [touched] with its current arc reset; returns the number settled.
+   [scanned] accumulates across phases and trips the work cap. *)
 let dijkstra ws g ~scale ~want ~scanned ~cap =
-  let dist = ws.dist and touched = ws.touched in
-  let deferred = ws.stack and heap = ws.heap in
+  let dist = ws.dist and state = ws.state and touched = ws.touched in
+  let deferred = ws.stack and heap = ws.heap and fifo = ws.fifo in
   let base = 4 * ws.epoch in
   let tlen = ref 0 in
   let ndef = ref 0 in
   let got = ref 0 in
   let ball = ref max_int in
-  while (not (Heap.is_empty heap)) && Heap.min_prio heap <= !ball do
-    let du = Heap.min_prio heap in
-    if !ndef > 0 && du > dist.(deferred.(0)) then begin
-      for i = 0 to !ndef - 1 do
-        let v = deferred.(i) in
-        expand ws g ~scale ~scanned v dist.(v)
+  let cur = ref 0 in
+  let go = ref true in
+  while !go do
+    let from_fifo = ws.qhead < ws.qtail in
+    if not from_fifo then
+      while (not (Heap.is_empty heap)) && state.(Heap.min_elt heap) > base + labelled do
+        ignore (Heap.pop_min heap)
       done;
-      ndef := 0
-    end
+    if (not from_fifo) && Heap.is_empty heap then go := false
     else begin
-      let u = Heap.pop_min heap in
-      ws.state.(u) <- base + settled;
-      ws.cur.(u) <- G.first_active g u;
-      touched.(!tlen) <- u;
-      incr tlen;
-      let e = G.excess g u in
-      if e < 0 then begin
-        got := !got - e;
-        if !got >= want then ball := du;
-        deferred.(!ndef) <- u;
-        incr ndef
+      let du = if from_fifo then !cur else Heap.min_prio heap in
+      if du > !ball then go := false
+      else if !ndef > 0 && du > dist.(deferred.(0)) then begin
+        for i = 0 to !ndef - 1 do
+          let v = deferred.(i) in
+          expand ws g ~scale ~scanned v dist.(v)
+        done;
+        ndef := 0
       end
-      else expand ws g ~scale ~scanned u du
-    end;
-    if !scanned > cap then raise (Give_up Oversized)
+      else begin
+        let u =
+          if from_fifo then begin
+            let u = fifo.(ws.qhead) in
+            ws.qhead <- ws.qhead + 1;
+            u
+          end
+          else Heap.pop_min heap
+        in
+        cur := du;
+        state.(u) <- base + settled;
+        ws.cur.(u) <- G.first_active g u;
+        touched.(!tlen) <- u;
+        incr tlen;
+        let e = G.excess g u in
+        if e < 0 then begin
+          got := !got - e;
+          if !got >= want then ball := du;
+          deferred.(!ndef) <- u;
+          incr ndef
+        end
+        else expand ws g ~scale ~scanned u du
+      end;
+      if !scanned > cap then raise (Give_up Oversized)
+    end
   done;
   if !got = 0 then raise (Give_up No_path);
   !tlen
@@ -471,21 +524,36 @@ let repair ?(stop = Solver_intf.never_stop) ?max_scan ~scale ?workspace g =
   let cap = match max_scan with Some c -> c | None -> scan_factor * G.arc_count g in
   discard ws;
   ws.rid <- ws.rid + 1;
+  let dirty = G.log_bounds_duals g in
+  if not dirty then Telemetry.Metrics.incr m m_full_scans;
   try
-    saturate ws g ~scale;
+    saturate ws g ~scale ~dirty;
     (* One excess sweep: phases only move flow from an excess to a
        deficit, so no node turns into a source later — the list is
-       complete for the whole repair. *)
+       complete for the whole repair. The log-driven sweep meets a node
+       more than once; it takes its own search epoch to stamp the ones
+       it has seen. *)
     let sources = ws.sources in
     let nsrc = ref 0 in
     let deficit_exists = ref false in
-    G.iter_nodes g (fun v ->
-        let e = G.excess g v in
-        if e > 0 then begin
-          sources.(!nsrc) <- v;
-          incr nsrc
-        end
-        else if e < 0 then deficit_exists := true);
+    let visit v =
+      let e = G.excess g v in
+      if e > 0 then begin
+        sources.(!nsrc) <- v;
+        incr nsrc
+      end
+      else if e < 0 then deficit_exists := true
+    in
+    if dirty then begin
+      ws.epoch <- ws.epoch + 1;
+      let seen = 4 * ws.epoch in
+      G.iter_dirty_nodes g (fun v ->
+          if ws.state.(v) < seen then begin
+            ws.state.(v) <- seen;
+            visit v
+          end)
+    end
+    else G.iter_nodes g visit;
     if !nsrc > 0 && not !deficit_exists then raise (Give_up No_path);
     let heap = ws.heap in
     while !nsrc > 0 do
@@ -493,6 +561,8 @@ let repair ?(stop = Solver_intf.never_stop) ?max_scan ~scale ?workspace g =
       ws.epoch <- ws.epoch + 1;
       let base = 4 * ws.epoch in
       Heap.clear heap;
+      ws.qhead <- 0;
+      ws.qtail <- 0;
       (* Drop drained sources and seed the rest at label 0. *)
       let live = ref 0 in
       let want = ref 0 in
@@ -506,7 +576,8 @@ let repair ?(stop = Solver_intf.never_stop) ?max_scan ~scale ?workspace g =
           raise_price ws g ~scale s;
           ws.dist.(s) <- 0;
           ws.state.(s) <- base + labelled;
-          Heap.insert heap s 0
+          ws.fifo.(ws.qtail) <- s;
+          ws.qtail <- ws.qtail + 1
         end
       done;
       nsrc := !live;

@@ -9,9 +9,20 @@
     Dijkstra whose potential update touches only settled nodes, then a
     blocking flow from all excesses to all deficits over the settled
     region's zero-reduced-cost arcs. The result is certified
-    ({!Price_refine.certified} at the caller's scale + zero excess) —
-    any doubt returns {!Gave_up} and the caller runs the full race on
-    the canonical graph, rolled back to its entry state.
+    ({!Price_refine.certified} at the caller's scale + zero excess, both
+    over the whole graph) — any doubt returns {!Gave_up} and the caller
+    runs the full race on the canonical graph, rolled back to its entry
+    state.
+
+    {b Dirty log.} The saturation scan and the excess sweep read only
+    the graph's dirty log ({!Flowgraph.Graph.log_bounds_duals}) when it
+    holds, which requires the caller to have synced the log on a
+    certified optimum at [scale] with zero excess (the scheduler syncs
+    it at each delta extraction of an adopted optimum). Otherwise they
+    scan the whole graph, counted in [mcmf_incremental_full_scans_total].
+    A log that missed a change cannot produce a wrong answer: the final
+    whole-graph certification fails and the repair gives up
+    [Not_certified].
 
     {b Undo journal.} The kernel repairs its input in place. It records
     each of its pushes and the first write of each node's potential in

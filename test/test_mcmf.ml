@@ -1048,6 +1048,138 @@ let test_race_repair_in_place () =
   checkb "adopted repair stays certified" true (r3.Mcmf.Race.winner = Mcmf.Race.Repair);
   checki "still no copy" copies0 (counter_value "mcmf_race_graph_copies_total")
 
+(* {2 Dirty log} *)
+
+(* A sparse change set on a graph whose log was just synced: cost
+   changes, capacity growth and cuts, pushes along residual arcs, supply
+   changes, arc and node removals, and new sources — each a handful, so
+   the log stays below its size cap. *)
+let sparse_burst ~mseed g =
+  let rng = Random.State.make [| 0x6c6f67; mseed |] in
+  let arcs = ref [] in
+  G.iter_arcs g (fun a -> arcs := a :: !arcs);
+  let arcs = Array.of_list !arcs in
+  let pick () = arcs.(Random.State.int rng (Array.length arcs)) in
+  for _ = 1 to 1 + Random.State.int rng 12 do
+    let a = pick () in
+    if G.arc_is_live g a then
+      match Random.State.int rng 6 with
+      | 0 -> G.set_cost g a (max 0 (G.cost g a + Random.State.int rng 21 - 10))
+      | 1 -> G.set_capacity g a (G.capacity g a + 1 + Random.State.int rng 3)
+      | 2 -> G.set_capacity g a (max 0 (G.capacity g a - 1))
+      | 3 ->
+          let r = if Random.State.bool rng then a else G.rev a in
+          if G.rescap g r > 0 then G.push g r 1
+      | 4 -> G.remove_arc g a
+      | _ ->
+          (* One more unit from the arc's tail to its head: balanced. *)
+          let s = G.src g a and d = G.dst g a in
+          G.set_supply g s (G.supply g s + 1);
+          G.set_supply g d (G.supply g d - 1)
+  done;
+  let transit = ref [] in
+  G.iter_nodes g (fun v -> if G.supply g v = 0 then transit := v :: !transit);
+  (match !transit with
+  | v :: _ when Random.State.bool rng -> G.remove_node g v
+  | _ -> ());
+  source_burst ~k:(Random.State.int rng 4) ~mseed g
+
+let sorted_negative iter g =
+  let acc = ref [] in
+  iter g ~scale:1 (fun a rc -> acc := (a, rc) :: !acc);
+  List.sort compare !acc
+
+let excess_nodes iter g =
+  let acc = ref [] in
+  iter (fun v -> if G.node_is_live g v && G.excess g v <> 0 then acc := v :: !acc);
+  List.sort_uniq compare !acc
+
+let prop_dirty_log_matches_full_scans =
+  (* From a certified optimum with a freshly synced log, after any sparse
+     change set: the log-driven negative-arc scan finds exactly the arcs
+     the whole-graph scan finds, the log-driven node sweep exactly the
+     nodes with nonzero excess, and a repair reading the log lands on the
+     SSP optimum without counting a full scan. *)
+  QCheck.Test.make ~name:"dirty log = full negative-arc and excess scans" ~count:120
+    QCheck.(pair (int_bound 1_000_000) (int_bound 1_000_000))
+    (fun (seed, mseed) ->
+      let g = netgen_instance seed in
+      if (Mcmf.Relaxation.solve g).S.outcome <> S.Optimal then QCheck.assume_fail ()
+      else begin
+        G.sync_log g;
+        sparse_burst ~mseed g;
+        if not (G.log_bounds_duals g) then
+          QCheck.Test.fail_report "a sparse change set dropped the log"
+        else if
+          sorted_negative G.iter_dirty_negative g <> sorted_negative G.iter_negative g
+        then QCheck.Test.fail_report "log-driven negative arcs differ from the full scan"
+        else if excess_nodes (G.iter_dirty_nodes g) g <> excess_nodes (G.iter_nodes g) g
+        then QCheck.Test.fail_report "log-driven excess nodes differ from the full sweep"
+        else begin
+          let g_scratch = G.copy g in
+          G.reset_flow g_scratch;
+          let s_ref = Mcmf.Ssp.solve g_scratch in
+          let full0 = counter_value "mcmf_incremental_full_scans_total" in
+          let outcome = Mcmf.Incremental.repair ~max_scan:max_int ~scale:1 g in
+          counter_value "mcmf_incremental_full_scans_total" = full0
+          &&
+          match outcome with
+          | Mcmf.Incremental.Repaired _ ->
+              s_ref.S.outcome = S.Optimal
+              && G.total_cost g = G.total_cost g_scratch
+              && Validate.is_feasible g && Validate.is_optimal g
+          | Mcmf.Incremental.Gave_up Mcmf.Incremental.No_path ->
+              s_ref.S.outcome = S.Infeasible
+          | Mcmf.Incremental.Gave_up r ->
+              QCheck.Test.fail_report ("repair gave up: " ^ Mcmf.Incremental.reason_name r)
+        end
+      end)
+
+let test_dirty_log_unusable_forces_full_pass () =
+  (* The repair reads the log only while it bounds the negative arcs: a
+     copy, a [copy_into] destination and a price refine (which rewrites
+     every potential) each make the next repair scan the whole graph, and
+     the next [sync_log] makes it read the log again. *)
+  let full () = counter_value "mcmf_incremental_full_scans_total" in
+  (* The repair agrees with a scratch SSP solve of the same instance. *)
+  let agrees g =
+    let g_scratch = G.copy g in
+    G.reset_flow g_scratch;
+    let s_ref = Mcmf.Ssp.solve g_scratch in
+    match Mcmf.Incremental.repair ~max_scan:max_int ~scale:1 g with
+    | Mcmf.Incremental.Repaired _ ->
+        s_ref.S.outcome = S.Optimal && G.total_cost g = G.total_cost g_scratch
+    | Mcmf.Incremental.Gave_up Mcmf.Incremental.No_path -> s_ref.S.outcome = S.Infeasible
+    | Mcmf.Incremental.Gave_up _ -> false
+  in
+  let certified () =
+    let g = netgen_instance 7 in
+    checkb "instance solves" true ((Mcmf.Relaxation.solve g).S.outcome = S.Optimal);
+    G.sync_log g;
+    g
+  in
+  let step name g ~mseed ~full_pass =
+    sparse_burst ~mseed g;
+    let f0 = full () in
+    checkb (name ^ ": repair agrees with SSP") true (agrees g);
+    checki (name ^ ": full scans") (if full_pass then f0 + 1 else f0) (full ())
+  in
+  let g = certified () in
+  step "synced log" g ~mseed:1 ~full_pass:false;
+  let c = G.copy g in
+  checkb "copy drops the log" false (G.log_complete c);
+  step "copy" c ~mseed:2 ~full_pass:true;
+  let d = G.create () in
+  G.copy_into d g;
+  checkb "copy_into drops the log" false (G.log_complete d);
+  step "copy_into" d ~mseed:3 ~full_pass:true;
+  ignore (Mcmf.Price_refine.run ~scale:1 g);
+  checkb "price refine keeps the log" true (G.log_complete g);
+  checkb "price refine unbounds the duals" false (G.log_bounds_duals g);
+  step "price refine" g ~mseed:4 ~full_pass:true;
+  G.sync_log g;
+  step "re-synced" g ~mseed:5 ~full_pass:false
+
 let prop_batched_repair_matches_ssp =
   (* Batched primal-dual repair must land on the SSP optimum when a round
      brings hundreds of unit sources at once, on top of the cost changes,
@@ -1550,6 +1682,10 @@ let () =
                prop_repair_giveup_restores_graph;
              ]
       );
+      ( "dirty-log",
+        Alcotest.test_case "unusable log forces the full pass" `Quick
+          test_dirty_log_unusable_forces_full_pass
+        :: qcheck [ prop_dirty_log_matches_full_scans ] );
       ( "degradation",
         Alcotest.test_case "infeasible returns untouched input" `Quick
           test_race_infeasible_returns_untouched_input
