@@ -342,8 +342,6 @@ let fig13 ~scale () =
         Firmament.Scheduler.default_config with
         mode = Mcmf.Race.Incremental_cost_scaling_only;
         price_refine;
-        (* The figure times cost scaling; a repaired round runs none. *)
-        incremental = false;
       }
     in
     let s = Setup.settle ~config ~machines ~util:0.6 ~policy:Setup.Quincy ~seed:42 () in
@@ -372,15 +370,56 @@ let fig13 ~scale () =
 
 (* {1 End-to-end replay (Figs. 14, 15, 16, 17, 18)} *)
 
-let replay_config ?(mode = Mcmf.Race.Race) ?(incremental = true) ?(policy = Setup.Quincy)
-    ?(max_rounds = 2000) ?max_sim_time () =
+let replay_config ?(mode = Mcmf.Race.Race) ?(policy = Setup.Quincy) ?max_rounds
+    ?max_sim_time () =
   {
     Dcsim.Replay.default_config with
-    scheduler = { Firmament.Scheduler.default_config with mode; incremental };
+    scheduler = { Firmament.Scheduler.default_config with mode };
     policy = Setup.policy_factory policy;
-    max_rounds = Some max_rounds;
+    max_rounds;
     max_sim_time;
   }
+
+(* The two Firmament rows of the replay figures: the paper's (the hedged
+   race on every round) and this repo's default (the in-place repair
+   first, the hedged race on a give-up). *)
+let firmament_rows =
+  [
+    ("firmament (race-only)", Mcmf.Race.Race_only);
+    ("firmament (race + repair)", Mcmf.Race.Race);
+  ]
+
+let repaired_rounds () =
+  let reg = Telemetry.Metrics.global () in
+  match Telemetry.Metrics.find reg "mcmf_race_wins_repair_total" with
+  | Some id -> Telemetry.Metrics.value reg id
+  | None -> 0
+
+(* One replay-figure row: [tr] replayed under [mode] up to [sim_time]
+   simulated seconds, with no round cap, so every row covers the same
+   span of the trace however fast its solver is. Also returns the
+   "repaired/rounds" cell: how many of its rounds the in-place repair
+   resolved, 0 in every mode but [Race]. *)
+let replay_row ?policy ~mode ~sim_time tr =
+  let r0 = repaired_rounds () in
+  let m = Dcsim.Replay.run (replay_config ~mode ?policy ~max_sim_time:sim_time ()) tr in
+  (m, Printf.sprintf "%d/%d" (repaired_rounds () - r0) m.Dcsim.Replay.rounds)
+
+(* Placement count, repaired rounds and placement-latency percentiles:
+   the shared tail of the Fig. 14 and Fig. 18 rows. *)
+let latency_header =
+  [ "placed"; "repaired/rounds"; "p25"; "p50"; "p75"; "p90"; "p99"; "max" ]
+
+let latency_cells (m : Dcsim.Replay.metrics) repaired =
+  let ls = m.Dcsim.Replay.placement_latencies in
+  string_of_int m.Dcsim.Replay.tasks_placed
+  :: repaired
+  ::
+  (match ls with
+  | [] -> List.init 6 (fun _ -> "-")
+  | _ ->
+      List.map (fun p -> pp (Stats.percentile ls p)) [ 25.; 50.; 75.; 90.; 99. ]
+      @ [ pp (Stats.maximum ls) ])
 
 let trace ~machines ~util ~horizon ?(speedup = 1.) ?(seed = 42) ?machines_per_rack () =
   Cluster.Trace.generate
@@ -401,58 +440,19 @@ let fig14 ~scale () =
   (* A quarter of the paper's cluster at scale 1.0: the headline is the
      ratio between the configurations, which holds across sizes. *)
   let machines = max 150 (int_of_float (3125. *. scale)) in
-  (* Mild acceleration keeps the arrival stream dense enough at scaled-down
-     cluster sizes for a meaningful latency distribution. *)
-  let tr = trace ~machines ~util:0.9 ~horizon:90. ~speedup:4. () in
-  (* Fast solvers need more rounds to cover the same simulated horizon
-     (each cheap round batches fewer events). *)
-  let budget mode =
-    match mode with Mcmf.Race.Cost_scaling_scratch_only -> 400 | _ -> 4000
-  in
-  let latencies mode =
-    let m =
-      Dcsim.Replay.run
-        (replay_config ~mode ~max_rounds:(budget mode) ~max_sim_time:120. ())
-        tr
-    in
-    m.Dcsim.Replay.placement_latencies
-  in
-  let firmament = latencies Mcmf.Race.Race in
-  let quincy = latencies Mcmf.Race.Cost_scaling_scratch_only in
-  row [ "percentile"; "firmament"; "quincy (cost scaling)" ];
-  let safe xs p = match xs with [] -> "-" | _ -> pp (Stats.percentile xs p) in
+  row ("config" :: latency_header);
+  (* No Quincy/Firmament ratio is printed: this trace saturates the
+     cluster, so placement latency is mostly time spent waiting for a
+     free slot, not for the solver. *)
   List.iter
-    (fun p ->
-      row [ Printf.sprintf "p%.0f" p; safe firmament p; safe quincy p ])
-    [ 10.; 25.; 50.; 75.; 90.; 99. ];
-  if firmament <> [] && quincy <> [] then
-    Printf.printf "median speedup: %.1fx\n"
-      (Stats.percentile quincy 50. /. Float.max 1e-9 (Stats.percentile firmament 50.))
-
-let locality_of_placements tr cfg =
-  (* Weighted input locality: fraction of input bytes local to the chosen
-     machine across all placements (paper Table 15b). *)
-  let local = ref 0. and total = ref 0. in
-  let cluster_tasks : (int, Cluster.Workload.task) Hashtbl.t = Hashtbl.create 1024 in
-  let note (job : Cluster.Workload.job) =
-    Array.iter (fun (t : Cluster.Workload.task) -> Hashtbl.replace cluster_tasks t.Cluster.Workload.tid t) job.Cluster.Workload.tasks
-  in
-  List.iter note tr.Cluster.Trace.initial_jobs;
-  List.iter (fun (_, j) -> note j) tr.Cluster.Trace.arrivals;
-  let on_round ~sim:_ (r : Firmament.Scheduler.round) =
-    List.iter
-      (fun (tid, m) ->
-        match Hashtbl.find_opt cluster_tasks tid with
-        | None -> ()
-        | Some t ->
-            let fracs = Firmament.Policy_quincy.locality_fractions t in
-            let f = Option.value ~default:0. (List.assoc_opt m fracs) in
-            total := !total +. t.Cluster.Workload.input_mb;
-            local := !local +. (f *. t.Cluster.Workload.input_mb))
-      r.Firmament.Scheduler.started
-  in
-  let m = Dcsim.Replay.run_with ~config:cfg ~trace:tr ~on_round () in
-  (m, if !total > 0. then !local /. !total else 0.)
+    (fun (name, mode) ->
+      (* Mild acceleration keeps the arrival stream dense enough at
+         scaled-down cluster sizes for a meaningful latency
+         distribution. *)
+      let tr = trace ~machines ~util:0.9 ~horizon:90. ~speedup:4. () in
+      let m, repaired = replay_row ~mode ~sim_time:120. tr in
+      row (name :: latency_cells m repaired))
+    (firmament_rows @ [ ("quincy (cost scaling)", Mcmf.Race.Cost_scaling_scratch_only) ])
 
 (* Weighted input locality of a settled (optimal) bulk assignment: both
    solver configurations produce min-cost flows, so locality depends only
@@ -489,35 +489,33 @@ let settled_locality ~machines ~threshold =
 let fig15 ~scale () =
   header "Figure 15: preference-arc threshold sweep (14% vs 2%)";
   let machines = max 120 (int_of_float (2500. *. scale)) in
-  row [ "config"; "threshold"; "alg p50"; "alg p99"; "input locality" ];
+  row
+    [
+      "config"; "threshold"; "placed"; "repaired/rounds"; "alg p50"; "alg p99";
+      "input locality";
+    ];
   List.iter
-    (fun (mode_name, mode) ->
+    (fun th ->
+      let locality = settled_locality ~machines ~threshold:th in
       List.iter
-        (fun th ->
+        (fun (name, mode) ->
           let tr = trace ~machines ~util:0.9 ~horizon:30. ~speedup:4. () in
-          let rounds =
-            match mode with Mcmf.Race.Cost_scaling_scratch_only -> 250 | _ -> 2500
+          let m, repaired =
+            replay_row ~policy:(Setup.Quincy_threshold th) ~mode ~sim_time:45. tr
           in
-          let cfg =
-            replay_config ~mode ~policy:(Setup.Quincy_threshold th) ~max_rounds:rounds
-              ~max_sim_time:45. ()
-          in
-          let m, _ = locality_of_placements tr cfg in
           let rts = m.Dcsim.Replay.algorithm_runtimes in
-          let locality = settled_locality ~machines ~threshold:th in
           row
             [
-              mode_name;
+              name;
               Printf.sprintf "%.0f%%" (th *. 100.);
+              string_of_int m.Dcsim.Replay.tasks_placed;
+              repaired;
               pp (Stats.percentile rts 50.);
               pp (Stats.percentile rts 99.);
               Printf.sprintf "%.1f%%" (locality *. 100.);
             ])
-        [ 0.14; 0.02 ])
-    [
-      ("firmament", Mcmf.Race.Race);
-      ("quincy", Mcmf.Race.Cost_scaling_scratch_only);
-    ]
+        (firmament_rows @ [ ("quincy", Mcmf.Race.Cost_scaling_scratch_only) ]))
+    [ 0.14; 0.02 ]
 
 let fig16 ~scale () =
   header "Figure 16: runtime timeline under transient oversubscription";
@@ -541,18 +539,16 @@ let fig16 ~scale () =
         List.sort (fun (a, _) (b, _) -> compare a b) (tr.Cluster.Trace.arrivals @ burst);
     }
   in
-  row [ "mode"; "pre-burst p50"; "burst p50"; "burst max"; "post-burst p50" ];
-  (* The single-solver rows run with repair off: with it on, every round
-     after the first on a certified graph is the same in-place repair
-     whatever the mode, and the rows would compare nothing. The replay
-     is bounded by the trace's 90 s horizon, not by a round count, so
-     every row reaches its post-burst phase at any scale. *)
+  row
+    [
+      "mode"; "placed"; "repaired/rounds"; "pre-burst p50"; "burst p50"; "burst max";
+      "post-burst p50";
+    ];
+  (* Bounded by the trace's 90 s horizon, not by a round count, so every
+     row reaches its post-burst phase at any scale. *)
   List.iter
-    (fun (name, mode, incremental) ->
-      let config =
-        { (replay_config ~mode ~incremental ~max_sim_time:90. ()) with max_rounds = None }
-      in
-      let m = Dcsim.Replay.run config (mk_trace ()) in
+    (fun (name, mode) ->
+      let m, repaired = replay_row ~mode ~sim_time:90. (mk_trace ()) in
       let phase lo hi =
         List.filter_map
           (fun (t, rt) -> if t >= lo && t < hi then Some rt else None)
@@ -562,16 +558,18 @@ let fig16 ~scale () =
       row
         [
           name;
+          string_of_int m.Dcsim.Replay.tasks_placed;
+          repaired;
           safe (fun xs -> pp (Stats.percentile xs 50.)) (phase 0. 30.);
           safe (fun xs -> pp (Stats.percentile xs 50.)) (phase 30. 60.);
           safe (fun xs -> pp (Stats.maximum xs)) (phase 30. 60.);
           safe (fun xs -> pp (Stats.percentile xs 50.)) (phase 60. 1e9);
         ])
-    [
-      ("relaxation-only", Mcmf.Race.Relaxation_only, false);
-      ("quincy (cost scaling)", Mcmf.Race.Cost_scaling_scratch_only, false);
-      ("firmament", Mcmf.Race.Race, true);
-    ]
+    ([
+       ("relaxation-only", Mcmf.Race.Relaxation_only);
+       ("quincy (cost scaling)", Mcmf.Race.Cost_scaling_scratch_only);
+     ]
+    @ firmament_rows)
 
 let fig17 ~scale () =
   header "Figure 17: job response time vs task duration (short-task jobs)";
@@ -622,7 +620,7 @@ let fig17 ~scale () =
 
 let fig18 ~scale () =
   header "Figure 18: placement latency under accelerated Google trace";
-  row [ "speedup"; "mode"; "p25"; "p50"; "p75"; "p99"; "max" ];
+  row ("speedup" :: "mode" :: latency_header);
   let machines = max 150 (int_of_float (2500. *. scale)) in
   List.iter
     (fun speedup ->
@@ -631,26 +629,9 @@ let fig18 ~scale () =
           let tr =
             trace ~machines ~util:0.8 ~horizon:30. ~speedup:(float_of_int speedup) ()
           in
-          let m =
-            Dcsim.Replay.run (replay_config ~mode ~max_rounds:400 ~max_sim_time:45. ()) tr
-          in
-          match m.Dcsim.Replay.placement_latencies with
-          | [] -> row [ string_of_int speedup; name; "-"; "-"; "-"; "-"; "-" ]
-          | ls ->
-              row
-                [
-                  string_of_int speedup;
-                  name;
-                  pp (Stats.percentile ls 25.);
-                  pp (Stats.percentile ls 50.);
-                  pp (Stats.percentile ls 75.);
-                  pp (Stats.percentile ls 99.);
-                  pp (Stats.maximum ls);
-                ])
-        [
-          ("firmament", Mcmf.Race.Race);
-          ("relaxation-only", Mcmf.Race.Relaxation_only);
-        ])
+          let m, repaired = replay_row ~mode ~sim_time:45. tr in
+          row (string_of_int speedup :: name :: latency_cells m repaired))
+        (firmament_rows @ [ ("relaxation-only", Mcmf.Race.Relaxation_only) ]))
     [ 50; 150; 300 ]
 
 (* {1 Local-testbed placement quality (Fig. 19)} *)
@@ -799,8 +780,8 @@ let measure_sched_rounds s ~rounds ~frac =
    --scale 0.2):
    - solver-only warm rounds: prepare + Race.solve on the already-optimal
      graph, the pure steady-state re-solve the scratch-graph/workspace
-     reuse targets, with repair off so the full solvers run — once in
-     [Race] mode (relaxation, which resolves these rounds before the
+     reuse targets, in modes that never repair so the full solvers run —
+     once in [Race_only] (relaxation, which resolves these rounds before the
      hedge starts) and once under [Incremental_cost_scaling_only], so
      the budget covers both solvers;
    - full scheduler rounds with 1% churn: the end-to-end rounds/sec
@@ -820,7 +801,7 @@ let alloc ~scale () =
   (* Solver-only warm rounds, mirroring the scheduler's adopt/recycle
      protocol on an unchanged optimal graph. *)
   let solver_rounds mode =
-    let race = Mcmf.Race.create ~alpha:9 ~mode ~incremental:false () in
+    let race = Mcmf.Race.create ~alpha:9 ~mode () in
     let g = ref (G.copy (FN.graph net)) in
     let solve_round () =
       Mcmf.Race.prepare race !g;
@@ -847,7 +828,7 @@ let alloc ~scale () =
     let b_mean, _, _ = stats_of !bytes in
     (t_mean, t_p50, t_p99, b_mean)
   in
-  let t_mean, t_p50, t_p99, b_mean = solver_rounds Mcmf.Race.Race in
+  let t_mean, t_p50, t_p99, b_mean = solver_rounds Mcmf.Race.Race_only in
   let cs_mean, cs_p50, cs_p99, cs_b_mean =
     solver_rounds Mcmf.Race.Incremental_cost_scaling_only
   in
@@ -1062,21 +1043,21 @@ let incr ~scale () =
       let rounds = if machines >= 12_500 then 10 else 20 in
       List.iter
         (fun (label, delta, churn_frac) ->
-          let run ~incremental =
-            let config = { Firmament.Scheduler.default_config with incremental } in
+          let run mode =
+            let config = { Firmament.Scheduler.default_config with mode } in
             let s =
               Setup.settle ~config ~machines ~util:0.5 ~policy:Setup.Quincy ~seed:42 ()
             in
             measure_delta_rounds s ~rounds ~delta
           in
-          let _, solve_full, _, _, _, _ = run ~incremental:false in
+          let _, solve_full, _, _, _, _ = run Mcmf.Race.Race_only in
           let ( times_incr,
                 solve_incr,
                 repair_rounds,
                 events,
                 repair_copies,
                 (repair_full_scans, extract_full_scans) ) =
-            run ~incremental:true
+            run Mcmf.Race.Race
           in
           let speedup = solve_full /. Float.max 1e-9 solve_incr in
           row

@@ -47,11 +47,7 @@ let seeds_conv =
   Arg.conv (parse, print)
 
 let mode_conv =
-  Arg.enum
-    (("all", None)
-    :: List.map
-         (fun m -> (Fuzz.Harness.mode_name m, Some m))
-         Fuzz.Harness.all_modes)
+  Arg.enum (("all", None) :: List.map (fun (n, m) -> (n, Some m)) Mcmf.Race.modes)
 
 (* Shrink against the failing mode only, holding the check id fixed so the
    artifact stays faithful to the original failure. *)
@@ -154,7 +150,7 @@ let fuzz seeds events machines slots inject_eps mode artifact_dir =
       slots;
       inject_eps;
       modes =
-        (match mode with None -> Fuzz.Harness.all_modes | Some m -> [ m ]);
+        (match mode with None -> List.map snd Mcmf.Race.modes | Some m -> [ m ]);
     }
   in
   let failures = ref 0 in
@@ -197,7 +193,7 @@ let replay path =
   let cfg = Fuzz.Artifact.config artifact in
   Printf.printf "replaying %s: %d events, mode %s%s, expecting %s\n%!" path
     (List.length artifact.Fuzz.Artifact.trace)
-    (Fuzz.Harness.mode_name artifact.Fuzz.Artifact.mode)
+    (Mcmf.Race.mode_name artifact.Fuzz.Artifact.mode)
     (match artifact.Fuzz.Artifact.crash_seed with
     | Some s -> Printf.sprintf " (crash-recovery, seed %d)" s
     | None -> "")
@@ -288,9 +284,10 @@ let cmd =
     Arg.(
       value & opt mode_conv None
       & info [ "mode" ] ~docv:"MODE"
-          ~doc:"Restrict to one race mode ($(b,race), $(b,relaxation), \
-                $(b,incremental-cs), $(b,quincy-cs)) or $(b,all), the \
-                default.")
+          ~doc:"Restrict to one race mode ($(b,race), $(b,race-only), \
+                $(b,relaxation), $(b,incremental-cs), $(b,quincy-cs)) or \
+                $(b,all), the default. Only $(b,race) repairs in place; \
+                every other mode runs its solver(s) on every round.")
   in
   let artifact_dir =
     Arg.(

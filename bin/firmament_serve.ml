@@ -15,15 +15,7 @@ let policy_conv =
   Arg.enum
     [ ("quincy", Quincy); ("load-spread", Load_spread); ("network-aware", Network_aware) ]
 
-let mode_conv =
-  Arg.enum
-    Mcmf.Race.
-      [
-        ("race", Race);
-        ("relaxation", Relaxation_only);
-        ("incremental-cs", Incremental_cost_scaling_only);
-        ("quincy-cs", Cost_scaling_scratch_only);
-      ]
+let mode_conv = Arg.enum Mcmf.Race.modes
 
 let listen_conv =
   let parse s =
@@ -139,9 +131,12 @@ let cmd =
       & opt mode_conv Mcmf.Race.Race
       & info [ "mode" ] ~docv:"MODE"
           ~doc:
-            "Solver orchestration: $(b,race) (relaxation, hedged by cost \
-             scaling when it runs late), $(b,relaxation), $(b,incremental-cs) \
-             or $(b,quincy-cs).")
+            "What a round runs: $(b,race), the default (an in-place repair \
+             of the last optimal flow; on a give-up, relaxation hedged by \
+             cost scaling when it runs late), $(b,race-only) (that hedged \
+             race on every round: the paper's Firmament), or one solver on \
+             every round: $(b,relaxation), $(b,incremental-cs) or \
+             $(b,quincy-cs) (cost scaling from scratch: Quincy).")
   in
   let deadline =
     Arg.(
@@ -185,8 +180,9 @@ let cmd =
           ~doc:
             "Resume from the $(b,--snapshot) file if it exists instead of \
              starting an empty cluster. The snapshot's topology and clock \
-             are authoritative; the scheduler restarts warm-started, so the \
-             first round takes the incremental-repair path.")
+             are authoritative; the scheduler restarts warm-started, so in \
+             $(b,race) mode the first round takes the incremental-repair \
+             path.")
   in
   let metrics_out =
     Arg.(

@@ -11,15 +11,7 @@ type policy = Quincy | Load_spread | Network_aware
 let policy_conv =
   Arg.enum [ ("quincy", Quincy); ("load-spread", Load_spread); ("network-aware", Network_aware) ]
 
-let mode_conv =
-  Arg.enum
-    Mcmf.Race.
-      [
-        ("race", Race);
-        ("relaxation", Relaxation_only);
-        ("incremental-cs", Incremental_cost_scaling_only);
-        ("quincy-cs", Cost_scaling_scratch_only);
-      ]
+let mode_conv = Arg.enum Mcmf.Race.modes
 
 (* Exporter plumbing for --metrics-out / --metrics-json / --metrics-summary:
    dump the global telemetry registry after the replay. *)
@@ -142,9 +134,12 @@ let cmd =
       & opt mode_conv Mcmf.Race.Race
       & info [ "mode" ] ~docv:"MODE"
           ~doc:
-            "Solver orchestration: $(b,race) (relaxation, hedged by cost \
-             scaling when it runs late), $(b,relaxation), $(b,incremental-cs) \
-             or $(b,quincy-cs).")
+            "What a round runs: $(b,race), the default (an in-place repair \
+             of the last optimal flow; on a give-up, relaxation hedged by \
+             cost scaling when it runs late), $(b,race-only) (that hedged \
+             race on every round: the paper's Firmament), or one solver on \
+             every round: $(b,relaxation), $(b,incremental-cs) or \
+             $(b,quincy-cs) (cost scaling from scratch: Quincy).")
   in
   let max_rounds =
     Arg.(value & opt int 500 & info [ "max-rounds" ] ~docv:"N" ~doc:"Scheduling-round budget.")

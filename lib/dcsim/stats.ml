@@ -40,7 +40,7 @@ let pp_duration ppf s =
   else Format.fprintf ppf "%.2fs" s
 
 let row cells =
-  List.iter (fun c -> Printf.printf "%-22s" c) cells;
+  List.iter (fun c -> Printf.printf "%-21s " c) cells;
   print_newline ()
 
 let header title =

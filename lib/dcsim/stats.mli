@@ -22,7 +22,8 @@ val cdf : ?points:int -> float list -> (float * float) list
 (** [pp_duration ppf s] prints seconds with an adaptive unit (µs/ms/s). *)
 val pp_duration : Format.formatter -> float -> unit
 
-(** [row cells] prints fixed-width table cells separated by two spaces. *)
+(** [row cells] prints table cells left-aligned in 22-character columns;
+    a longer cell is followed by one space. *)
 val row : string list -> unit
 
 (** [header title] prints an underlined section title (one per table or

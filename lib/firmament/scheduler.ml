@@ -118,7 +118,6 @@ type config = {
   price_refine : bool;
   drain_on_removal : bool;
   deadline : float option;
-  incremental : bool;
 }
 
 let default_config =
@@ -128,7 +127,6 @@ let default_config =
     price_refine = true;
     drain_on_removal = true;
     deadline = None;
-    incremental = true;
   }
 
 type degraded = [ `None | `Partial | `Infeasible_retry | `Failed ]
@@ -214,8 +212,8 @@ let create ?(config = default_config) cluster ~policy =
     net;
     policy = p;
     race =
-      Mcmf.Race.create ~alpha:config.alpha ~price_refine:config.price_refine
-        ~incremental:config.incremental ~node_hint ~arc_hint ~mode:config.mode ();
+      Mcmf.Race.create ~alpha:config.alpha ~price_refine:config.price_refine ~node_hint
+        ~arc_hint ~mode:config.mode ();
     assigned = Hashtbl.create 1024;
     ws = Placement.create_workspace ~node_hint ~arc_hint ();
     retry = Hashtbl.create 16;
@@ -247,8 +245,7 @@ let of_restored ?(config = default_config) cluster ~net ~policy =
      lazily, at the actual graph size. *)
   let race =
     Mcmf.Race.create ~alpha:config.alpha ~price_refine:config.price_refine
-      ~incremental:config.incremental ~preallocate:false ~node_hint ~arc_hint
-      ~mode:config.mode ()
+      ~preallocate:false ~node_hint ~arc_hint ~mode:config.mode ()
   in
   let ws = Placement.create_workspace ~node_hint ~arc_hint () in
   {
@@ -456,10 +453,10 @@ let schedule ?stop t ~now =
     | None -> base
     | Some d -> Mcmf.Solver_intf.either_stop base (Mcmf.Solver_intf.deadline_stop d)
   in
-  (* Path choice: with repair enabled (the race was created with
-     [config.incremental]) every round on a certified graph first tries
-     the O(changes) repair; the kernel gives up on any doubt, or once its
-     searches outgrow the graph, and the full race runs instead. *)
+  (* Path choice: in [Race] mode every round on a certified graph first
+     tries the O(changes) repair; the kernel gives up on any doubt, or
+     once its searches outgrow the graph, and the full race runs instead.
+     Every other mode runs its solver(s). *)
   let first = Mcmf.Race.solve ~stop t.race (FN.graph t.net) in
   let result, retried =
     match first.Mcmf.Race.stats.Mcmf.Solver_intf.outcome with

@@ -33,11 +33,15 @@
     the pre-round graph. A round runs to completion inside {!schedule};
     cluster events are applied between rounds.
 
-    Configured with [mode = Cost_scaling_scratch_only], [incremental =
-    false] and the Quincy policy, this {e is} the paper's Quincy baseline
-    (§7.1). With [incremental = true] (the default) rounds on a certified
-    graph take the O(changes) repair whatever the mode, and no solver of
-    the mode runs. *)
+    The [mode] alone decides what a round runs. In [Race] (the default)
+    a round on a certified graph is first tried as
+    {!Mcmf.Incremental.repair} on the warm graph, in place, whatever the
+    size of its change set; the kernel gives up once its searches have
+    scanned 32 times as many arcs as the graph has live arcs (or on any
+    other doubt), and a give-up runs the hedged race untouched. Every
+    other mode runs its solver(s) on every round: [Race_only] is the
+    paper's Firmament, and [Cost_scaling_scratch_only] with the Quincy
+    policy {e is} the paper's Quincy baseline (§7.1). *)
 
 type config = {
   mode : Mcmf.Race.mode;
@@ -49,14 +53,6 @@ type config = {
           including the infeasibility retry; when it fires, the round
           degrades to [`Partial] instead of running long. [None] (the
           default) never stops a solve. *)
-  incremental : bool;
-      (** enable the O(changes) incremental-repair path (default [true]):
-          when the previous round's adopted solution is certified optimal,
-          the round is first tried as {!Mcmf.Incremental.repair} on the
-          warm graph, in place, whatever the size of its change set. The
-          kernel gives up once its searches have scanned 32 times as many
-          arcs as the graph has live arcs (or on any other doubt), and a
-          give-up falls back to the configured [mode] untouched *)
 }
 
 val default_config : config

@@ -39,7 +39,7 @@ let config t =
 let to_string t =
   let b = Buffer.create 1024 in
   Buffer.add_string b "firmament-fuzz-artifact v1\n";
-  Buffer.add_string b (Printf.sprintf "mode %s\n" (Harness.mode_name t.mode));
+  Buffer.add_string b (Printf.sprintf "mode %s\n" (Mcmf.Race.mode_name t.mode));
   Buffer.add_string b (Printf.sprintf "machines %d\n" t.machines);
   Buffer.add_string b (Printf.sprintf "slots %d\n" t.slots);
   Buffer.add_string b (Printf.sprintf "inject-eps %d\n" t.inject_eps);
@@ -113,7 +113,10 @@ let of_string s =
     | [] -> fail "Artifact.of_string: truncated before graph section"
   in
   {
-    mode = Harness.mode_of_name mode;
+    mode =
+      (match List.assoc_opt mode Mcmf.Race.modes with
+      | Some m -> m
+      | None -> fail "Artifact.of_string: unknown mode %S" mode);
     machines = int_of_string machines;
     slots = int_of_string slots;
     inject_eps = int_of_string inject_eps;

@@ -11,7 +11,7 @@
     Format (line-oriented, [v1]):
     {v
     firmament-fuzz-artifact v1
-    mode <name>            # Harness.mode_name
+    mode <name>            # Mcmf.Race.mode_name
     machines <n>
     slots <n>
     inject-eps <n>

@@ -10,30 +10,8 @@ type config = {
   modes : Mcmf.Race.mode list;
 }
 
-let all_modes =
-  Mcmf.Race.
-    [
-      Race;
-      Relaxation_only;
-      Incremental_cost_scaling_only;
-      Cost_scaling_scratch_only;
-    ]
-
 let default_config =
-  { machines = 6; slots = 2; inject_eps = 1; modes = all_modes }
-
-let mode_name = function
-  | Mcmf.Race.Race -> "race"
-  | Mcmf.Race.Relaxation_only -> "relaxation"
-  | Mcmf.Race.Incremental_cost_scaling_only -> "incremental-cs"
-  | Mcmf.Race.Cost_scaling_scratch_only -> "quincy-cs"
-
-let mode_of_name = function
-  | "race" -> Mcmf.Race.Race
-  | "relaxation" -> Mcmf.Race.Relaxation_only
-  | "incremental-cs" -> Mcmf.Race.Incremental_cost_scaling_only
-  | "quincy-cs" -> Mcmf.Race.Cost_scaling_scratch_only
-  | s -> Format.kasprintf failwith "Harness.mode_of_name: unknown mode %S" s
+  { machines = 6; slots = 2; inject_eps = 1; modes = List.map snd Mcmf.Race.modes }
 
 type failure = {
   f_mode : Mcmf.Race.mode;
@@ -45,7 +23,7 @@ type failure = {
 }
 
 let pp_failure ppf f =
-  Format.fprintf ppf "[%s] %s at round %d (event %d): %s" (mode_name f.f_mode)
+  Format.fprintf ppf "[%s] %s at round %d (event %d): %s" (Mcmf.Race.mode_name f.f_mode)
     f.f_check f.f_round f.f_event f.f_detail
 
 (* Per-mode interpreter state. [finished] remembers every task the trace

@@ -37,17 +37,9 @@ type config = {
   modes : Mcmf.Race.mode list;  (** race modes to run, in order *)
 }
 
-(** 6 machines × 2 slots, no injection, all four race modes. *)
+(** 6 machines × 2 slots, no injection, every mode of
+    {!Mcmf.Race.modes}. *)
 val default_config : config
-
-val all_modes : Mcmf.Race.mode list
-
-(** Mode names as used by artifacts and the [firmament_fuzz] CLI
-    ([race], [relaxation], [incremental-cs], [quincy-cs]). *)
-val mode_name : Mcmf.Race.mode -> string
-
-(** @raise Failure on an unknown name. *)
-val mode_of_name : string -> Mcmf.Race.mode
 
 type failure = {
   f_mode : Mcmf.Race.mode;  (** the race mode that failed *)

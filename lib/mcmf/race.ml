@@ -53,9 +53,21 @@ let t_cs = Telemetry.Trace.register tr "race.cost_scaling"
 
 type mode =
   | Race
+  | Race_only
   | Relaxation_only
   | Incremental_cost_scaling_only
   | Cost_scaling_scratch_only
+
+let modes =
+  [
+    ("race", Race);
+    ("race-only", Race_only);
+    ("relaxation", Relaxation_only);
+    ("incremental-cs", Incremental_cost_scaling_only);
+    ("quincy-cs", Cost_scaling_scratch_only);
+  ]
+
+let mode_name m = fst (List.find (fun (_, m') -> m' = m) modes)
 
 (* The hedge deadline is [hedge_factor] × the median of relaxation's last
    [hedge_window] optimal runtimes (DESIGN.md "Hedged race" has the
@@ -72,7 +84,6 @@ let hedge_window = 8
 type t = {
   mode : mode;
   price_refine : bool;
-  incremental : bool;
   cs_state : Cost_scaling.state;
   rx_ws : Relaxation.workspace;
   pr_ws : Price_refine.workspace;
@@ -115,13 +126,12 @@ and result = {
   cost_scaling_stats : Solver_intf.stats option;
 }
 
-let create ?(alpha = 9) ?(price_refine = true) ?(incremental = true)
-    ?(preallocate = true) ?node_hint ?arc_hint ~mode () =
+let create ?(alpha = 9) ?(price_refine = true) ?(preallocate = true) ?node_hint
+    ?arc_hint ~mode () =
   let t =
     {
       mode;
       price_refine;
-      incremental;
       cs_state = Cost_scaling.create ~alpha ();
       rx_ws = Relaxation.create_workspace ();
       pr_ws = Price_refine.create_workspace ();
@@ -208,7 +218,8 @@ let reclaim t result copies =
 let uses_cost_scaling t =
   match t.mode with
   | Relaxation_only -> false
-  | Race | Incremental_cost_scaling_only | Cost_scaling_scratch_only -> true
+  | Race | Race_only | Incremental_cost_scaling_only | Cost_scaling_scratch_only ->
+      true
 
 let prepare t g =
   let repaired =
@@ -224,13 +235,13 @@ let prepare t g =
   else if t.price_refine && uses_cost_scaling t then begin
     let scale = Cost_scaling.ensure_scale t.cs_state g in
     let ok = Price_refine.run ~scale ~workspace:t.pr_ws g in
-    if ok && t.incremental then begin
+    if ok && t.mode = Race then begin
       t.pot_graph <- Some g;
       t.pot_scale <- scale
     end
     else t.pot_graph <- None
   end
-  else if t.incremental then begin
+  else if t.mode = Race then begin
     (* No refine pass in this configuration; a read-only certification in
        unscaled units (relaxation's invariant) still unlocks the repair
        path when it holds. *)
@@ -315,14 +326,15 @@ let two_solver_result ~input ~g_rx ~g_cs rx cs =
       ~cost_scaling_stats:(Some cs) rx
   end
 
-(* The single-solver modes; [solve] sends [Race] to {!solve_race}. *)
+(* The single-solver modes; [solve] sends [Race] and [Race_only] to
+   {!solve_race}. *)
 let solve_single ?stop ~scratch t g =
   let c = take t g in
   if scratch then G.reset_flow c;
   let r =
     match t.mode with
     | Relaxation_only -> one_solver ~input:g ~solved:c Relaxation (run_rx ?stop t c)
-    | Race | Incremental_cost_scaling_only | Cost_scaling_scratch_only ->
+    | Race | Race_only | Incremental_cost_scaling_only | Cost_scaling_scratch_only ->
         let incremental = t.mode = Incremental_cost_scaling_only && not scratch in
         one_solver ~input:g ~solved:c Cost_scaling (run_cs ?stop ~incremental t c)
   in
@@ -408,7 +420,7 @@ let solve_race ?(stop = Solver_intf.never_stop) ~scratch t g =
       reclaim t r [ g_rx; g_cs ];
       r
 
-(* Delta path: when repair is enabled and the input graph is the one
+(* Delta path: in [Race] mode, when the input graph is the one
    whose potentials {!prepare} certified, repair the input itself, in
    place, before dispatching any solver. The kernel alone decides when
    the delta is too big: it gives up once its searches outgrow the graph.
@@ -418,7 +430,7 @@ let solve_race ?(stop = Solver_intf.never_stop) ~scratch t g =
    the fallback ladder below never sees a difference. *)
 let try_repair ?stop ~scratch t g =
   match t.pot_graph with
-  | Some pg when t.incremental && (not scratch) && pg == g -> (
+  | Some pg when t.mode = Race && (not scratch) && pg == g -> (
       match Incremental.repair ?stop ~scale:t.pot_scale ~workspace:t.inc_ws g with
       | Incremental.Repaired stats ->
           t.repaired_graph <- Some g;
@@ -446,6 +458,6 @@ let solve ?stop ?(scratch = false) t g =
   | Some r -> r
   | None -> (
       match t.mode with
-      | Race -> solve_race ?stop ~scratch t g
+      | Race | Race_only -> solve_race ?stop ~scratch t g
       | Relaxation_only | Incremental_cost_scaling_only | Cost_scaling_scratch_only ->
           solve_single ?stop ~scratch t g)

@@ -44,11 +44,25 @@
     scratch copy the race takes (one per solver that runs) counts in
     [mcmf_race_graph_copies_total]. *)
 
+(** What a round runs. The mode is the only switch: [Race] alone tries
+    the in-place repair, and every other mode runs its solver(s) on every
+    round. *)
 type mode =
-  | Race  (** the hedged race above *)
+  | Race
+      (** this repo's default: the {!Incremental.repair} of a certified
+          graph first, the hedged race above on a give-up *)
+  | Race_only  (** the hedged race on every round: the paper's Firmament *)
   | Relaxation_only
   | Incremental_cost_scaling_only
   | Cost_scaling_scratch_only  (** Quincy's configuration (cs2-style) *)
+
+(** Every mode with its command-line name ([race], [race-only],
+    [relaxation], [incremental-cs], [quincy-cs]), default first: the one
+    table the CLIs, the fuzz harness and its repro artifacts read. *)
+val modes : (string * mode) list
+
+(** [mode_name m] is [m]'s name in {!modes}. *)
+val mode_name : mode -> string
 
 type t
 
@@ -57,11 +71,10 @@ type t
     Quincy policy); [price_refine] (default [true]) controls the §6.2
     transition optimization.
 
-    [incremental] (default [true]) enables the O(changes) flow-repair
-    path: {!prepare} then tracks which graph's potentials certify its
-    flow as optimal, and a later {!solve} of that same graph first tries
-    to resolve the round by {!Incremental.repair} instead of running any
-    solver.
+    In [mode = Race], {!prepare} tracks which graph's potentials certify
+    its flow as optimal, and a later {!solve} of that same graph first
+    tries to resolve the round by {!Incremental.repair} instead of running
+    any solver. No other mode ever repairs.
 
     [node_hint]/[arc_hint] pre-size the solver workspaces and the two
     pooled scratch graphs so the first round runs steady-state (no
@@ -74,7 +87,6 @@ type t
 val create :
   ?alpha:int ->
   ?price_refine:bool ->
-  ?incremental:bool ->
   ?preallocate:bool ->
   ?node_hint:int ->
   ?arc_hint:int ->
@@ -113,7 +125,7 @@ type result = {
           observable. [None] in modes that never run the solver and in
           rounds resolved by the [Repair] path (both are [None]). *)
   cost_scaling_stats : Solver_intf.stats option;
-      (** same guarantee for cost scaling — so [None] in a [Race] round
+      (** same guarantee for cost scaling — so [None] in a raced round
           relaxation finished before the hedge started *)
 }
 
@@ -122,8 +134,8 @@ type result = {
     of cluster changes. Price-refines the potentials (no-op when price
     refine is disabled, the mode never runs cost scaling, or the flow is
     not optimal — first run), and records whether [g]'s potentials now
-    certify its flow: only then may the next {!solve} take the
-    incremental repair path. A graph just adopted from a [Repair]-winner
+    certify its flow: only then, and only in [Race] mode, may the next
+    {!solve} take the incremental repair path. A graph just adopted from a [Repair]-winner
     round skips the refine pass — the repair already certified it. *)
 val prepare : t -> Flowgraph.Graph.t -> unit
 
@@ -136,20 +148,20 @@ val prepare : t -> Flowgraph.Graph.t -> unit
     disagree, an [Infeasible] verdict (a sound proof) takes precedence
     over [Stopped].
 
-    Repair path: when [t] was created [~incremental:true], [~scratch] is
-    not set and [g] is the graph the last {!prepare} certified, the round
-    is first attempted as an O(changes) {!Incremental.repair} of [g]
+    Repair path: when [t]'s mode is [Race], [~scratch] is not set and
+    [g] is the graph the last {!prepare} certified, the round is first
+    attempted as an O(changes) {!Incremental.repair} of [g]
     {e in place}, whatever the size of the change set — the kernel's own
     work cap decides when it is too big. On success the result has
     [winner = Repair] and [result.graph == g]; on any give-up (reasons
     exported as [mcmf_incremental_giveup_*_total]) the kernel has already
-    rolled [g] back, and the configured mode runs on copies exactly as if
-    no repair had been tried. That success is the only way [solve]
+    rolled [g] back, and the hedged race runs on copies exactly as if no
+    repair had been tried. That success is the only way [solve]
     mutates [g].
 
     [~scratch:true] discards the warm start: copies get a fresh
     {!Flowgraph.Graph.reset_flow}, cost scaling takes the full scratch ε
-    ladder, and a [Race] round starts the hedge at once — the
+    ladder, and a raced round starts the hedge at once — the
     scheduler's second attempt after an [Infeasible] round. *)
 val solve :
   ?stop:Solver_intf.stop ->

@@ -124,6 +124,34 @@ let small_trace ?(machines = 20) ?(util = 0.5) ?(horizon = 20.) ?(seed = 11) () 
       seed;
     }
 
+(* The replay figures' guard: only [Race] repairs, so a Quincy row
+   (cost scaling from scratch) repairs no round of a replay, while the
+   default mode repairs some. *)
+let test_replay_only_race_repairs () =
+  let repairs () =
+    let reg = Telemetry.Metrics.global () in
+    match Telemetry.Metrics.find reg "mcmf_race_wins_repair_total" with
+    | Some id -> Telemetry.Metrics.value reg id
+    | None -> 0
+  in
+  let repaired mode =
+    let r0 = repairs () in
+    let m =
+      Dcsim.Replay.run
+        {
+          Dcsim.Replay.default_config with
+          scheduler = { Firmament.Scheduler.default_config with mode };
+          solver_time = `Fixed 0.01;
+          max_rounds = Some 20;
+        }
+        (small_trace ())
+    in
+    checkb "rounds ran" true (m.Dcsim.Replay.rounds > 1);
+    repairs () - r0
+  in
+  checki "quincy-cs repairs no round" 0 (repaired Mcmf.Race.Cost_scaling_scratch_only);
+  checkb "race repairs" true (repaired Mcmf.Race.Race > 0)
+
 let test_replay_places_all_and_finishes () =
   let trace = small_trace () in
   let cfg =
@@ -482,6 +510,7 @@ let () =
           Alcotest.test_case "survives machine failures" `Quick
             test_replay_survives_machine_failures;
           Alcotest.test_case "places all and finishes" `Quick test_replay_places_all_and_finishes;
+          Alcotest.test_case "only race mode repairs" `Quick test_replay_only_race_repairs;
           Alcotest.test_case "solver time enters latency" `Quick
             test_replay_fixed_solver_time_enters_latency;
           Alcotest.test_case "deterministic with fixed solver" `Quick

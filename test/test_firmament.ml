@@ -591,9 +591,7 @@ let test_scheduler_quincy_mode_matches_firmament_placements () =
 
 (* {1 Degraded rounds: infeasible networks and round deadlines} *)
 
-let all_race_modes =
-  Mcmf.Race.
-    [ Race; Relaxation_only; Incremental_cost_scaling_only; Cost_scaling_scratch_only ]
+let all_race_modes = List.map snd Mcmf.Race.modes
 
 let degraded_t =
   Alcotest.testable Firmament.Scheduler.pp_degraded (fun a b -> a = b)
@@ -1062,10 +1060,9 @@ let test_solve_win_wait_split () =
       ~config:
         {
           Firmament.Scheduler.default_config with
-          mode = Mcmf.Race.Race;
-          (* This test asserts relaxation ran; the repair path would
-             resolve quiet rounds without running either solver. *)
-          incremental = false;
+          (* This test asserts relaxation ran; [Race]'s repair path
+             would resolve quiet rounds without running either solver. *)
+          mode = Mcmf.Race.Race_only;
         }
       cluster
       ~policy:(fun ~drain net st -> Firmament.Policy_quincy.make ~drain net st)

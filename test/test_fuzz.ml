@@ -42,8 +42,9 @@ let repairs () =
   | None -> 0
 
 let test_harness_clean_seeds () =
-  (* Healthy code under every race mode: no check may fire. Every round
-     whose previous solution certified tries the O(changes) repair first,
+  (* Healthy code under every race mode: no check may fire. In [Race]
+     every round whose previous solution certified tries the O(changes)
+     repair first, and every other mode runs its solver(s) on every round,
      so the checks gate the repair kernel as well as the full solvers. *)
   let repairs0 = repairs () in
   for seed = 0 to 4 do
@@ -63,10 +64,9 @@ let quincy_cs_only =
 
 let find_injected_failure () =
   (* The ε-ladder truncation makes cost scaling stop ε-optimal while
-     claiming Optimal; the harness must catch it on some small seed. The
-     repair path (on by default) does not blind it: the injection
-     corrupts the very first adopted solve, which has no certified
-     previous round to repair from. *)
+     claiming Optimal; the harness must catch it on some small seed.
+     Quincy's mode never repairs, so every round runs the injected
+     solver. *)
   let cfg = { quincy_cs_only with Harness.inject_eps = 4096 } in
   let rec go seed =
     if seed > 9 then Alcotest.fail "injected eps-floor bug never caught"
@@ -130,11 +130,9 @@ let test_forced_incremental_clean () =
   done
 
 let test_forced_incremental_canary_still_fails () =
-  (* The repair path must not blind the harness under the warm-started
-     solver either: with incremental cost scaling as the only full solver,
-     the ε-floor injection corrupts the very first adopted solve (there is
-     no previous certified round to repair from), so the canary keeps
-     failing. *)
+  (* The canary must fire under the warm-started solver too: incremental
+     cost scaling never repairs, so every round runs it, warm, with the
+     ε floor injected. *)
   let cfg =
     {
       Harness.default_config with

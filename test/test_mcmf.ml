@@ -645,8 +645,7 @@ let test_race_modes_agree () =
         let g = random_instance 42 in
         let r = Mcmf.Race.solve race g in
         G.total_cost r.Mcmf.Race.graph)
-      Mcmf.Race.
-        [ Race; Relaxation_only; Incremental_cost_scaling_only; Cost_scaling_scratch_only ]
+      (List.map snd Mcmf.Race.modes)
   in
   match costs with
   | c :: rest -> List.iter (fun c' -> checki "same cost" c c') rest
@@ -655,8 +654,8 @@ let test_race_modes_agree () =
 let test_race_incremental_sequence () =
   (* Drive several change->prepare->solve cycles through the orchestrator,
      checking optimality at each step (the scheduler's usage pattern).
-     Repair is off, so every round runs the full solvers. *)
-  let race = Mcmf.Race.create ~mode:Mcmf.Race.Race ~incremental:false () in
+     [Race_only] never repairs, so every round runs the full solvers. *)
+  let race = Mcmf.Race.create ~mode:Mcmf.Race.Race_only () in
   let g = ref (diamond ()) in
   let r = Mcmf.Race.solve race !g in
   g := r.Mcmf.Race.graph;
@@ -678,8 +677,8 @@ let test_race_recycle_rounds_stay_optimal () =
      the displaced one back through [recycle], mutate, solve again. Rounds
      after the first reuse scratch slots via [copy_into]; every one must
      still be optimal and agree with a from-scratch reference solve.
-     Repair is off: it would solve in place and never take a slot. *)
-  let race = Mcmf.Race.create ~mode:Mcmf.Race.Race ~incremental:false () in
+     [Race_only]: the repair would solve in place and never take a slot. *)
+  let race = Mcmf.Race.create ~mode:Mcmf.Race.Race_only () in
   let g = ref (diamond ()) in
   for i = 1 to 8 do
     Mcmf.Race.prepare race !g;
@@ -1267,16 +1266,40 @@ let stop_hedge () =
   let main = Domain.self () in
   fun () -> Domain.self () <> main
 
+let test_race_single_solver_never_repairs () =
+  (* Only [Race] repairs: on the graph [prepare] certified, mutated, a
+     single-solver mode (and the hedged race without repair) runs its own
+     solver, and the repair counter does not move. *)
+  List.iter
+    (fun mode ->
+      let name = Mcmf.Race.mode_name mode in
+      let race = Mcmf.Race.create ~mode () in
+      let g = (Mcmf.Race.solve race (diamond ())).Mcmf.Race.graph in
+      Mcmf.Race.prepare race g;
+      let some_arc = ref (-1) in
+      G.iter_arcs g (fun a -> if !some_arc < 0 then some_arc := a);
+      G.set_cost g !some_arc (G.cost g !some_arc + 2);
+      let repairs0 = counter_value "mcmf_race_wins_repair_total" in
+      let r = Mcmf.Race.solve race g in
+      Alcotest.check outcome_t (name ^ " optimal") S.Optimal r.Mcmf.Race.stats.S.outcome;
+      checkb (name ^ " not repaired") true (r.Mcmf.Race.winner <> Mcmf.Race.Repair);
+      if mode = Mcmf.Race.Relaxation_only then
+        checkb "relaxation won" true (r.Mcmf.Race.winner = Mcmf.Race.Relaxation);
+      checki (name ^ " no repair counted") repairs0
+        (counter_value "mcmf_race_wins_repair_total");
+      checkb (name ^ " result optimal") true (Validate.is_optimal r.Mcmf.Race.graph))
+    (List.filter (fun m -> m <> Mcmf.Race.Race) (List.map snd Mcmf.Race.modes))
+
 let stop_relaxation () =
   let main = Domain.self () in
   fun () -> Domain.self () = main
 
 let test_race_fresh_starts_both () =
-  (* No history yet: both solvers start at once, and both report. Repair
-     is off: [prepare] certifies the flowless graph's zero potentials, so
-     the repair path would otherwise solve it before any racer starts. *)
+  (* No history yet: both solvers start at once, and both report.
+     [Race_only]: [prepare] certifies the flowless graph's zero potentials,
+     so [Race]'s repair path would solve it before any racer starts. *)
   let hedges0 = counter_value "mcmf_race_hedges_total" in
-  let race = Mcmf.Race.create ~mode:Mcmf.Race.Race ~incremental:false () in
+  let race = Mcmf.Race.create ~mode:Mcmf.Race.Race_only () in
   let g = diamond () in
   Mcmf.Race.prepare race g;
   let r = Mcmf.Race.solve race g in
@@ -1289,7 +1312,7 @@ let test_race_within_deadline_runs_alone () =
   (* A 2,000-task round sets the history (its hedge is stopped at once,
      so relaxation wins); a tiny round then finishes far inside 2× that
      runtime, with one copy and no hedge. *)
-  let race = Mcmf.Race.create ~mode:Mcmf.Race.Race ~incremental:false () in
+  let race = Mcmf.Race.create ~mode:Mcmf.Race.Race_only () in
   let big = Flowgraph.Netgen.scheduling ~tasks:2000 ~machines:100 ~seed:1 () in
   let r0 = Mcmf.Race.solve ~stop:(stop_hedge ()) race big.Flowgraph.Netgen.graph in
   checkb "priming round won by relaxation" true (r0.Mcmf.Race.winner = Mcmf.Race.Relaxation);
@@ -1310,7 +1333,7 @@ let test_race_overrun_starts_hedge () =
   (* History from a tiny instance makes the deadline microseconds; a much
      larger instance overruns it, so the hedge starts, and whichever
      solver wins, the result is feasible and reduced-cost optimal. *)
-  let race = Mcmf.Race.create ~mode:Mcmf.Race.Race ~incremental:false () in
+  let race = Mcmf.Race.create ~mode:Mcmf.Race.Race_only () in
   let r0 = Mcmf.Race.solve ~stop:(stop_hedge ()) race (diamond ()) in
   checkb "priming round won by relaxation" true (r0.Mcmf.Race.winner = Mcmf.Race.Relaxation);
   let hedges0 = counter_value "mcmf_race_hedges_total" in
@@ -1328,7 +1351,7 @@ let test_race_overrun_starts_hedge () =
 let test_race_after_cost_scaling_win_races () =
   (* Once cost scaling wins a raced round, the next round starts both
      solvers at once although relaxation has a history. *)
-  let race = Mcmf.Race.create ~mode:Mcmf.Race.Race ~incremental:false () in
+  let race = Mcmf.Race.create ~mode:Mcmf.Race.Race_only () in
   let big = Flowgraph.Netgen.scheduling ~tasks:400 ~machines:40 ~seed:3 () in
   let r0 = Mcmf.Race.solve ~stop:(stop_hedge ()) race big.Flowgraph.Netgen.graph in
   checkb "history from a relaxation win" true (r0.Mcmf.Race.winner = Mcmf.Race.Relaxation);
@@ -1347,17 +1370,7 @@ let test_race_after_cost_scaling_win_races () =
 
 (* {1 Degraded outcomes: infeasible and stopped races} *)
 
-let all_race_modes =
-  Mcmf.Race.
-    [ Race; Relaxation_only; Incremental_cost_scaling_only; Cost_scaling_scratch_only ]
-
-let mode_name =
-  Mcmf.Race.(
-    function
-    | Race -> "race"
-    | Relaxation_only -> "relaxation"
-    | Incremental_cost_scaling_only -> "incremental-cs"
-    | Cost_scaling_scratch_only -> "quincy-cs")
+let all_race_modes = List.map snd Mcmf.Race.modes
 
 let test_race_two_solver_stats_always_populated () =
   (* Whenever both racers actually ran (a fresh race hedges at once), both
@@ -1378,7 +1391,7 @@ let test_race_two_solver_stats_always_populated () =
   in
   List.iter
     (fun mode ->
-      let name = mode_name mode in
+      let name = Mcmf.Race.mode_name mode in
       let race = Mcmf.Race.create ~mode () in
       check_two (name ^ " clean") (Mcmf.Race.solve race (random_instance 11));
       (* A fresh orchestrator per scenario: the stopped round must not
@@ -1392,10 +1405,10 @@ let test_race_two_solver_stats_always_populated () =
         (name ^ " zero deadline")
         (Mcmf.Race.solve ~stop:(Mcmf.Solver_intf.deadline_stop 0.) race
            (random_instance 13)))
-    Mcmf.Race.[ Race ];
+    Mcmf.Race.[ Race; Race_only ];
   List.iter
     (fun (mode, rx_expected, cs_expected) ->
-      let name = mode_name mode in
+      let name = Mcmf.Race.mode_name mode in
       let race = Mcmf.Race.create ~mode () in
       let r = Mcmf.Race.solve race (random_instance 14) in
       checkb (name ^ " rx stats") rx_expected (r.Mcmf.Race.relaxation_stats <> None);
@@ -1413,7 +1426,7 @@ let test_race_infeasible_returns_untouched_input () =
      survives the bad round and recovers once the instance is repaired. *)
   List.iter
     (fun mode ->
-      let name = mode_name mode in
+      let name = Mcmf.Race.mode_name mode in
       let race = Mcmf.Race.create ~mode () in
       let g = G.create () in
       let s = G.add_node g ~supply:5 in
@@ -1435,7 +1448,7 @@ let test_race_infeasible_returns_untouched_input () =
 let test_race_stopped_preserves_input () =
   List.iter
     (fun mode ->
-      let name = mode_name mode in
+      let name = Mcmf.Race.mode_name mode in
       let race = Mcmf.Race.create ~mode () in
       let g = random_instance 7 in
       let flows g' =
@@ -1460,7 +1473,7 @@ let test_race_scratch_ignores_stale_flow () =
      behind) must not leak into a ~scratch solve, nor be clobbered by it. *)
   List.iter
     (fun mode ->
-      let name = mode_name mode in
+      let name = Mcmf.Race.mode_name mode in
       let race = Mcmf.Race.create ~mode () in
       let g = diamond () in
       let dirty = ref (-1) in
@@ -1668,6 +1681,8 @@ let () =
       ( "incremental-repair",
         Alcotest.test_case "repair path taken and counted" `Quick
           test_race_repair_taken_and_telemetry
+        :: Alcotest.test_case "single-solver modes never repair" `Quick
+             test_race_single_solver_never_repairs
         :: Alcotest.test_case "give-up reasons" `Quick test_repair_give_up_reasons
         :: Alcotest.test_case "no-change round" `Quick test_repair_no_change_round
         :: Alcotest.test_case "work cap gives up oversized" `Quick test_repair_work_cap
