@@ -955,9 +955,11 @@ let sweep ~scale () =
    on identically settled clusters: repair disabled (full-race baseline),
    then enabled. Returns round times, solve mean, repaired rounds, mean
    events per round, the scratch graph copies the race took during
-   repaired rounds (0: repairs run in place), and how many repairs and
-   delta extractions of the measured rounds fell back to a full scan
-   because the graph's dirty log was unusable (0 once repairs chain). *)
+   repaired rounds (0: repairs run in place), the mean nodes a repair's
+   searches settled, how many repairs and delta extractions of the
+   measured rounds fell back to a full scan or certificate because the
+   graph's dirty log was unusable (0 once repairs chain), and how many
+   repairs the whole-graph audit refuted (0). *)
 let measure_delta_rounds s ~rounds ~delta =
   let reg = Telemetry.Metrics.global () in
   let hist name =
@@ -996,6 +998,9 @@ let measure_delta_rounds s ~rounds ~delta =
   let full_scans name = Option.value (counter name) ~default:0 in
   let repair_full0 = full_scans "mcmf_incremental_full_scans_total" in
   let extract_full0 = full_scans "sched_extract_full_scans_total" in
+  let audit0 = full_scans "mcmf_incremental_audit_failures_total" in
+  let touched_id = hist "mcmf_incremental_repair_touched" in
+  let touched0 = Telemetry.Metrics.hist_sum reg touched_id in
   for i = 3 to rounds + 2 do
     let now = float_of_int i in
     events := !events + feed ~now;
@@ -1015,13 +1020,19 @@ let measure_delta_rounds s ~rounds ~delta =
     | Some now, Some warm -> now - warm
     | _ -> 0
   in
+  let settled =
+    float_of_int (Telemetry.Metrics.hist_sum reg touched_id - touched0)
+    /. float_of_int (max 1 repair_rounds)
+  in
   ( !times,
     solve_mean,
     repair_rounds,
     float_of_int !events /. float_of_int rounds,
     !repair_copies,
+    settled,
     ( full_scans "mcmf_incremental_full_scans_total" - repair_full0,
-      full_scans "sched_extract_full_scans_total" - extract_full0 ) )
+      full_scans "sched_extract_full_scans_total" - extract_full0,
+      full_scans "mcmf_incremental_audit_failures_total" - audit0 ) )
 
 let incr ~scale () =
   header "Incremental repair: fixed-delta and 1%-churn rounds, delta-solve vs full race";
@@ -1050,13 +1061,14 @@ let incr ~scale () =
             in
             measure_delta_rounds s ~rounds ~delta
           in
-          let _, solve_full, _, _, _, _ = run Mcmf.Race.Race_only in
+          let _, solve_full, _, _, _, _, _ = run Mcmf.Race.Race_only in
           let ( times_incr,
                 solve_incr,
                 repair_rounds,
                 events,
                 repair_copies,
-                (repair_full_scans, extract_full_scans) ) =
+                settled,
+                (repair_full_scans, extract_full_scans, audit_failures) ) =
             run Mcmf.Race.Race
           in
           let speedup = solve_full /. Float.max 1e-9 solve_incr in
@@ -1086,6 +1098,8 @@ let incr ~scale () =
               ("repair_round_copies", float_of_int repair_copies);
               ("repair_full_scans", float_of_int repair_full_scans);
               ("extract_full_scans", float_of_int extract_full_scans);
+              ("repair_audit_failures", float_of_int audit_failures);
+              ("repair_settled_mean", settled);
             ])
         [ ("32 events", `Events 32, 0.); ("1% churn", `Churn 0.01, 0.01) ])
     points

@@ -104,6 +104,11 @@ let run_with ?(config = default_config) ?restore_snapshot ?snapshot_out ~trace
   let epochs : (Cluster.Types.task_id, int) Hashtbl.t = Hashtbl.create 1024 in
   let epoch tid = Option.value ~default:0 (Hashtbl.find_opt epochs tid) in
   let bump tid = Hashtbl.replace epochs tid (epoch tid + 1) in
+  (* A task sent back to the wait queue (preempted, or evicted by a
+     machine failure) waits for a slot again: its next placement is timed
+     from that moment, not from its submission, so its earlier run is not
+     counted as waiting. *)
+  let requeued : (Cluster.Types.task_id, float) Hashtbl.t = Hashtbl.create 64 in
   (* Metrics accumulators. *)
   let placement_latencies = ref [] in
   let algorithm_runtimes = ref [] in
@@ -173,7 +178,11 @@ let run_with ?(config = default_config) ?restore_snapshot ?snapshot_out ~trace
           List.iter (fun tid -> victims := tid :: !victims)
             (Cluster.State.running_tasks_on cluster m);
           Firmament.Scheduler.fail_machine sched m;
-          List.iter (fun tid -> bump tid) !victims;
+          List.iter
+            (fun tid ->
+              bump tid;
+              Hashtbl.replace requeued tid time)
+            !victims;
           true
         end
         else false
@@ -238,8 +247,14 @@ let run_with ?(config = default_config) ?restore_snapshot ?snapshot_out ~trace
       on_round ~sim:!sim round;
       List.iter
         (fun (tid, _m) ->
-          let task = Cluster.State.task cluster tid in
-          placement_latencies := (!sim -. task.W.submit_time) :: !placement_latencies;
+          let since =
+            match Hashtbl.find_opt requeued tid with
+            | Some t ->
+                Hashtbl.remove requeued tid;
+                t
+            | None -> (Cluster.State.task cluster tid).W.submit_time
+          in
+          placement_latencies := (!sim -. since) :: !placement_latencies;
           incr tasks_placed;
           bump tid;
           schedule_finish tid ~start:!sim)
@@ -254,7 +269,8 @@ let run_with ?(config = default_config) ?restore_snapshot ?snapshot_out ~trace
       List.iter
         (fun tid ->
           incr preemptions;
-          bump tid)
+          bump tid;
+          Hashtbl.replace requeued tid !sim)
         round.Firmament.Scheduler.preempted;
       let progressed =
         round.Firmament.Scheduler.started <> []

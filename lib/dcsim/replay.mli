@@ -7,7 +7,8 @@
     {e measured} wall-clock runtime, on this machine), simulated time
     advances and incoming events accumulate; they are applied before the
     next round. A task's placement latency is the simulated time between
-    its submission and the completion of the solver run that placed it.
+    its submission (or its last return to the wait queue) and the
+    completion of the solver run that placed it.
     Slots freed mid-run are reusable only from the next round — the effect
     that hurts long solver runs in Fig. 16. *)
 
@@ -29,7 +30,11 @@ type config = {
 val default_config : config
 
 type metrics = {
-  placement_latencies : float list;  (** one per placement (first or re-) *)
+  placement_latencies : float list;
+      (** one per placement: from submission to the end of the round
+          that placed the task, or, for a task placed again after a
+          preemption or a machine failure, from that return to the wait
+          queue *)
   response_times : float list;  (** per finished batch task *)
   job_response_times : float list;  (** per finished batch job: max task response *)
   algorithm_runtimes : float list;  (** per scheduling round *)

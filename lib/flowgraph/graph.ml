@@ -551,6 +551,30 @@ let iter_dirty_negative g ~scale f =
     incr i
   done
 
+(* The log-driven certificate's read around a node whose potential
+   moved: [n]'s out-list holds one member of each incident pair, so both
+   residual directions of every arc at [n] are read off it (the reverse
+   of [a] has reduced cost [- rc a]). Hoisted like [iter_negative]. *)
+let negative_around g ~scale n =
+  let head = Vec.unsafe_data g.head and next = Vec.unsafe_data g.next_out in
+  let cost = Vec.unsafe_data g.arc_cost and rescap = Vec.unsafe_data g.rescap in
+  let pot = Vec.unsafe_data g.potential in
+  let pn = Array.unsafe_get pot n in
+  let found = ref false in
+  let a = ref (uget g.first_out n) in
+  while (not !found) && !a >= 0 do
+    let a0 = !a in
+    let rc =
+      (Array.unsafe_get cost a0 * scale) - pn + Array.unsafe_get pot (Array.unsafe_get head a0)
+    in
+    if
+      (rc < 0 && Array.unsafe_get rescap a0 > 0)
+      || (rc > 0 && Array.unsafe_get rescap (a0 lxor 1) > 0)
+    then found := true;
+    a := Array.unsafe_get next a0
+  done;
+  !found
+
 (* Pass 1 of delta placement extraction reads every pair slot when the
    dirty log is unusable; hoisting the arrays replaces three checked
    cross-module reads per slot with one closure call. *)

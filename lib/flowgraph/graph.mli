@@ -190,6 +190,12 @@ val iter_negative : t -> scale:int -> (arc -> int -> unit) -> unit
     {!sync_log}, the two visit the same arcs. Same rules for [f]. *)
 val iter_dirty_negative : t -> scale:int -> (arc -> int -> unit) -> unit
 
+(** [negative_around g ~scale n]: some residual arc into or out of [n]
+    with spare capacity has negative scaled reduced cost. The incremental
+    repair's certificate reads it around each node whose potential it
+    moved. *)
+val negative_around : t -> scale:int -> node -> bool
+
 (** [iter_pairs g f] applies [f k flow gen] to every arc-pair slot [k]
     below [arc_bound g / 2] (forward arc [2k]): [flow] is the pair's flow
     and [gen] its {!arc_generation}, both 0 on a dead slot. A tight loop

@@ -26,22 +26,33 @@ module G = Flowgraph.Graph
    3. per phase, raise each remaining excess node's potential until its
       cheapest residual arc is tight, then run one multi-source Dijkstra
       over scaled reduced costs (all nonnegative after step 1) from all
-      of them, until the settled deficits can absorb the whole excess.
-      A label equal to the one being settled (a zero-reduced-cost arc:
-      most of them, on the scheduling graph's zero-cost plateau) goes on
-      a FIFO instead of the heap.
+      of them. It stops as soon as the settled deficits can absorb the
+      whole excess: nodes tied at that label stay unsettled, so the
+      search does not sweep the zero-cost plateau behind the cluster
+      aggregator. A label equal to the one being settled (a
+      zero-reduced-cost arc: most of them, on that plateau) goes on a
+      FIFO instead of the heap.
       The potential update touches only the settled nodes: p(v) += D −
       dist(v), with D the last settled label, keeps every reduced cost
-      nonnegative and makes each shortest path zero-cost, unlike the
-      full solvers' O(n) relabel;
+      nonnegative (every unsettled label is still ≥ D) and makes each
+      shortest path zero-cost, unlike the full solvers' O(n) relabel;
    4. per phase, a blocking flow from all excesses to all deficits over
       the settled region's zero-reduced-cost arcs (DFS with current-arc
       pointers), so one search routes the whole batch instead of one
       unit per search;
-   5. certify: zero excess everywhere and {!Price_refine.certified} at
-      the caller's scale, both over the whole graph. Any failure returns
-      the reason and the caller falls back to the untouched full race;
-      this is also the backstop should the dirty log ever miss an arc.
+   5. certify: zero excess and no negative residual arc at the
+      caller's scale. When the log bounded the duals at entry and still
+      does, only three places can break either: logged nodes and
+      endpoints of logged pairs (excess), logged pairs (reduced cost and
+      residual capacity), and the arcs at a node whose potential the
+      repair moved, read off the journal. The log was synced on a
+      certified optimum with zero excess, and nothing else changed
+      since. Otherwise the certificate is the whole-graph pass (zero
+      excess everywhere and {!Price_refine.certified}), counted in
+      [mcmf_incremental_full_scans_total]. Every [audit_period]-th
+      log-certified repair runs the whole-graph pass as well, the
+      backstop should the log ever miss a change. Any failure returns
+      the reason and the caller falls back to the untouched full race.
 
    Work cap: once the searches have scanned [scan_factor] times as many
    arcs as the graph has live arcs, the repair gives up [Oversized]: past
@@ -112,6 +123,8 @@ type workspace = {
   mutable j_npush : int;
   mutable j_graph : G.t option;
   mutable j_changes : G.change_summary;
+  (* Log-certified repairs made with this workspace: paces the audit. *)
+  mutable log_certs : int;
 }
 
 let create_workspace () =
@@ -138,6 +151,7 @@ let create_workspace () =
     j_npush = 0;
     j_graph = None;
     j_changes = G.no_changes;
+    log_certs = 0;
   }
 
 let reserve ws bound =
@@ -187,8 +201,13 @@ let m_giveup_stopped =
 
 let m_full_scans =
   Telemetry.Metrics.counter m
-    ~help:"incremental repairs that scanned the whole graph for negative arcs and excesses: its dirty log was unusable"
+    ~help:"incremental repairs that scanned or certified the whole graph: its dirty log was unusable"
     "mcmf_incremental_full_scans_total"
+
+let m_audit_failures =
+  Telemetry.Metrics.counter m
+    ~help:"log-certified repairs that the whole-graph audit refuted (given up not_certified)"
+    "mcmf_incremental_audit_failures_total"
 
 let m_repair_ns =
   Telemetry.Metrics.histogram m
@@ -374,19 +393,21 @@ let expand ws g ~scale ~scanned u du =
   done
 
 (* One phase's Dijkstra from every remaining excess (all seeded on the
-   FIFO at label 0 by the caller). It stops once the settled deficits
-   can absorb [want] units, after settling every node tied at that label
-   D — ties are what give the blocking flow room to spread — or when
-   nothing is left to settle. The next node is the FIFO's head while the
-   FIFO holds any (all at the current label, the smallest outstanding),
-   else the heap's minimum; a node moved onto the FIFO keeps its older,
-   larger heap entry, which is skipped as stale once popped. A deficit
-   is expanded only if the search moves past its label: one at label D
-   needs no expansion for the potential update to stay valid, and not
-   expanding it keeps a deficit hub (the sink) from pulling its whole
-   zero-reduced-cost neighbourhood into the tie. Every settled node goes
-   on [touched] with its current arc reset; returns the number settled.
-   [scanned] accumulates across phases and trips the work cap. *)
+   FIFO at label 0 by the caller). It stops as soon as the settled
+   deficits can absorb [want] units, or when nothing is left to settle.
+   The nodes tied at that last label D stay unsettled: they are at
+   least D, which is all the potential update needs, and on the
+   scheduling graph they are the aggregator's zero-cost plateau. The
+   next node is the FIFO's head while the FIFO holds any (all at the
+   current label, the smallest outstanding), else the heap's minimum; a
+   node moved onto the FIFO keeps its older, larger heap entry, which
+   is skipped as stale once popped. A deficit is expanded only if the
+   search moves past its label: one at label D needs no expansion for
+   the potential update to stay valid, and not expanding it keeps a
+   deficit hub (the sink) from pulling its whole zero-reduced-cost
+   neighbourhood into the search. Every settled node goes on [touched]
+   with its current arc reset; returns the number settled. [scanned]
+   accumulates across phases and trips the work cap. *)
 let dijkstra ws g ~scale ~want ~scanned ~cap =
   let dist = ws.dist and state = ws.state and touched = ws.touched in
   let deferred = ws.stack and heap = ws.heap and fifo = ws.fifo in
@@ -394,7 +415,6 @@ let dijkstra ws g ~scale ~want ~scanned ~cap =
   let tlen = ref 0 in
   let ndef = ref 0 in
   let got = ref 0 in
-  let ball = ref max_int in
   let cur = ref 0 in
   let go = ref true in
   while !go do
@@ -406,8 +426,7 @@ let dijkstra ws g ~scale ~want ~scanned ~cap =
     if (not from_fifo) && Heap.is_empty heap then go := false
     else begin
       let du = if from_fifo then !cur else Heap.min_prio heap in
-      if du > !ball then go := false
-      else if !ndef > 0 && du > dist.(deferred.(0)) then begin
+      if !ndef > 0 && du > dist.(deferred.(0)) then begin
         for i = 0 to !ndef - 1 do
           let v = deferred.(i) in
           expand ws g ~scale ~scanned v dist.(v)
@@ -431,7 +450,7 @@ let dijkstra ws g ~scale ~want ~scanned ~cap =
         let e = G.excess g u in
         if e < 0 then begin
           got := !got - e;
-          if !got >= want then ball := du;
+          if !got >= want then go := false;
           deferred.(!ndef) <- u;
           incr ndef
         end
@@ -511,6 +530,55 @@ let drain_source ws g ~scale s =
   !pushes
 
 let scan_factor = 32
+
+(* Step 5 over the dirty log. Sound when the log bounded the duals at
+   the repair's entry and still does (see the header); it reads a subset
+   of what {!whole_certified} reads, by the same tests, so it can only
+   err by passing. *)
+let log_certified ws ~scale g =
+  match
+    G.iter_dirty_nodes g (fun v -> if G.excess g v <> 0 then raise Exit);
+    G.iter_dirty_negative g ~scale (fun _ _ -> raise Exit);
+    for i = 0 to ws.j_npot - 1 do
+      let v = ws.j_node.(i) in
+      if ws.j_pot.(i) <> G.potential g v && G.negative_around g ~scale v then raise Exit
+    done
+  with
+  | () -> true
+  | exception Exit -> false
+
+let whole_certified ~scale g =
+  match G.iter_nodes g (fun v -> if G.excess g v <> 0 then raise Exit) with
+  | () -> Price_refine.certified ~scale g
+  | exception Exit -> false
+
+let log_src = Logs.Src.create "mcmf.incremental" ~doc:"Incremental flow repair"
+
+module Log = (val Logs.src_log log_src)
+
+(* A fixed pace, not a setting: a log that misses changes shows within
+   64 repaired rounds (under a second of steady churn), and the
+   whole-graph pass stays out of the other 63. *)
+let audit_period = 64
+
+let certify ws ~scale ~dirty g =
+  if not (dirty && G.log_bounds_duals g) then begin
+    (* Entry without the log was counted already. *)
+    if dirty then Telemetry.Metrics.incr m m_full_scans;
+    whole_certified ~scale g
+  end
+  else if not (log_certified ws ~scale g) then false
+  else begin
+    ws.log_certs <- ws.log_certs + 1;
+    ws.log_certs mod audit_period <> 0
+    || whole_certified ~scale g
+    || begin
+         Log.err (fun f ->
+             f "log-driven certificate passed a repair the whole-graph pass refutes");
+         Telemetry.Metrics.incr m m_audit_failures;
+         false
+       end
+  end
 
 let repair ?(stop = Solver_intf.never_stop) ?max_scan ~scale ?workspace g =
   let t0 = Telemetry.Clock.now_ns () in
@@ -609,11 +677,7 @@ let repair ?(stop = Solver_intf.never_stop) ?max_scan ~scale ?workspace g =
     (* Certify before claiming optimality: every excess must be gone
        (deficits cancel exactly when the sources drain — verified
        directly) and the potentials must prove it. *)
-    let clean = ref true in
-    (try G.iter_nodes g (fun v -> if G.excess g v <> 0 then (clean := false; raise Exit))
-     with Exit -> ());
-    if not (!clean && Price_refine.certified ~scale g) then
-      raise (Give_up Not_certified);
+    if not (certify ws ~scale ~dirty g) then raise (Give_up Not_certified);
     ws.j_graph <- Some g;
     ws.j_changes <- G.peek_changes g;
     let dt_ns = Telemetry.Clock.now_ns () - t0 in

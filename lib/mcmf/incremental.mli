@@ -8,21 +8,26 @@
     excesses to deficits in primal-dual phases — one multi-source
     Dijkstra whose potential update touches only settled nodes, then a
     blocking flow from all excesses to all deficits over the settled
-    region's zero-reduced-cost arcs. The result is certified
-    ({!Price_refine.certified} at the caller's scale + zero excess, both
-    over the whole graph) — any doubt returns {!Gave_up} and the caller
-    runs the full race on the canonical graph, rolled back to its entry
-    state.
+    region's zero-reduced-cost arcs. Each Dijkstra stops as soon as its
+    settled deficits can absorb the remaining excess. The result is
+    certified (zero excess and no negative residual arc at the caller's
+    scale) — any doubt returns {!Gave_up} and the caller runs the full
+    race on the canonical graph, rolled back to its entry state.
 
-    {b Dirty log.} The saturation scan and the excess sweep read only
-    the graph's dirty log ({!Flowgraph.Graph.log_bounds_duals}) when it
-    holds, which requires the caller to have synced the log on a
-    certified optimum at [scale] with zero excess (the scheduler syncs
-    it at each delta extraction of an adopted optimum). Otherwise they
-    scan the whole graph, counted in [mcmf_incremental_full_scans_total].
-    A log that missed a change cannot produce a wrong answer: the final
-    whole-graph certification fails and the repair gives up
-    [Not_certified].
+    {b Dirty log.} The saturation scan, the excess sweep and the
+    certificate read only the graph's dirty log
+    ({!Flowgraph.Graph.log_bounds_duals}) when it holds, which requires
+    the caller to have synced the log on a certified optimum at [scale]
+    with zero excess (the scheduler syncs it at each delta extraction of
+    an adopted optimum). The certificate then reads the logged nodes and
+    pairs plus the arcs at each node whose potential the repair moved
+    ({!log_certified}). Otherwise, or if the repair's own pushes grew
+    the log past its cap, they scan the whole graph
+    ({!whole_certified}), and the repair is counted once in
+    [mcmf_incremental_full_scans_total]. Every 64th log-certified repair
+    of a workspace is audited by the whole-graph pass; a disagreement
+    logs an error, counts [mcmf_incremental_audit_failures_total] and
+    gives up [Not_certified].
 
     {b Undo journal.} The kernel repairs its input in place. It records
     each of its pushes and the first write of each node's potential in
@@ -78,6 +83,22 @@ val repair :
   ?workspace:workspace ->
   Flowgraph.Graph.t ->
   outcome
+
+(** [log_certified ws ~scale g] is the repair's log-driven certificate
+    on [g] as it stands: zero excess at every logged node and endpoint of
+    a logged pair, and no negative residual arc at [scale] among the
+    logged pairs or at a node whose potential [ws]'s journal saw move
+    (its entry potential differs from its current one). It reads a
+    subset of what {!whole_certified} reads, so it passes whenever that
+    does; the converse holds when [g]'s log was synced on a certified
+    optimum with zero excess and, since then, [g] changed only through
+    logged mutations and the potential writes of [ws]'s last repair. *)
+val log_certified : workspace -> scale:int -> Flowgraph.Graph.t -> bool
+
+(** [whole_certified ~scale g]: zero excess at every node and
+    {!Price_refine.certified} [~scale] — the certificate over the whole
+    graph. *)
+val whole_certified : scale:int -> Flowgraph.Graph.t -> bool
 
 (** [rollback ws g] takes back the last {!repair} of [g] made with [ws]
     that returned {!Repaired}: [g]'s flows, excesses, potentials and

@@ -239,6 +239,81 @@ let test_replay_counts_preemptions () =
   in
   checkb "preemption happened" true (m.Dcsim.Replay.preemptions >= 1)
 
+let test_replay_times_restarts_from_preemption () =
+  (* Two batch tasks fill both slots from t = 0 and a service job at
+     t = 60 preempts: a task placed again after a preemption waited only
+     since that preemption, so its earlier run must not count as
+     placement latency. The expected latencies are rebuilt from the
+     rounds the replay reports. *)
+  let topology = Cluster.Topology.make ~machines:2 ~machines_per_rack:2 ~slots_per_machine:1 () in
+  let batch_tasks =
+    Array.init 2 (fun i -> W.make_task ~tid:i ~job:0 ~submit_time:0. ~duration:100. ())
+  in
+  let service_tasks = [| W.make_task ~tid:10 ~job:1 ~submit_time:60. ~duration:1e6 () |] in
+  let trace =
+    {
+      Cluster.Trace.topology;
+      initial_jobs = [ W.make_job ~jid:0 ~klass:Cluster.Types.Batch ~submit_time:0. ~tasks:batch_tasks ];
+      arrivals =
+        [ (60., W.make_job ~jid:1 ~klass:Cluster.Types.Service ~submit_time:60. ~tasks:service_tasks) ];
+      machine_events = [];
+      params = Cluster.Trace.default_params ~machines:2 ();
+    }
+  in
+  let submitted tid = if tid = 10 then 60. else 0. in
+  let preempted_at = Hashtbl.create 8 in
+  let expected = ref [] and restarts = ref 0 in
+  let on_round ~sim (r : Firmament.Scheduler.round) =
+    List.iter
+      (fun (tid, _) ->
+        let since =
+          match Hashtbl.find_opt preempted_at tid with
+          | Some t ->
+              Hashtbl.remove preempted_at tid;
+              incr restarts;
+              t
+          | None -> submitted tid
+        in
+        expected := (sim -. since) :: !expected)
+      r.Firmament.Scheduler.started;
+    List.iter (fun tid -> Hashtbl.replace preempted_at tid sim) r.Firmament.Scheduler.preempted
+  in
+  let m =
+    Dcsim.Replay.run_with
+      ~config:{ Dcsim.Replay.default_config with solver_time = `Fixed 0.01; max_sim_time = Some 300. }
+      ~trace ~on_round ()
+  in
+  checkb "a preempted task was placed again" true (!restarts > 0);
+  Alcotest.(check (list (float 1e-9)))
+    "latencies run from submission or the last preemption"
+    (List.sort compare !expected)
+    (List.sort compare m.Dcsim.Replay.placement_latencies)
+
+let test_replay_times_restarts_from_machine_failure () =
+  (* One slot, one task running from t = 0; its machine fails at t = 60
+     and returns at t = 70. The re-placement waited from the failure:
+     about 10 s, not the 70 s since its submission. *)
+  let topology = Cluster.Topology.make ~machines:1 ~machines_per_rack:1 ~slots_per_machine:1 () in
+  let tasks = [| W.make_task ~tid:0 ~job:0 ~submit_time:0. ~duration:100. () |] in
+  let trace =
+    {
+      Cluster.Trace.topology;
+      initial_jobs = [ W.make_job ~jid:0 ~klass:Cluster.Types.Batch ~submit_time:0. ~tasks ];
+      arrivals = [];
+      machine_events =
+        [ (60., Cluster.Trace.Machine_fails 0); (70., Cluster.Trace.Machine_restores 0) ];
+      params = Cluster.Trace.default_params ~machines:1 ();
+    }
+  in
+  let m =
+    Dcsim.Replay.run
+      { Dcsim.Replay.default_config with solver_time = `Fixed 0.01; max_sim_time = Some 300. }
+      trace
+  in
+  match m.Dcsim.Replay.placement_latencies with
+  | [ l ] -> checkb (Printf.sprintf "timed from the failure (%.2f s)" l) true (l > 9.9 && l < 10.1)
+  | ls -> Alcotest.failf "expected one re-placement, got %d" (List.length ls)
+
 let test_replay_survives_machine_failures () =
   (* Failure injection: machines die and return mid-replay; victims are
      rescheduled and the replay still drains. *)
@@ -507,6 +582,10 @@ let () =
         [
           Alcotest.test_case "measured solver time" `Quick test_replay_measured_solver_time;
           Alcotest.test_case "counts preemptions" `Quick test_replay_counts_preemptions;
+          Alcotest.test_case "restart timed from its preemption" `Quick
+            test_replay_times_restarts_from_preemption;
+          Alcotest.test_case "restart timed from its machine failure" `Quick
+            test_replay_times_restarts_from_machine_failure;
           Alcotest.test_case "survives machine failures" `Quick
             test_replay_survives_machine_failures;
           Alcotest.test_case "places all and finishes" `Quick test_replay_places_all_and_finishes;

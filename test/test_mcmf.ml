@@ -1179,6 +1179,208 @@ let test_dirty_log_unusable_forces_full_pass () =
   G.sync_log g;
   step "re-synced" g ~mseed:5 ~full_pass:false
 
+(* After a repaired sparse change set, a second sparse set: logged
+   mutations (cost changes, capacity growth and cuts, pushes, supply
+   changes) and potential moves at nodes the repair already moved: back
+   to their entry value, a few units off it or off their current one, or
+   just far enough to break one residual arc at them. Those moves are
+   the only unlogged changes the log-driven certificate must cover. *)
+let break_burst ~bseed ~entry g =
+  let rng = Random.State.make [| 0x62726b; bseed |] in
+  let arcs = ref [] in
+  G.iter_arcs g (fun a -> arcs := a :: !arcs);
+  let arcs = Array.of_list !arcs in
+  let moved = ref [] in
+  Array.iteri
+    (fun v p -> if G.node_is_live g v && G.potential g v <> p then moved := v :: !moved)
+    entry;
+  let moved = Array.of_list !moved in
+  for _ = 1 to 1 + Random.State.int rng 3 do
+    let a = arcs.(Random.State.int rng (Array.length arcs)) in
+    match Random.State.int rng 8 with
+    | 0 | 1 -> G.set_cost g a (max 0 (G.cost g a + Random.State.int rng 21 - 10))
+    | 2 -> G.set_capacity g a (G.capacity g a + 1)
+    | 3 -> G.set_capacity g a (max 0 (G.capacity g a - 1))
+    | 4 ->
+        let r = if Random.State.bool rng then a else G.rev a in
+        if Random.State.int rng 4 = 0 && G.rescap g r > 0 then G.push g r 1
+    | 5 when Random.State.int rng 4 = 0 ->
+        let v = G.src g a in
+        G.set_supply g v (G.supply g v + 1)
+    | 6 when Array.length moved > 0 ->
+        (* Break one residual arc at a moved node by exactly one unit,
+           into it or out of it, preferring an unlogged arc whose other
+           end did not move: only the check around [v] can see that one. *)
+        let v = moved.(Random.State.int rng (Array.length moved)) in
+        let logged = Hashtbl.create 16 in
+        G.iter_dirty_pairs g (fun k -> Hashtbl.replace logged k ());
+        let hidden b =
+          let w = if G.src g b = v then G.dst g b else G.src g b in
+          (not (Hashtbl.mem logged (b lsr 1))) && G.potential g w = entry.(w)
+        in
+        let residual = ref [] in
+        G.iter_out g v (fun b ->
+            if G.rescap g b > 0 then residual := b :: !residual;
+            if G.rescap g (G.rev b) > 0 then residual := G.rev b :: !residual);
+        (match List.filter hidden !residual with [] -> () | l -> residual := l);
+        (match !residual with
+        | [] -> ()
+        | l ->
+            let r = List.nth l (Random.State.int rng (List.length l)) in
+            let rc = G.reduced_cost g r in
+            let p = G.potential g v in
+            G.set_potential_journaled g v (if G.src g r = v then p + rc + 1 else p - rc - 1))
+    | _ when Array.length moved > 0 ->
+        let v = moved.(Random.State.int rng (Array.length moved)) in
+        let near p = p + ((if Random.State.bool rng then 1 else -1) * (1 + Random.State.int rng 3)) in
+        let p =
+          match Random.State.int rng 3 with
+          | 0 -> entry.(v)
+          | 1 -> near entry.(v)
+          | _ -> near (G.potential g v)
+        in
+        G.set_potential_journaled g v p
+    | _ -> ()
+  done
+
+let certificate_verdicts = [| 0; 0 |] (* passed, failed *)
+
+let prop_log_certificate_matches_whole =
+  (* From a certified optimum with a freshly synced log: a sparse change
+     set, a repair of it, then [break_burst]. The repair's log-driven
+     certificate must give the whole-graph verdict, on the repaired
+     graph and after the second set. *)
+  QCheck.Test.make ~name:"log-driven certificate = whole-graph certificate" ~count:150
+    QCheck.(triple (int_bound 1_000_000) (int_bound 1_000_000) (int_bound 1_000_000))
+    (fun (seed, mseed, bseed) ->
+      let g = netgen_instance seed in
+      if (Mcmf.Relaxation.solve g).S.outcome <> S.Optimal then QCheck.assume_fail ()
+      else begin
+        G.sync_log g;
+        sparse_burst ~mseed g;
+        let entry = Array.init (G.node_bound g) (G.potential g) in
+        let ws = Mcmf.Incremental.create_workspace () in
+        match Mcmf.Incremental.repair ~max_scan:max_int ~scale:1 ~workspace:ws g with
+        | Mcmf.Incremental.Gave_up _ -> QCheck.assume_fail ()
+        | Mcmf.Incremental.Repaired _ ->
+            let verdicts () =
+              ( Mcmf.Incremental.log_certified ws ~scale:1 g,
+                Mcmf.Incremental.whole_certified ~scale:1 g )
+            in
+            if verdicts () <> (true, true) then
+              QCheck.Test.fail_report "a repaired graph does not certify both ways"
+            else begin
+              break_burst ~bseed ~entry g;
+              if not (G.log_bounds_duals g) then QCheck.assume_fail ()
+              else begin
+                let by_log, whole = verdicts () in
+                let i = if whole then 0 else 1 in
+                certificate_verdicts.(i) <- certificate_verdicts.(i) + 1;
+                by_log = whole
+              end
+            end
+      end)
+
+let test_log_certificate_matches_whole () =
+  QCheck.Test.check_exn prop_log_certificate_matches_whole;
+  (* The property has teeth only if the second change sets break the
+     optimum in some cases and leave it in others. *)
+  checkb "some change sets keep the optimum" true (certificate_verdicts.(0) > 0);
+  checkb "some change sets break it" true (certificate_verdicts.(1) > 0)
+
+let test_unjournaled_potential_forces_whole_certificate () =
+  (* An unjournaled potential write can break an arc the log never saw.
+     The log-driven certificate cannot see it; the repair must notice
+     that the log no longer bounds the duals, scan and certify the whole
+     graph, count that once, and still land on the SSP optimum. *)
+  let g = netgen_instance 7 in
+  checkb "instance solves" true ((Mcmf.Relaxation.solve g).S.outcome = S.Optimal);
+  G.sync_log g;
+  let a = ref (-1) in
+  G.iter_arcs g (fun x -> if !a < 0 && G.rescap g x > 0 then a := x);
+  let v = G.src g !a in
+  G.set_potential g v (G.potential g v + G.reduced_cost g !a + 1);
+  checkb "the log no longer bounds the duals" false (G.log_bounds_duals g);
+  let ws = Mcmf.Incremental.create_workspace () in
+  checkb "log-driven certificate is blind to it" true
+    (Mcmf.Incremental.log_certified ws ~scale:1 g);
+  checkb "whole-graph certificate sees it" false (Mcmf.Incremental.whole_certified ~scale:1 g);
+  let g_scratch = G.copy g in
+  G.reset_flow g_scratch;
+  checkb "reference solves" true ((Mcmf.Ssp.solve g_scratch).S.outcome = S.Optimal);
+  let full0 = counter_value "mcmf_incremental_full_scans_total" in
+  (match Mcmf.Incremental.repair ~max_scan:max_int ~scale:1 ~workspace:ws g with
+  | Mcmf.Incremental.Repaired _ -> ()
+  | Mcmf.Incremental.Gave_up r ->
+      Alcotest.failf "expected a repair, got %s" (Mcmf.Incremental.reason_name r));
+  checki "counted once" (full0 + 1) (counter_value "mcmf_incremental_full_scans_total");
+  checki "SSP cost" (G.total_cost g_scratch) (G.total_cost g);
+  checkb "optimal" true (Validate.is_feasible g && Validate.is_optimal g)
+
+let test_audit_catches_a_missed_change () =
+  (* A potential write that bypasses both the log and the repair's
+     journal breaks the premise the log-driven certificate rests on. It
+     passes the log-driven check, so only the whole-graph audit of every
+     64th log-certified repair can catch it: that repair must give up and
+     count the disagreement. *)
+  let g = netgen_instance 7 in
+  checkb "instance solves" true ((Mcmf.Relaxation.solve g).S.outcome = S.Optimal);
+  G.sync_log g;
+  let ws = Mcmf.Incremental.create_workspace () in
+  let repair () = Mcmf.Incremental.repair ~scale:1 ~workspace:ws g in
+  for i = 1 to 63 do
+    match repair () with
+    | Mcmf.Incremental.Repaired _ -> ()
+    | Mcmf.Incremental.Gave_up r ->
+        Alcotest.failf "quiet repair %d gave up: %s" i (Mcmf.Incremental.reason_name r)
+  done;
+  let a = ref (-1) in
+  G.iter_arcs g (fun x -> if !a < 0 && G.rescap g x > 0 then a := x);
+  let v = G.src g !a in
+  G.set_potential_journaled g v (G.potential g v + G.reduced_cost g !a + 1);
+  let fails0 = counter_value "mcmf_incremental_audit_failures_total" in
+  (match repair () with
+  | Mcmf.Incremental.Gave_up Mcmf.Incremental.Not_certified -> ()
+  | Mcmf.Incremental.Gave_up r ->
+      Alcotest.failf "expected not_certified, got %s" (Mcmf.Incremental.reason_name r)
+  | Mcmf.Incremental.Repaired _ -> Alcotest.fail "the 64th repair passed unaudited");
+  checki "audit failure counted" (fails0 + 1)
+    (counter_value "mcmf_incremental_audit_failures_total")
+
+let test_repair_stops_before_the_plateau () =
+  (* One task arrives at a cluster of 200 free machines. Each machine is
+     one aggregator arc of the same cost from the task and a
+     zero-reduced-cost arc on to the sink, so all 200 tie at one label.
+     The first machine settled reaches the sink, whose deficit absorbs
+     the unit: the search must stop there, not settle the whole tie. *)
+  let machines = 200 in
+  let g = G.create () in
+  let sink = G.add_node g ~supply:0 in
+  let agg = G.add_node g ~supply:0 in
+  for _ = 1 to machines do
+    let m = G.add_node g ~supply:0 in
+    ignore (G.add_arc g ~src:agg ~dst:m ~cost:1 ~cap:1);
+    ignore (G.add_arc g ~src:m ~dst:sink ~cost:0 ~cap:1)
+  done;
+  (* No flow at zero potentials is optimal: every cost is nonnegative. *)
+  G.sync_log g;
+  let task = G.add_node g ~supply:1 in
+  ignore (G.add_arc g ~src:task ~dst:agg ~cost:0 ~cap:1);
+  G.set_supply g sink (-1);
+  let g_scratch = G.copy g in
+  G.reset_flow g_scratch;
+  checkb "reference solves" true ((Mcmf.Ssp.solve g_scratch).S.outcome = S.Optimal);
+  match Mcmf.Incremental.repair ~scale:1 g with
+  | Mcmf.Incremental.Gave_up r ->
+      Alcotest.failf "expected a repair, got %s" (Mcmf.Incremental.reason_name r)
+  | Mcmf.Incremental.Repaired st ->
+      checkb
+        (Printf.sprintf "settled %d nodes, far fewer than %d machines" st.S.relabels machines)
+        true
+        (st.S.relabels < machines / 10);
+      checki "SSP cost" (G.total_cost g_scratch) (G.total_cost g);
+      checkb "optimal" true (Validate.is_feasible g && Validate.is_optimal g)
+
 let prop_batched_repair_matches_ssp =
   (* Batched primal-dual repair must land on the SSP optimum when a round
      brings hundreds of unit sources at once, on top of the cost changes,
@@ -1700,6 +1902,14 @@ let () =
       ( "dirty-log",
         Alcotest.test_case "unusable log forces the full pass" `Quick
           test_dirty_log_unusable_forces_full_pass
+        :: Alcotest.test_case "unjournaled potential forces the whole certificate" `Quick
+             test_unjournaled_potential_forces_whole_certificate
+        :: Alcotest.test_case "log-driven certificate = whole-graph certificate" `Quick
+             test_log_certificate_matches_whole
+        :: Alcotest.test_case "audit catches a change the log missed" `Quick
+             test_audit_catches_a_missed_change
+        :: Alcotest.test_case "repair stops before the plateau" `Quick
+             test_repair_stops_before_the_plateau
         :: qcheck [ prop_dirty_log_matches_full_scans ] );
       ( "degradation",
         Alcotest.test_case "infeasible returns untouched input" `Quick
