@@ -34,11 +34,14 @@ type t = {
      solution graph without re-scanning out-lists. *)
   sink_arcs : (Cluster.Types.machine_id, G.arc) Hashtbl.t;
   (* The same cache for each job's unscheduled-aggregator->sink arc,
-     maintained by [ensure_unscheduled]/[remove_unscheduled]. That arc
-     sits at the tail of the aggregator's out-list, behind the reverse
-     arc of every task of the job, so a [find_arc] per capacity update
-     scans the whole job. *)
+     maintained by [ensure_unscheduled]. That arc sits at the tail of the
+     aggregator's out-list, behind the reverse arc of every task of the
+     job, so a [find_arc] per capacity update scans the whole job. *)
   unsched_arcs : (Cluster.Types.job_id, G.arc) Hashtbl.t;
+  (* Each task's arc to its job's unscheduled aggregator, installed and
+     re-priced by [ensure_unscheduled_arc] and released by [remove_task].
+     The aggregator->sink capacity counts the tasks holding one. *)
+  task_unsched : (Cluster.Types.task_id, G.arc) Hashtbl.t;
   mutable cluster_agg : G.node option;
   mutable n_tasks : int;
   (* Log of the task ids [add_task] saw, in order, so the placement
@@ -55,11 +58,7 @@ type t = {
 
 let uid_counter = Atomic.make 0
 
-let create ?node_hint ?arc_hint () =
-  let g = G.create ?node_hint ?arc_hint () in
-  let sink = G.add_node g ~supply:0 in
-  let kinds = Hashtbl.create 256 in
-  Hashtbl.replace kinds sink Sink;
+let empty g ~sink ~kinds =
   {
     g;
     sink;
@@ -71,6 +70,7 @@ let create ?node_hint ?arc_hint () =
     request_aggs = Hashtbl.create 16;
     sink_arcs = Hashtbl.create 64;
     unsched_arcs = Hashtbl.create 16;
+    task_unsched = Hashtbl.create 256;
     cluster_agg = None;
     n_tasks = 0;
     uid = Atomic.fetch_and_add uid_counter 1;
@@ -78,14 +78,77 @@ let create ?node_hint ?arc_hint () =
     added_start = 0;
   }
 
+let create ?node_hint ?arc_hint () =
+  let g = G.create ?node_hint ?arc_hint () in
+  let sink = G.add_node g ~supply:0 in
+  let kinds = Hashtbl.create 256 in
+  Hashtbl.replace kinds sink Sink;
+  empty g ~sink ~kinds
+
 let graph t = t.g
 let set_graph t g = t.g <- g
 let sink t = t.sink
 
+let kind t n =
+  match Hashtbl.find_opt t.kinds n with
+  | Some k -> k
+  | None -> invalid_arg (Printf.sprintf "Flow_network.kind: unknown node %d" n)
+
+let kind_opt t n = Hashtbl.find_opt t.kinds n
+
+let task_count t = t.n_tasks
+
+let find_arc t src dst =
+  let found = ref None in
+  let it = ref (G.first_out t.g src) in
+  while !found = None && !it >= 0 do
+    let a = !it in
+    if G.is_forward a && G.dst t.g a = dst then found := Some a;
+    it := G.next_out t.g a
+  done;
+  !found
+
+let set_or_add_arc t ~src ~dst ~cost ~cap =
+  match find_arc t src dst with
+  | Some a ->
+      G.set_cost t.g a cost;
+      G.set_capacity t.g a cap;
+      a
+  | None -> G.add_arc t.g ~src ~dst ~cost ~cap
+
+(* Forward arcs from node [n] into any job's unscheduled aggregator. *)
+let unscheduled_arcs_of t n =
+  let acc = ref [] in
+  G.iter_out t.g n (fun a ->
+      if G.is_forward a then
+        match Hashtbl.find_opt t.kinds (G.dst t.g a) with
+        | Some (Unscheduled_agg _) -> acc := a :: !acc
+        | _ -> ());
+  !acc
+
+(* Each job's aggregator->sink capacity must count the tasks with an arc
+   into the aggregator (one reverse residual arc each). *)
+let unscheduled_capacity_errors t =
+  Hashtbl.fold
+    (fun j u errs ->
+      let held = ref 0 in
+      G.iter_out t.g u (fun a ->
+          match Hashtbl.find_opt t.kinds (G.dst t.g a) with
+          | Some (Task_node _) when not (G.is_forward a) -> incr held
+          | _ -> ());
+      match Hashtbl.find_opt t.unsched_arcs j with
+      | Some s when G.arc_is_live t.g s && G.capacity t.g s <> !held ->
+          Printf.sprintf "job %d unscheduled sink capacity %d but %d tasks hold an arc" j
+            (G.capacity t.g s) !held
+          :: errs
+      | _ -> errs)
+    t.unscheduled []
+
 (* Rebuild the network around a graph parsed from a snapshot. The
    side-band [kinds] assoc (node handle -> role) is the only information
-   a DIMACS dump cannot carry; everything else — the sink-arc cache, the
-   task count — is rederived from the graph itself and cross-checked. *)
+   a DIMACS dump cannot carry; everything else — the sink-arc caches, each
+   task's unscheduled arc, the task count — is rederived from the graph
+   itself and cross-checked. *)
 let restore ~graph:g ~kinds:kind_list =
   let fail fmt = Format.kasprintf invalid_arg ("Flow_network.restore: " ^^ fmt) in
   let sink =
@@ -94,25 +157,7 @@ let restore ~graph:g ~kinds:kind_list =
     | [] -> fail "no sink record"
     | _ -> fail "multiple sink records"
   in
-  let t =
-    {
-      g;
-      sink;
-      kinds = Hashtbl.create (List.length kind_list * 2);
-      tasks = Hashtbl.create 256;
-      machines = Hashtbl.create 64;
-      racks = Hashtbl.create 16;
-      unscheduled = Hashtbl.create 16;
-      request_aggs = Hashtbl.create 16;
-      sink_arcs = Hashtbl.create 64;
-      unsched_arcs = Hashtbl.create 16;
-      cluster_agg = None;
-      n_tasks = 0;
-      uid = Atomic.fetch_and_add uid_counter 1;
-      added = Flowgraph.Vec.create ~dummy:0 ();
-      added_start = 0;
-    }
-  in
+  let t = empty g ~sink ~kinds:(Hashtbl.create (List.length kind_list * 2)) in
   List.iter
     (fun (n, k) ->
       if not (G.node_is_live g n) then fail "%a maps to dead node %d" pp_node_kind k n;
@@ -138,40 +183,28 @@ let restore ~graph:g ~kinds:kind_list =
      table and the graph came from different snapshots. *)
   G.iter_nodes g (fun n ->
       if not (Hashtbl.mem t.kinds n) then fail "live node %d has no kind record" n);
-  let sink_arc n =
-    let arc = ref (-1) in
-    let it = ref (G.first_out g n) in
-    while !arc < 0 && !it >= 0 do
-      let a = !it in
-      if G.is_forward a && G.dst g a = t.sink then arc := a;
-      it := G.next_out g a
-    done;
-    !arc
-  in
   Hashtbl.iter
     (fun m n ->
-      let a = sink_arc n in
-      if a < 0 then fail "machine %d has no arc to the sink" m;
-      Hashtbl.replace t.sink_arcs m a)
+      match find_arc t n sink with
+      | Some a -> Hashtbl.replace t.sink_arcs m a
+      | None -> fail "machine %d has no arc to the sink" m)
     t.machines;
   Hashtbl.iter
     (fun j n ->
-      let a = sink_arc n in
-      if a < 0 then fail "unscheduled aggregator of job %d has no arc to the sink" j;
-      Hashtbl.replace t.unsched_arcs j a)
+      match find_arc t n sink with
+      | Some a -> Hashtbl.replace t.unsched_arcs j a
+      | None -> fail "unscheduled aggregator of job %d has no arc to the sink" j)
     t.unscheduled;
+  Hashtbl.iter
+    (fun tid n ->
+      match unscheduled_arcs_of t n with
+      | [ a ] -> Hashtbl.replace t.task_unsched tid a
+      | l -> fail "task %d has %d unscheduled arcs, expected 1" tid (List.length l))
+    t.tasks;
+  List.iter (fun e -> fail "%s" e) (unscheduled_capacity_errors t);
   if G.supply g t.sink <> -t.n_tasks then
     fail "sink supply %d does not match -%d task nodes" (G.supply g t.sink) t.n_tasks;
   t
-
-let kind t n =
-  match Hashtbl.find_opt t.kinds n with
-  | Some k -> k
-  | None -> invalid_arg (Printf.sprintf "Flow_network.kind: unknown node %d" n)
-
-let kind_opt t n = Hashtbl.find_opt t.kinds n
-
-let task_count t = t.n_tasks
 
 let add_task t tid =
   if Hashtbl.mem t.tasks tid then
@@ -199,37 +232,49 @@ let machine_node t m = Hashtbl.find_opt t.machines m
 let machine_of_node t n =
   match Hashtbl.find_opt t.kinds n with Some (Machine_node m) -> Some m | _ -> None
 
+(* The first outgoing forward arc of [n] that carries flow, or -1. *)
+let carrier t n =
+  let c = ref (-1) in
+  let it = ref (G.first_out t.g n) in
+  while !c < 0 && !it >= 0 do
+    let a = !it in
+    if G.is_forward a && G.rescap t.g (G.rev a) > 0 then c := a;
+    it := G.next_out t.g a
+  done;
+  !c
+
 (* Walk the task's unit of flow to the sink and retire it (paper §5.3.2):
    after this the rest of the solution is untouched and stays balanced. *)
 let drain_task_flow t node =
   let rec walk n =
-    if n <> t.sink then begin
-      (* Find any outgoing forward arc carrying flow. *)
-      let carrier = ref (-1) in
-      let it = ref (G.first_out t.g n) in
-      while !carrier < 0 && !it >= 0 do
-        let a = !it in
-        if G.is_forward a && G.rescap t.g (G.rev a) > 0 then carrier := a;
-        it := G.next_out t.g a
-      done;
-      if !carrier >= 0 then begin
-        G.push t.g (G.rev !carrier) 1;
-        walk (G.dst t.g !carrier)
-      end
+    let a = if n = t.sink then -1 else carrier t n in
+    if a >= 0 then begin
+      G.push t.g (G.rev a) 1;
+      walk (G.dst t.g a)
     end
   in
   walk node
+
+(* The sink arc of the unscheduled aggregator that task arc [a] enters. *)
+let holder_sink_arc t a =
+  match Hashtbl.find t.kinds (G.dst t.g a) with
+  | Unscheduled_agg j -> Hashtbl.find t.unsched_arcs j
+  | _ -> invalid_arg "Flow_network: cached unscheduled arc leaves its aggregator"
 
 let remove_task t tid ~drain =
   match Hashtbl.find_opt t.tasks tid with
   | None -> invalid_arg (Printf.sprintf "Flow_network.remove_task: unknown task %d" tid)
   | Some n ->
+      (* Find the aggregator's sink arc while the task's arc is live. *)
+      let held = Option.map (holder_sink_arc t) (Hashtbl.find_opt t.task_unsched tid) in
       if drain then drain_task_flow t n;
       G.remove_node t.g n;
       Hashtbl.remove t.tasks tid;
+      Hashtbl.remove t.task_unsched tid;
       Hashtbl.remove t.kinds n;
       t.n_tasks <- t.n_tasks - 1;
-      G.set_supply t.g t.sink (- t.n_tasks)
+      G.set_supply t.g t.sink (- t.n_tasks);
+      Option.iter (fun s -> G.set_capacity t.g s (G.capacity t.g s - 1)) held
 
 (* Move the task's unit onto the direct task->machine arc. The task's own
    first hop is cancelled, and one unit of any flow-decomposition path from
@@ -241,17 +286,11 @@ let reroute_direct t tid m ~cost =
   match (Hashtbl.find_opt t.tasks tid, Hashtbl.find_opt t.machines m) with
   | Some tn, Some mn ->
       (* The task's unique carrier (its one unit of flow). *)
-      let first_hop = ref (-1) in
-      let it = ref (G.first_out t.g tn) in
-      while !first_hop < 0 && !it >= 0 do
-        let a = !it in
-        if G.is_forward a && G.rescap t.g (G.rev a) > 0 then first_hop := a;
-        it := G.next_out t.g a
-      done;
-      if !first_hop < 0 then false (* unrouted *)
-      else if G.dst t.g !first_hop = mn then true (* already direct *)
+      let first_hop = carrier t tn in
+      if first_hop < 0 then false (* unrouted *)
+      else if G.dst t.g first_hop = mn then true (* already direct *)
       else begin
-        let target = G.dst t.g !first_hop in
+        let target = G.dst t.g first_hop in
         (* Backward DFS from the machine: follow reverse residual arcs
            (one per unit of inbound flow) until reaching [target]. *)
         let parent : (G.node, G.arc) Hashtbl.t = Hashtbl.create 16 in
@@ -289,7 +328,7 @@ let reroute_direct t tid m ~cost =
         if not !found then false
         else begin
           (* Cancel the task's own first hop... *)
-          G.push t.g (G.rev !first_hop) 1;
+          G.push t.g (G.rev first_hop) 1;
           (* ...cancel one unit along the discovered chain (pushing on the
              reverse arcs walks the reduction from the machine back to the
              target aggregator)... *)
@@ -304,16 +343,7 @@ let reroute_direct t tid m ~cost =
           unwind target;
           (* ...and route the unit directly. *)
           let direct =
-            match
-              (let found = ref None in
-               let it = ref (G.first_out t.g tn) in
-               while !found = None && !it >= 0 do
-                 let a = !it in
-                 if G.is_forward a && G.dst t.g a = mn then found := Some a;
-                 it := G.next_out t.g a
-               done;
-               !found)
-            with
+            match find_arc t tn mn with
             | Some a ->
                 G.set_cost t.g a cost;
                 a
@@ -324,6 +354,32 @@ let reroute_direct t tid m ~cost =
         end
       end
   | _ -> false
+
+let prune_task_arcs t tid ~keep =
+  match Hashtbl.find_opt t.tasks tid with
+  | None -> ()
+  | Some tn ->
+      let u = Option.value ~default:(-1) (Hashtbl.find_opt t.task_unsched tid) in
+      let stale = ref [] in
+      let it = ref (G.first_out t.g tn) in
+      while !it >= 0 do
+        let a = !it in
+        if G.is_forward a && a <> u && not (keep (G.dst t.g a)) then stale := a :: !stale;
+        it := G.next_out t.g a
+      done;
+      List.iter (G.remove_arc t.g) !stale
+
+let pin_task t tid m ~cost =
+  match (Hashtbl.find_opt t.tasks tid, Hashtbl.find_opt t.machines m) with
+  | Some tn, Some mn -> ignore (set_or_add_arc t ~src:tn ~dst:mn ~cost ~cap:1)
+  | _ -> ()
+
+let start_task t tid m ~cost =
+  if reroute_direct t tid m ~cost then begin
+    let mn = Hashtbl.find t.machines m in
+    prune_task_arcs t tid ~keep:(fun n -> n = mn)
+  end
+  else pin_task t tid m ~cost
 
 let ensure_machine t m ~slots =
   match Hashtbl.find_opt t.machines m with
@@ -379,15 +435,21 @@ let ensure_unscheduled t j =
 
 let unscheduled_node t j = Hashtbl.find_opt t.unscheduled j
 let unscheduled_sink_arc t j = Hashtbl.find_opt t.unsched_arcs j
+let unscheduled_arc t tid = Hashtbl.find_opt t.task_unsched tid
 
-let remove_unscheduled t j =
-  match Hashtbl.find_opt t.unscheduled j with
-  | None -> ()
-  | Some n ->
-      G.remove_node t.g n;
-      Hashtbl.remove t.unscheduled j;
-      Hashtbl.remove t.unsched_arcs j;
-      Hashtbl.remove t.kinds n
+let ensure_unscheduled_arc t tid ~job ~cost =
+  match Hashtbl.find_opt t.task_unsched tid with
+  | Some a -> G.set_cost t.g a cost
+  | None -> (
+      match Hashtbl.find_opt t.tasks tid with
+      | None ->
+          invalid_arg
+            (Printf.sprintf "Flow_network.ensure_unscheduled_arc: unknown task %d" tid)
+      | Some tn ->
+          let u = ensure_unscheduled t job in
+          Hashtbl.replace t.task_unsched tid (G.add_arc t.g ~src:tn ~dst:u ~cost ~cap:1);
+          let s = Hashtbl.find t.unsched_arcs job in
+          G.set_capacity t.g s (G.capacity t.g s + 1))
 
 let ensure_request_agg t b =
   match Hashtbl.find_opt t.request_aggs b with
@@ -405,24 +467,6 @@ let remove_request_agg t b =
       G.remove_node t.g n;
       Hashtbl.remove t.request_aggs b;
       Hashtbl.remove t.kinds n
-
-let find_arc t src dst =
-  let found = ref None in
-  let it = ref (G.first_out t.g src) in
-  while !found = None && !it >= 0 do
-    let a = !it in
-    if G.is_forward a && G.dst t.g a = dst then found := Some a;
-    it := G.next_out t.g a
-  done;
-  !found
-
-let set_or_add_arc t ~src ~dst ~cost ~cap =
-  match find_arc t src dst with
-  | Some a ->
-      G.set_cost t.g a cost;
-      G.set_capacity t.g a cap;
-      a
-  | None -> G.add_arc t.g ~src ~dst ~cost ~cap
 
 let iter_task_nodes t f = Hashtbl.iter f t.tasks
 let task_log_end t = t.added_start + Flowgraph.Vec.length t.added
@@ -449,7 +493,16 @@ let validate_structure t =
   Hashtbl.iter
     (fun tid n ->
       if not (G.node_is_live t.g n) then err "task %d maps to dead node %d" tid n
-      else if G.supply t.g n <> 1 then err "task %d has supply %d" tid (G.supply t.g n))
+      else begin
+        if G.supply t.g n <> 1 then err "task %d has supply %d" tid (G.supply t.g n);
+        (* Exactly one arc into an unscheduled aggregator: the cached one. *)
+        match (Hashtbl.find_opt t.task_unsched tid, unscheduled_arcs_of t n) with
+        | Some a, [ a' ] when a = a' -> ()
+        | None, _ -> err "task %d has no cached unscheduled arc" tid
+        | Some a, l ->
+            err "task %d: cached unscheduled arc %d, %d live unscheduled arcs" tid a
+              (List.length l)
+      end)
     t.tasks;
   Hashtbl.iter
     (fun m n ->
@@ -484,4 +537,5 @@ let validate_structure t =
             err "job %d cached unscheduled sink arc %d runs %d->%d, expected %d->sink" j
               a (G.src t.g a) (G.dst t.g a) n)
     t.unscheduled;
+  List.iter (fun e -> err "%s" e) (unscheduled_capacity_errors t);
   List.rev !errs

@@ -6,9 +6,16 @@
     request aggregators), and the single sink — and keeps the id maps
     policies and the placement extractor need.
 
+    It also owns each task's arcs: policies choose which arcs a task gets
+    and price them; the calls under "Task arcs" install, re-price, start
+    and prune them.
+
     Invariants maintained here:
     - every task node has supply 1; the sink's supply is always
       [-(number of task nodes)], adjusted on task addition/removal;
+    - every task node has exactly one arc to an unscheduled aggregator,
+      and each aggregator's arc to the sink has one unit of capacity per
+      task holding such an arc;
     - machine nodes' only outgoing arc leads to the sink (checked by the
       placement extractor);
     - node handles remain valid across {!set_graph} because {!Race} deals
@@ -34,11 +41,14 @@ val create : ?node_hint:int -> ?arc_hint:int -> unit -> t
 
 (** [restore ~graph ~kinds] rebuilds a network around a graph parsed
     from a snapshot: [kinds] assigns every live node its role (the one
-    piece of information a DIMACS dump cannot carry). The sink-arc cache
-    and task count are rederived from the graph and cross-checked.
+    piece of information a DIMACS dump cannot carry). The sink-arc
+    caches, each task's unscheduled arc and the task count are rederived
+    from the graph and cross-checked.
     @raise Invalid_argument if the kind table and graph are inconsistent
     (missing/duplicate sink, unlabelled live node, machine without a
-    sink arc, sink supply not matching the task count). *)
+    sink arc, a task without exactly one unscheduled arc, an aggregator's
+    sink capacity not matching its tasks, sink supply not matching the
+    task count). *)
 val restore :
   graph:Flowgraph.Graph.t ->
   kinds:(Flowgraph.Graph.node * node_kind) list ->
@@ -63,8 +73,9 @@ val kind_opt : t -> Flowgraph.Graph.node -> node_kind option
     the sink demand. @raise Invalid_argument if [tid] already has a node. *)
 val add_task : t -> Cluster.Types.task_id -> Flowgraph.Graph.node
 
-(** [remove_task t tid ~drain] removes the task node and shrinks the sink
-    demand. With [~drain:true] (the efficient-task-removal heuristic,
+(** [remove_task t tid ~drain] removes the task node, shrinks the sink
+    demand and releases the task's unscheduled arc (its aggregator's sink
+    capacity drops by one). With [~drain:true] (the efficient-task-removal heuristic,
     paper §5.3.2) the task's unit of flow is first walked to the sink and
     retired, leaving the solution balanced; with [false] the node is
     dropped directly, leaving demand at the downstream node for the next
@@ -118,13 +129,48 @@ val ensure_unscheduled : t -> Cluster.Types.job_id -> Flowgraph.Graph.node
 val unscheduled_node : t -> Cluster.Types.job_id -> Flowgraph.Graph.node option
 
 (** [unscheduled_sink_arc t j] is job [j]'s cached unscheduled-aggregator
-    →sink arc (created by {!ensure_unscheduled}, dropped by
-    {!remove_unscheduled}), or [None] for a job without an aggregator.
+    →sink arc (created by {!ensure_unscheduled}; an aggregator lives as
+    long as the network), or [None] for a job without an aggregator.
     O(1), valid across {!set_graph} like {!machine_sink_arc}. *)
 val unscheduled_sink_arc : t -> Cluster.Types.job_id -> Flowgraph.Graph.arc option
-val remove_unscheduled : t -> Cluster.Types.job_id -> unit
 val ensure_request_agg : t -> int -> Flowgraph.Graph.node
 val remove_request_agg : t -> int -> unit
+
+(** {1 Task arcs} *)
+
+(** [ensure_unscheduled_arc t tid ~job ~cost] prices task [tid]'s arc to
+    job [job]'s unscheduled aggregator at [cost]. The first call installs
+    the arc (creating the aggregator if needed) and grows the aggregator's
+    sink capacity by one; later calls only re-price it, and leave the
+    graph untouched when the cost is unchanged. The handle is kept per
+    task, is valid across {!set_graph}, and {!restore} rederives it.
+    @raise Invalid_argument if [tid] has no node. *)
+val ensure_unscheduled_arc :
+  t -> Cluster.Types.task_id -> job:Cluster.Types.job_id -> cost:int -> unit
+
+(** [unscheduled_arc t tid] is the arc {!ensure_unscheduled_arc} keeps for
+    [tid], or [None] for a task without one. *)
+val unscheduled_arc : t -> Cluster.Types.task_id -> Flowgraph.Graph.arc option
+
+(** [prune_task_arcs t tid ~keep] removes every outgoing arc of task [tid]
+    whose head fails [keep], except its unscheduled arc, which is never
+    pruned. A no-op for an unknown task. *)
+val prune_task_arcs :
+  t -> Cluster.Types.task_id -> keep:(Flowgraph.Graph.node -> bool) -> unit
+
+(** [pin_task t tid m ~cost] sets (or adds) task [tid]'s direct arc to
+    machine [m] at [cost], capacity 1. A no-op if either is unknown. *)
+val pin_task :
+  t -> Cluster.Types.task_id -> Cluster.Types.machine_id -> cost:int -> unit
+
+(** [start_task t tid m ~cost] applies a placement: {!reroute_direct}
+    onto a direct arc priced [cost], then prune every alternative but that
+    arc (and the unscheduled one) so no stale-cost arc is left open, which
+    would inflate the incremental solver's starting ε (paper §6.2). When
+    the task's flow cannot be rerouted, it falls back to {!pin_task}.
+    Alternatives a policy wants back on preemption it reinstalls. *)
+val start_task :
+  t -> Cluster.Types.task_id -> Cluster.Types.machine_id -> cost:int -> unit
 
 (** {1 Arc helpers} *)
 

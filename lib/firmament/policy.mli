@@ -1,12 +1,19 @@
 (** Scheduling-policy interface (paper §3.3, Fig. 6).
 
-    A policy owns the shape and costs of the scheduling flow network. The
-    scheduler notifies it of every cluster event so it can make the
-    corresponding graph changes (paper §5.2: all events reduce to supply,
-    capacity, and cost changes), and calls {!refresh} once per scheduling
-    round, right before the solver — that is where the two-pass
-    statistics-update traversal of §6.3 happens (e.g. per-machine task
-    counts, observed network bandwidth, task wait times). *)
+    A policy prices arcs; {!Flow_network} owns them. The policy decides
+    which arcs a task gets and what they cost, and the network installs,
+    re-prices, starts and prunes them, keeping the bookkeeping every
+    policy shares in one place: a task's one arc to its job's unscheduled
+    aggregator ({!Flow_network.ensure_unscheduled_arc}), that aggregator's
+    sink capacity, the reroute-and-prune of a placement
+    ({!Flow_network.start_task}) and the pruning of alternatives
+    ({!Flow_network.prune_task_arcs}). The scheduler notifies the policy
+    of every cluster event so it can make the corresponding graph changes
+    (paper §5.2: all events reduce to supply, capacity, and cost changes),
+    and calls {!refresh} once per scheduling round, right before the
+    solver — that is where the two-pass statistics-update traversal of
+    §6.3 happens (e.g. per-machine task counts, observed network
+    bandwidth, task wait times). *)
 
 type t = {
   name : string;
@@ -14,7 +21,7 @@ type t = {
       (** new task: add its node, unscheduled arc and preference arcs *)
   task_finished : Cluster.Workload.task -> unit;
       (** remove the task's node (with the efficient-removal heuristic when
-          enabled) and shrink its job's unscheduled capacity *)
+          enabled), which releases its unscheduled arc *)
   task_started : Cluster.Workload.task -> Cluster.Types.machine_id -> unit;
       (** placement applied: adjust arcs so continuing on this machine is
           the task's cheapest choice *)
@@ -24,17 +31,3 @@ type t = {
   machine_restored : Cluster.Types.machine_id -> unit;
   refresh : now:float -> unit;
 }
-
-(** [unscheduled_capacity net job_id ~delta] grows (or shrinks) the
-    capacity of a job's unscheduled-aggregator→sink arc, shared by all
-    policies as tasks come and go. *)
-val adjust_unscheduled_capacity :
-  Flow_network.t -> Cluster.Types.job_id -> delta:int -> unit
-
-(** [prune_task_arcs net tid ~keep] removes the task's outgoing arcs to
-    every node not in [keep]. Policies prune a freshly placed task's
-    unused alternatives so no stale-cost arc is left open (which would
-    inflate the incremental solver's starting ε, §6.2); the alternatives
-    are reinstalled if the task is later preempted. *)
-val prune_task_arcs :
-  Flow_network.t -> Cluster.Types.task_id -> keep:Flowgraph.Graph.node list -> unit

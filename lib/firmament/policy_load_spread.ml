@@ -13,8 +13,6 @@ let default_config =
 let make ?(config = default_config) ~drain net cluster =
   let topo = Cluster.State.topology cluster in
   let x = FN.ensure_cluster_agg net in
-  let sink = FN.sink net in
-  ignore sink;
   let machine_arcs = Hashtbl.create 64 in
   (* X -> machine is a convex cost: the k-th concurrent task on a machine
      costs more than the (k-1)-th, so spreading happens even within one
@@ -39,41 +37,26 @@ let make ?(config = default_config) ~drain net cluster =
     + (config.wait_cost_per_second
       * int_of_float (Float.max 0. (now -. task.Cluster.Workload.submit_time)))
   in
+  let price_unscheduled (task : Cluster.Workload.task) ~now =
+    FN.ensure_unscheduled_arc net task.Cluster.Workload.tid ~job:task.Cluster.Workload.job
+      ~cost:(unsched_cost task ~now)
+  in
   let task_submitted (task : Cluster.Workload.task) =
     let tn = FN.add_task net task.Cluster.Workload.tid in
-    let g = FN.graph net in
-    let u = FN.ensure_unscheduled net task.Cluster.Workload.job in
-    ignore (G.add_arc g ~src:tn ~dst:u ~cost:(unsched_cost task ~now:task.Cluster.Workload.submit_time) ~cap:1);
-    ignore (G.add_arc g ~src:tn ~dst:x ~cost:0 ~cap:1);
-    Policy.adjust_unscheduled_capacity net task.Cluster.Workload.job ~delta:1
+    price_unscheduled task ~now:task.Cluster.Workload.submit_time;
+    ignore (G.add_arc (FN.graph net) ~src:tn ~dst:x ~cost:0 ~cap:1)
   in
   let task_finished (task : Cluster.Workload.task) =
-    FN.remove_task net task.Cluster.Workload.tid ~drain;
-    Policy.adjust_unscheduled_capacity net task.Cluster.Workload.job ~delta:(-1)
+    FN.remove_task net task.Cluster.Workload.tid ~drain
   in
+  (* Pin continuation: staying put is free, so only contention moves it. *)
   let task_started (task : Cluster.Workload.task) m =
-    (* Pin continuation: staying put is free, so only contention moves it. *)
-    match (FN.task_node net task.Cluster.Workload.tid, FN.machine_node net m) with
-    | Some tn, Some mn -> ignore (FN.set_or_add_arc net ~src:tn ~dst:mn ~cost:0 ~cap:1)
-    | _ -> ()
+    FN.pin_task net task.Cluster.Workload.tid m ~cost:0
   in
+  (* Drop the continuation arc; the task competes via X again. *)
   let task_preempted (task : Cluster.Workload.task) =
-    (* Drop the continuation arc; the task competes via X again. *)
-    match Cluster.Workload.machine_of task with
-    | _ -> (
-        match FN.task_node net task.Cluster.Workload.tid with
-        | None -> ()
-        | Some tn ->
-            let g = FN.graph net in
-            let to_remove = ref [] in
-            let it = ref (G.first_out g tn) in
-            while !it >= 0 do
-              let a = !it in
-              if G.is_forward a && FN.machine_of_node net (G.dst g a) <> None then
-                to_remove := a :: !to_remove;
-              it := G.next_out g a
-            done;
-            List.iter (fun a -> G.remove_arc g a) !to_remove)
+    FN.prune_task_arcs net task.Cluster.Workload.tid ~keep:(fun n ->
+        FN.machine_of_node net n = None)
   in
   let machine_failed m =
     Hashtbl.remove machine_arcs m;
@@ -94,18 +77,7 @@ let make ?(config = default_config) ~drain net cluster =
               G.set_cost g a (config.cost_per_running_task * (r + i)))
           arcs)
       machine_arcs;
-    List.iter
-      (fun (task : Cluster.Workload.task) ->
-        match FN.task_node net task.Cluster.Workload.tid with
-        | None -> ()
-        | Some tn -> (
-            match FN.unscheduled_node net task.Cluster.Workload.job with
-            | None -> ()
-            | Some u -> (
-                match FN.find_arc net tn u with
-                | Some a -> G.set_cost g a (unsched_cost task ~now)
-                | None -> ())))
-      (Cluster.State.waiting_tasks cluster)
+    List.iter (price_unscheduled ~now) (Cluster.State.waiting_tasks cluster)
   in
   {
     Policy.name = "load-spreading";

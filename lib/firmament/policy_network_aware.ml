@@ -56,53 +56,39 @@ let make ?(config = default_config) ?bandwidth_used ~drain net cluster =
         drop_ra_arcs ~pred:(fun (b', _) -> b' = b)
     | Some n -> Hashtbl.replace bucket_refcount b (n - 1)
   in
+  let price_unscheduled (task : Cluster.Workload.task) ~now =
+    FN.ensure_unscheduled_arc net task.Cluster.Workload.tid ~job:task.Cluster.Workload.job
+      ~cost:(unsched_cost task ~now)
+  in
   let task_submitted (task : Cluster.Workload.task) =
     let tn = FN.add_task net task.Cluster.Workload.tid in
-    let gr = FN.graph net in
-    let u = FN.ensure_unscheduled net task.Cluster.Workload.job in
-    ignore
-      (G.add_arc gr ~src:tn ~dst:u
-         ~cost:(unsched_cost task ~now:task.Cluster.Workload.submit_time)
-         ~cap:1);
+    price_unscheduled task ~now:task.Cluster.Workload.submit_time;
     let ra = retain_bucket (task_bucket task) in
-    ignore (G.add_arc gr ~src:tn ~dst:ra ~cost:0 ~cap:1);
-    Policy.adjust_unscheduled_capacity net task.Cluster.Workload.job ~delta:1
+    ignore (G.add_arc (FN.graph net) ~src:tn ~dst:ra ~cost:0 ~cap:1)
   in
   let task_finished (task : Cluster.Workload.task) =
     FN.remove_task net task.Cluster.Workload.tid ~drain;
-    release_bucket (task_bucket task);
-    Policy.adjust_unscheduled_capacity net task.Cluster.Workload.job ~delta:(-1)
+    release_bucket (task_bucket task)
   in
-  let continuation_cost (task : Cluster.Workload.task) m =
-    (* Exclude the task's own contribution to the observed bandwidth, so a
-       migration (which restarts the task) must beat staying put by at
-       least two requests' worth of load — hysteresis against thrashing. *)
-    max 0 (used m - task.Cluster.Workload.net_demand_mbps)
+  (* Exclude the task's own contribution to the bandwidth [used_mbps]
+     observed on its machine, so a migration (which restarts the task) must
+     beat staying put by at least two requests' worth of load — hysteresis
+     against thrashing. *)
+  let continuation_cost (task : Cluster.Workload.task) ~used_mbps =
+    max 0 (used_mbps - task.Cluster.Workload.net_demand_mbps)
   in
   let task_started (task : Cluster.Workload.task) m =
-    let tid = task.Cluster.Workload.tid in
-    if FN.reroute_direct net tid m ~cost:(continuation_cost task m) then begin
-      match (FN.machine_node net m, FN.unscheduled_node net task.Cluster.Workload.job) with
-      | Some mn, Some u -> Policy.prune_task_arcs net tid ~keep:[ mn; u ]
-      | _ -> ()
-    end
-    else begin
-      match (FN.task_node net tid, FN.machine_node net m) with
-      | Some tn, Some mn ->
-          ignore (FN.set_or_add_arc net ~src:tn ~dst:mn ~cost:(continuation_cost task m) ~cap:1)
-      | _ -> ()
-    end
+    FN.start_task net task.Cluster.Workload.tid m
+      ~cost:(continuation_cost task ~used_mbps:(used m))
   in
+  (* Back to competing via its request aggregator. *)
   let task_preempted (task : Cluster.Workload.task) =
-    (* Back to competing via its request aggregator. *)
     match FN.task_node net task.Cluster.Workload.tid with
     | None -> ()
     | Some tn ->
-        (match FN.unscheduled_node net task.Cluster.Workload.job with
-        | Some u -> Policy.prune_task_arcs net task.Cluster.Workload.tid ~keep:[ u ]
-        | None -> ());
+        FN.prune_task_arcs net task.Cluster.Workload.tid ~keep:(fun _ -> false);
         let ra = FN.ensure_request_agg net (task_bucket task) in
-        ignore (FN.set_or_add_arc net ~src:tn ~dst:ra ~cost:0 ~cap:1)
+        ignore (G.add_arc (FN.graph net) ~src:tn ~dst:ra ~cost:0 ~cap:1)
   in
   let machine_failed m =
     FN.remove_machine net m;
@@ -114,74 +100,63 @@ let make ?(config = default_config) ?bandwidth_used ~drain net cluster =
   in
   let refresh ~now =
     let gr = FN.graph net in
-    (* First traversal: observe per-machine bandwidth and free slots. *)
-    let nic m = (Cluster.Topology.machine topo m).Cluster.Topology.net_capacity_mbps in
-    let spare = Hashtbl.create 64 in
+    (* First traversal: observe each live machine's bandwidth, once. *)
+    let observed = Hashtbl.create 64 in
     Cluster.Topology.iter_machines topo (fun info ->
         let m = info.Cluster.Topology.id in
-        if Cluster.State.machine_is_live cluster m then
-          Hashtbl.replace spare m (max 0 (nic m - used m)));
+        if Cluster.State.machine_is_live cluster m then Hashtbl.replace observed m (used m));
     (* Second traversal: re-derive the dynamic RA -> machine arcs. "One
        arc for each task that fits" (Fig. 6c): parallel unit arcs whose
        costs rise by one request per additional task, so concurrent
        placements see the bandwidth they would add to each other. *)
     Hashtbl.iter
       (fun b _count ->
-        match FN.ensure_request_agg net b with
-        | ra ->
-            Cluster.Topology.iter_machines topo (fun info ->
-                let m = info.Cluster.Topology.id in
-                match (FN.machine_node net m, Hashtbl.find_opt spare m) with
-                | Some mn, Some sp ->
-                    let fits = min (Cluster.State.free_slots_on cluster m) (sp / b) in
-                    let arcs =
-                      Option.value ~default:[||] (Hashtbl.find_opt ra_arcs (b, m))
-                    in
-                    let arcs = Array.to_list arcs in
-                    let existing = List.filter (fun a -> G.arc_is_live gr a) arcs in
-                    let n_existing = List.length existing in
-                    let keep, extra =
-                      if n_existing <= fits then (existing, [])
-                      else
-                        ( List.filteri (fun i _ -> i < fits) existing,
-                          List.filteri (fun i _ -> i >= fits) existing )
-                    in
-                    List.iter (fun a -> G.remove_arc gr a) extra;
-                    let added =
-                      List.init
-                        (max 0 (fits - List.length keep))
-                        (fun _ -> G.add_arc gr ~src:ra ~dst:mn ~cost:0 ~cap:1)
-                    in
-                    let all = keep @ added in
-                    List.iteri
-                      (fun i a -> G.set_cost gr a (((i + 1) * b) + used m))
-                      all;
-                    Hashtbl.replace ra_arcs (b, m) (Array.of_list all)
-                | _ -> ()))
+        let ra = FN.ensure_request_agg net b in
+        Cluster.Topology.iter_machines topo (fun info ->
+          let m = info.Cluster.Topology.id in
+          match (FN.machine_node net m, Hashtbl.find_opt observed m) with
+          | Some mn, Some used_m ->
+              let sp = max 0 (info.Cluster.Topology.net_capacity_mbps - used_m) in
+              let fits = min (Cluster.State.free_slots_on cluster m) (sp / b) in
+              let existing =
+                Option.value ~default:[||] (Hashtbl.find_opt ra_arcs (b, m))
+                |> Array.to_list
+                |> List.filter (G.arc_is_live gr)
+              in
+              let keep = List.filteri (fun i _ -> i < fits) existing in
+              List.iteri (fun i a -> if i >= fits then G.remove_arc gr a) existing;
+              let added =
+                List.init
+                  (max 0 (fits - List.length keep))
+                  (fun _ -> G.add_arc gr ~src:ra ~dst:mn ~cost:0 ~cap:1)
+              in
+              let all = keep @ added in
+              List.iteri
+                (fun i a -> G.set_cost gr a (((i + 1) * b) + used_m))
+                all;
+              Hashtbl.replace ra_arcs (b, m) (Array.of_list all)
+          | _ -> ()))
       bucket_refcount;
-    (* Keep continuation costs and unscheduled costs current. *)
-    Cluster.State.iter_tasks cluster (fun task ->
-        match Cluster.Workload.machine_of task with
-        | Some m -> (
-            match (FN.task_node net task.Cluster.Workload.tid, FN.machine_node net m) with
-            | Some tn, Some mn -> (
-                match FN.find_arc net tn mn with
-                | Some a -> G.set_cost gr a (continuation_cost task m)
-                | None -> ())
-            | _ -> ())
-        | None -> ());
-    List.iter
-      (fun (task : Cluster.Workload.task) ->
-        match FN.task_node net task.Cluster.Workload.tid with
+    (* Keep continuation costs (of the tasks running on live machines) and
+       unscheduled costs current. *)
+    Hashtbl.iter
+      (fun m used_mbps ->
+        match FN.machine_node net m with
         | None -> ()
-        | Some tn -> (
-            match FN.unscheduled_node net task.Cluster.Workload.job with
-            | None -> ()
-            | Some u -> (
-                match FN.find_arc net tn u with
-                | Some a -> G.set_cost gr a (unsched_cost task ~now)
-                | None -> ())))
-      (Cluster.State.waiting_tasks cluster)
+        | Some mn ->
+            List.iter
+              (fun tid ->
+                match FN.task_node net tid with
+                | None -> ()
+                | Some tn -> (
+                    match FN.find_arc net tn mn with
+                    | Some a ->
+                        G.set_cost gr a
+                          (continuation_cost (Cluster.State.task cluster tid) ~used_mbps)
+                    | None -> ()))
+              (Cluster.State.running_tasks_on cluster m))
+      observed;
+    List.iter (price_unscheduled ~now) (Cluster.State.waiting_tasks cluster)
   in
   {
     Policy.name = "network-aware";

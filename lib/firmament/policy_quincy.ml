@@ -74,34 +74,22 @@ let make ?(config = default_config) ~drain net cluster =
     + (config.wait_cost_per_second
       * int_of_float (Float.max 0. (now -. task.Cluster.Workload.submit_time)))
   in
-  (* Each waiting task's unscheduled-arc handle, maintained by
-     [install_arcs] (which replaces the arc) and [task_finished] (which
-     removes the node). Arc handles survive graph adoption because the
-     race deals in structure-preserving copies, so [refresh] can update
-     wait costs without re-finding the arc by scan every round. *)
-  let unsched_arcs : (Cluster.Types.task_id, G.arc) Hashtbl.t =
-    Hashtbl.create 256
+  let price_unscheduled (task : Cluster.Workload.task) ~now =
+    FN.ensure_unscheduled_arc net task.Cluster.Workload.tid ~job:task.Cluster.Workload.job
+      ~cost:(unsched_cost task ~now)
   in
-  (* Remove every outgoing arc of the task node, then install the arcs of
-     Fig. 6b: unscheduled, wildcard via X, and preference arcs to machines
-     and racks above the locality threshold. *)
-  let install_arcs (task : Cluster.Workload.task) ~now =
+  (* Drop every outgoing arc of the task node but the unscheduled one, then
+     install the arcs of Fig. 6b: unscheduled (priced as at submission,
+     re-priced if kept), wildcard via X, and preference arcs to machines and
+     racks above the locality threshold. *)
+  let install_arcs (task : Cluster.Workload.task) =
     let tid = task.Cluster.Workload.tid in
     let tn =
       match FN.task_node net tid with Some n -> n | None -> FN.add_task net tid
     in
     let gr = g () in
-    let stale = ref [] in
-    let it = ref (G.first_out gr tn) in
-    while !it >= 0 do
-      let a = !it in
-      if G.is_forward a then stale := a :: !stale;
-      it := G.next_out gr a
-    done;
-    List.iter (fun a -> G.remove_arc gr a) !stale;
-    let u = FN.ensure_unscheduled net task.Cluster.Workload.job in
-    Hashtbl.replace unsched_arcs tid
-      (G.add_arc gr ~src:tn ~dst:u ~cost:(unsched_cost task ~now) ~cap:1);
+    FN.prune_task_arcs net tid ~keep:(fun _ -> false);
+    price_unscheduled task ~now:task.Cluster.Workload.submit_time;
     let cost_remote = transfer_cost task in
     ignore (G.add_arc gr ~src:tn ~dst:x ~cost:cost_remote ~cap:1);
     let fractions = locality_fractions task in
@@ -142,33 +130,12 @@ let make ?(config = default_config) ~drain net cluster =
         end)
       rack_fraction
   in
-  let task_submitted (task : Cluster.Workload.task) =
-    install_arcs task ~now:task.Cluster.Workload.submit_time;
-    Policy.adjust_unscheduled_capacity net task.Cluster.Workload.job ~delta:1
-  in
   let task_finished (task : Cluster.Workload.task) =
-    Hashtbl.remove unsched_arcs task.Cluster.Workload.tid;
-    FN.remove_task net task.Cluster.Workload.tid ~drain;
-    Policy.adjust_unscheduled_capacity net task.Cluster.Workload.job ~delta:(-1)
+    FN.remove_task net task.Cluster.Workload.tid ~drain
   in
+  (* Input now local: continuing here is free. *)
   let task_started (task : Cluster.Workload.task) m =
-    (* Input now local: continuing here is free. Move the task's unit onto
-       the direct arc and drop the unused alternatives so the warm
-       solution stays certified for the next incremental solve. *)
-    let tid = task.Cluster.Workload.tid in
-    if FN.reroute_direct net tid m ~cost:0 then begin
-      match (FN.machine_node net m, FN.unscheduled_node net task.Cluster.Workload.job) with
-      | Some mn, Some u -> Policy.prune_task_arcs net tid ~keep:[ mn; u ]
-      | _ -> ()
-    end
-    else begin
-      match (FN.task_node net tid, FN.machine_node net m) with
-      | Some tn, Some mn -> ignore (FN.set_or_add_arc net ~src:tn ~dst:mn ~cost:0 ~cap:1)
-      | _ -> ()
-    end
-  in
-  let task_preempted (task : Cluster.Workload.task) =
-    install_arcs task ~now:task.Cluster.Workload.submit_time
+    FN.start_task net task.Cluster.Workload.tid m ~cost:0
   in
   let machine_failed m = FN.remove_machine net m in
   let machine_restored m =
@@ -180,49 +147,21 @@ let make ?(config = default_config) ~drain net cluster =
        round can place them locally again. *)
     List.iter
       (fun (task : Cluster.Workload.task) ->
-        if List.mem m task.Cluster.Workload.input_machines then
-          install_arcs task ~now:task.Cluster.Workload.submit_time)
+        if List.mem m task.Cluster.Workload.input_machines then install_arcs task)
       (Cluster.State.waiting_tasks cluster)
   in
+  (* [unsched_cost] quantizes waiting time to whole seconds, so the cost is
+     unchanged on most rounds, and an unchanged price leaves the graph (and
+     the solver's warm start) untouched. *)
   let refresh ~now =
-    let gr = g () in
-    (* Arc handles are cached per task; a miss means this policy instance
-       did not install the arc itself (restored-from-snapshot graphs), so
-       recover the handle by scanning the task node's out-list once. *)
-    let find_unsched_arc (task : Cluster.Workload.task) =
-      let tid = task.Cluster.Workload.tid in
-      match Hashtbl.find_opt unsched_arcs tid with
-      | Some a -> Some a
-      | None -> (
-          match
-            (FN.task_node net tid, FN.unscheduled_node net task.Cluster.Workload.job)
-          with
-          | Some tn, Some u -> (
-              match FN.find_arc net tn u with
-              | Some a ->
-                  Hashtbl.replace unsched_arcs tid a;
-                  Some a
-              | None -> None)
-          | _ -> None)
-    in
-    List.iter
-      (fun (task : Cluster.Workload.task) ->
-        match find_unsched_arc task with
-        | None -> ()
-        | Some a ->
-            (* [unsched_cost] quantizes waiting time to whole seconds, so
-               the cost is unchanged on most rounds; only touch the graph
-               (and dirty the solver's warm start) when it moved. *)
-            let c = unsched_cost task ~now in
-            if G.cost gr a <> c then G.set_cost gr a c)
-      (Cluster.State.waiting_tasks cluster)
+    List.iter (price_unscheduled ~now) (Cluster.State.waiting_tasks cluster)
   in
   {
     Policy.name = "quincy";
-    task_submitted;
+    task_submitted = install_arcs;
     task_finished;
     task_started;
-    task_preempted;
+    task_preempted = install_arcs;
     machine_failed;
     machine_restored;
     refresh;

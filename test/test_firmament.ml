@@ -43,7 +43,10 @@ let test_fn_machine_and_aggregators () =
   | None -> ());
   let u = FN.ensure_unscheduled net 7 in
   checkb "unsched idempotent" true (FN.ensure_unscheduled net 7 = u);
-  Firmament.Policy.adjust_unscheduled_capacity net 7 ~delta:3;
+  for tid = 0 to 2 do
+    ignore (FN.add_task net tid);
+    FN.ensure_unscheduled_arc net tid ~job:7 ~cost:5
+  done;
   (match FN.find_arc net u (FN.sink net) with
   | Some a -> checki "unsched capacity grown" 3 (G.capacity (FN.graph net) a)
   | None -> Alcotest.fail "missing unsched sink arc");
@@ -51,25 +54,35 @@ let test_fn_machine_and_aggregators () =
 
 let test_fn_unscheduled_arc_cache () =
   (* The cached aggregator->sink handle is the arc find_arc would find,
-     behind every task's arc into the aggregator; it survives adopting a
-     structure-preserving copy and goes with the aggregator. *)
+     behind every task's arc into the aggregator. Both it and each task's
+     unscheduled-arc handle survive adopting a structure-preserving copy;
+     the capacity counts the tasks holding an arc. *)
   let net = FN.create () in
   let u = FN.ensure_unscheduled net 7 in
   for i = 0 to 9 do
-    let t = FN.add_task net i in
-    ignore (G.add_arc (FN.graph net) ~src:t ~dst:u ~cost:5 ~cap:1)
+    ignore (FN.add_task net i);
+    FN.ensure_unscheduled_arc net i ~job:7 ~cost:5
   done;
   checkb "cached = found" true
     (FN.unscheduled_sink_arc net 7 = FN.find_arc net u (FN.sink net));
+  checkb "task handle = found" true
+    (FN.unscheduled_arc net 3 = FN.find_arc net (Option.get (FN.task_node net 3)) u);
   FN.set_graph net (G.copy (FN.graph net));
-  Firmament.Policy.adjust_unscheduled_capacity net 7 ~delta:4;
-  (match FN.unscheduled_sink_arc net 7 with
-  | Some a -> checki "capacity grown on the adopted copy" 4 (G.capacity (FN.graph net) a)
-  | None -> Alcotest.fail "cache lost on adoption");
+  ignore (FN.add_task net 10);
+  FN.ensure_unscheduled_arc net 10 ~job:7 ~cost:5;
+  let cap () = G.capacity (FN.graph net) (Option.get (FN.unscheduled_sink_arc net 7)) in
+  checki "capacity grown on the adopted copy" 11 (cap ());
+  FN.ensure_unscheduled_arc net 3 ~job:7 ~cost:9;
+  checki "re-pricing keeps the capacity" 11 (cap ());
+  checki "re-priced through the kept handle" 9
+    (G.cost (FN.graph net) (Option.get (FN.unscheduled_arc net 3)));
   Alcotest.(check (list string)) "structure valid" [] (FN.validate_structure net);
-  FN.remove_unscheduled net 7;
-  checkb "dropped with the aggregator" true (FN.unscheduled_sink_arc net 7 = None);
-  Alcotest.(check (list string)) "still valid" [] (FN.validate_structure net)
+  FN.remove_task net 3 ~drain:false;
+  checki "removal releases the arc" 10 (cap ());
+  checkb "handle dropped with the task" true (FN.unscheduled_arc net 3 = None);
+  Alcotest.(check (list string)) "still valid" [] (FN.validate_structure net);
+  G.set_capacity (FN.graph net) (Option.get (FN.unscheduled_sink_arc net 7)) 4;
+  checkb "capacity drift reported" true (FN.validate_structure net <> [])
 
 let test_fn_task_log () =
   (* Readers see every task added since their position, in order; a
@@ -169,14 +182,51 @@ let test_prune_task_arcs_keeps_selected () =
   let t = FN.add_task net 0 in
   let m0 = FN.ensure_machine net 0 ~slots:1 in
   let m1 = FN.ensure_machine net 1 ~slots:1 in
-  let u = FN.ensure_unscheduled net 0 in
   ignore (G.add_arc g ~src:t ~dst:m0 ~cost:1 ~cap:1);
   ignore (G.add_arc g ~src:t ~dst:m1 ~cost:2 ~cap:1);
-  ignore (G.add_arc g ~src:t ~dst:u ~cost:9 ~cap:1);
-  Firmament.Policy.prune_task_arcs net 0 ~keep:[ m0; u ];
+  FN.ensure_unscheduled_arc net 0 ~job:0 ~cost:9;
+  let u = Option.get (FN.unscheduled_node net 0) in
+  FN.prune_task_arcs net 0 ~keep:(fun n -> n = m0);
   checkb "kept machine arc" true (FN.find_arc net t m0 <> None);
   checkb "kept unscheduled arc" true (FN.find_arc net t u <> None);
-  checkb "pruned other machine" true (FN.find_arc net t m1 = None)
+  checkb "pruned other machine" true (FN.find_arc net t m1 = None);
+  FN.prune_task_arcs net 0 ~keep:(fun _ -> false);
+  checkb "the unscheduled arc is never pruned" true
+    (FN.find_arc net t u = FN.unscheduled_arc net 0 && FN.find_arc net t u <> None);
+  checkb "everything else pruned" true (FN.find_arc net t m0 = None);
+  Alcotest.(check (list string)) "structure valid" [] (FN.validate_structure net)
+
+(* [FN.restore] input for a hand-built network: a copy of its graph and
+   the role of every live node. *)
+let restore_input net =
+  let kinds = ref [] in
+  G.iter_nodes (FN.graph net) (fun n -> kinds := (n, FN.kind net n) :: !kinds);
+  (G.copy (FN.graph net), !kinds)
+
+let test_fn_restore_unscheduled_arcs () =
+  (* Restore rederives each task's unscheduled-arc handle from the graph,
+     and rejects a task node holding zero unscheduled arcs, or two. *)
+  let net = FN.create () in
+  ignore (FN.add_task net 0);
+  FN.ensure_unscheduled_arc net 0 ~job:0 ~cost:7;
+  let graph, kinds = restore_input net in
+  let restored = FN.restore ~graph ~kinds in
+  checkb "handle rederived" true (FN.unscheduled_arc restored 0 = FN.unscheduled_arc net 0);
+  Alcotest.(check (list string)) "restored valid" [] (FN.validate_structure restored);
+  let bare = FN.create () in
+  ignore (FN.add_task bare 0);
+  ignore (FN.ensure_unscheduled bare 0);
+  let graph, kinds = restore_input bare in
+  Alcotest.check_raises "zero unscheduled arcs"
+    (Invalid_argument "Flow_network.restore: task 0 has 0 unscheduled arcs, expected 1")
+    (fun () -> ignore (FN.restore ~graph ~kinds));
+  let u1 = FN.ensure_unscheduled net 1 in
+  ignore (G.add_arc (FN.graph net) ~src:(Option.get (FN.task_node net 0)) ~dst:u1 ~cost:3 ~cap:1);
+  checkb "a second arc is drift" true (FN.validate_structure net <> []);
+  let graph, kinds = restore_input net in
+  Alcotest.check_raises "two unscheduled arcs"
+    (Invalid_argument "Flow_network.restore: task 0 has 2 unscheduled arcs, expected 1")
+    (fun () -> ignore (FN.restore ~graph ~kinds))
 
 (* {1 Placement extraction} *)
 
@@ -191,11 +241,10 @@ let test_extract_simple_chain () =
 let test_extract_unscheduled_task () =
   let net = FN.create () in
   let g = FN.graph net in
-  let t = FN.add_task net 3 in
-  let u = FN.ensure_unscheduled net 0 in
-  Firmament.Policy.adjust_unscheduled_capacity net 0 ~delta:1;
-  let a_tu = G.add_arc g ~src:t ~dst:u ~cost:5 ~cap:1 in
-  G.push g a_tu 1;
+  ignore (FN.add_task net 3);
+  FN.ensure_unscheduled_arc net 3 ~job:0 ~cost:5;
+  let u = Option.get (FN.unscheduled_node net 0) in
+  G.push g (Option.get (FN.unscheduled_arc net 3)) 1;
   G.push g (Option.get (FN.find_arc net u (FN.sink net))) 1;
   let assignments = Firmament.Placement.extract net in
   Alcotest.(check (list (pair int (option int))))
@@ -816,6 +865,107 @@ let test_quincy_refresh_wait_cost_bucketing () =
   let _ = solve_sched sched ~now:2.5 in
   checkb "bucket crossing reprices the unscheduled arc" true (cost_changes () > c1)
 
+(* {1 Task-arc ownership under churn, every policy} *)
+
+let all_policies : (string * (drain:bool -> FN.t -> Cluster.State.t -> Firmament.Policy.t)) list
+    =
+  [
+    ("quincy", fun ~drain net st -> Firmament.Policy_quincy.make ~drain net st);
+    ("load-spread", fun ~drain net st -> Firmament.Policy_load_spread.make ~drain net st);
+    ("network-aware", fun ~drain net st -> Firmament.Policy_network_aware.make ~drain net st);
+  ]
+
+(* Forward arcs from task node [tn] into any unscheduled aggregator. *)
+let unscheduled_arc_count net tn =
+  let g = FN.graph net in
+  let n = ref 0 in
+  let it = ref (G.first_out g tn) in
+  while !it >= 0 do
+    let a = !it in
+    (if G.is_forward a then
+       match FN.kind_opt net (G.dst g a) with
+       | Some (FN.Unscheduled_agg _) -> incr n
+       | _ -> ());
+    it := G.next_out g a
+  done;
+  !n
+
+let test_policies_keep_task_arcs_under_churn () =
+  (* Submits, finishes, operator preemptions and a machine failure then
+     restore, through each policy. After every round the network is
+     structurally valid, every live task holds exactly one unscheduled
+     arc, and every certified round is feasible and reduced-cost
+     optimal. *)
+  List.iter
+    (fun (name, policy) ->
+      let cluster = mk_cluster ~machines:6 ~slots:2 in
+      let sched = Firmament.Scheduler.create cluster ~policy in
+      let certified = ref 0 in
+      Firmament.Scheduler.set_round_observer sched
+        (Some
+           (fun _ _ ~certified:cg ->
+             Option.iter
+               (fun cg ->
+                 incr certified;
+                 checkb (name ^ ": certified copy feasible") true
+                   (Flowgraph.Validate.is_feasible cg);
+                 checkb (name ^ ": certified copy reduced-cost optimal") true
+                   (Flowgraph.Validate.is_reduced_cost_optimal cg))
+               cg));
+      let submit jid n ~now =
+        Firmament.Scheduler.submit_job sched
+          (job_of_tasks ~jid ~submit:now
+             (List.init n (fun i ->
+                  quincy_task ~tid:((jid * 100) + i) ~job:jid ~submit:now ~duration:1000.
+                    ~input_mb:300.
+                    ~input_machines:[ (jid + i) mod 6; (jid + i) mod 6; (i + 3) mod 6 ])))
+      in
+      let running () =
+        let acc = ref [] in
+        Cluster.State.iter_tasks cluster (fun t -> if W.is_running t then acc := t.W.tid :: !acc);
+        List.sort compare !acc
+      in
+      let now = ref 0. in
+      let round step =
+        now := !now +. 1.5;
+        ignore (solve_sched sched ~now:!now);
+        let net = Firmament.Scheduler.network sched in
+        let label = Printf.sprintf "%s, %s" name step in
+        Alcotest.(check (list string)) (label ^ ": structure") [] (FN.validate_structure net);
+        checki (label ^ ": one node per live task")
+          (Cluster.State.live_task_count cluster)
+          (FN.task_count net);
+        FN.iter_task_nodes net (fun tid tn ->
+            checki
+              (Printf.sprintf "%s: task %d unscheduled arcs" label tid)
+              1 (unscheduled_arc_count net tn))
+      in
+      submit 0 8 ~now:0.;
+      round "first placement";
+      submit 1 6 ~now:!now;
+      round "oversubscribed";
+      List.iteri
+        (fun i tid -> if i < 2 then Firmament.Scheduler.preempt_task sched tid)
+        (running ());
+      round "after preemptions";
+      List.iteri
+        (fun i tid -> if i mod 3 = 0 then Firmament.Scheduler.finish_task sched tid ~now:!now)
+        (running ());
+      round "after finishes";
+      Firmament.Scheduler.fail_machine sched 1;
+      round "machine failed";
+      submit 2 4 ~now:!now;
+      round "submit while down";
+      Firmament.Scheduler.restore_machine sched 1;
+      round "machine restored";
+      List.iteri
+        (fun i tid -> if i mod 2 = 1 then Firmament.Scheduler.preempt_task sched tid)
+        (running ());
+      round "second preemptions";
+      round "steady";
+      checkb (name ^ ": rounds were certified") true (!certified > 0))
+    all_policies
+
 (* {1 Placement flow audit}
 
    Brute-force audit of the extraction pass: however the single-pass
@@ -847,8 +997,7 @@ let random_audit_net seed =
   let tnodes =
     List.init tasks (fun tid ->
         let t = FN.add_task net tid in
-        Firmament.Policy.adjust_unscheduled_capacity net 0 ~delta:1;
-        ignore (G.add_arc g ~src:t ~dst:u ~cost:(30 + Random.State.int rng 10) ~cap:1);
+        FN.ensure_unscheduled_arc net tid ~job:0 ~cost:(30 + Random.State.int rng 10);
         ignore (G.add_arc g ~src:t ~dst:agg ~cost:(5 + Random.State.int rng 10) ~cap:1);
         for _ = 1 to 1 + Random.State.int rng 2 do
           let _, mn = List.nth mnodes (Random.State.int rng machines) in
@@ -1163,6 +1312,47 @@ let test_snapshot_round_trip () =
     (G.total_cost (FN.graph (Firmament.Scheduler.network sched)))
     (G.total_cost (FN.graph (Firmament.Scheduler.network restored)))
 
+let test_snapshot_restore_reprices_unscheduled_arc () =
+  (* Restore rederives each waiting task's unscheduled-arc handle from the
+     graph dump, so the first refresh re-prices that very arc: no second
+     arc, no lookup by scan. *)
+  let path = Filename.temp_file "firmament" ".snap" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let cluster = mk_cluster ~machines:1 ~slots:1 in
+      let sched = Firmament.Scheduler.create cluster ~policy:quincy_policy in
+      Firmament.Scheduler.submit_job sched (simple_job ~jid:0 ~n:3 ~submit:0. ~duration:100.);
+      ignore (solve_sched sched ~now:0.);
+      Snapshot.Writer.close (Snapshot.Writer.to_file ~path sched ~now:0.5);
+      let { Snapshot.scheduler = restored; now } =
+        Snapshot.restore_file ~policy:quincy_policy path
+      in
+      let net = Firmament.Scheduler.network restored in
+      let waiting =
+        List.map
+          (fun t -> t.W.tid)
+          (Cluster.State.waiting_tasks (Firmament.Scheduler.cluster restored))
+      in
+      checki "two wait" 2 (List.length waiting);
+      let tid = List.hd waiting in
+      let tn = Option.get (FN.task_node net tid) in
+      let u = Option.get (FN.unscheduled_node net 0) in
+      let a = Option.get (FN.unscheduled_arc net tid) in
+      checkb "handle rederived on restore" true (FN.find_arc net tn u = Some a);
+      let out_degree () =
+        let n = ref 0 in
+        G.iter_out (FN.graph net) tn (fun a -> if G.is_forward a then incr n);
+        !n
+      in
+      let degree = out_degree () in
+      let c0 = G.cost (FN.graph net) a in
+      ignore (solve_sched restored ~now:(now +. 10.));
+      checkb "first refresh re-priced the kept arc" true (G.cost (FN.graph net) a > c0);
+      checkb "same handle" true (FN.unscheduled_arc net tid = Some a);
+      checki "no arc added" degree (out_degree ());
+      Alcotest.(check (list string)) "structure valid" [] (FN.validate_structure net))
+
 let test_snapshot_journal_replay () =
   let path = Filename.temp_file "firmament" ".snap" in
   Fun.protect
@@ -1297,6 +1487,8 @@ let () =
           Alcotest.test_case "reroute fails when unrouted" `Quick
             test_reroute_direct_unrouted_fails;
           Alcotest.test_case "prune keeps selected arcs" `Quick test_prune_task_arcs_keeps_selected;
+          Alcotest.test_case "restore rederives unscheduled arcs" `Quick
+            test_fn_restore_unscheduled_arcs;
           Alcotest.test_case "plain removal breaks balance" `Quick
             test_fn_plain_removal_breaks_balance;
         ] );
@@ -1357,6 +1549,11 @@ let () =
           Alcotest.test_case "partial round attributes phases" `Quick
             test_scheduler_phase_attribution;
         ] );
+      ( "policy-arcs",
+        [
+          Alcotest.test_case "every policy keeps one unscheduled arc per task" `Quick
+            test_policies_keep_task_arcs_under_churn;
+        ] );
       ( "quincy-policy",
         [
           Alcotest.test_case "machine restore reinstalls preferences" `Quick
@@ -1374,6 +1571,8 @@ let () =
             test_snapshot_round_trip;
           Alcotest.test_case "journal replay reconverges" `Quick
             test_snapshot_journal_replay;
+          Alcotest.test_case "restore re-prices the kept unscheduled arc" `Quick
+            test_snapshot_restore_reprices_unscheduled_arc;
         ] );
       ( "repair-path",
         [
