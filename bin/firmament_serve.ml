@@ -9,11 +9,8 @@
 
 open Cmdliner
 
-type policy = Quincy | Load_spread | Network_aware
-
 let policy_conv =
-  Arg.enum
-    [ ("quincy", Quincy); ("load-spread", Load_spread); ("network-aware", Network_aware) ]
+  Arg.enum (List.map (fun (name, _) -> (name, name)) Firmament.Policies.all)
 
 let mode_conv = Arg.enum Mcmf.Race.modes
 
@@ -41,12 +38,6 @@ let with_out path f =
 
 let run listen metrics_listen machines machines_per_rack slots policy mode deadline
     batch_max queue_cap grace_s snapshot restore metrics_out metrics_summary =
-  let policy_factory ~drain net st =
-    match policy with
-    | Quincy -> Firmament.Policy_quincy.make ~drain net st
-    | Load_spread -> Firmament.Policy_load_spread.make ~drain net st
-    | Network_aware -> Firmament.Policy_network_aware.make ~drain net st
-  in
   let scheduler = { Firmament.Scheduler.default_config with mode; deadline } in
   let config =
     {
@@ -57,7 +48,7 @@ let run listen metrics_listen machines machines_per_rack slots policy mode deadl
       machines_per_rack;
       slots_per_machine = slots;
       scheduler;
-      policy = policy_factory;
+      policy = List.assoc policy Firmament.Policies.all;
       batch_max;
       queue_capacity = queue_cap;
       shutdown_grace_s = grace_s;
@@ -121,9 +112,9 @@ let cmd =
   in
   let policy =
     Arg.(
-      value & opt policy_conv Quincy
+      value & opt policy_conv "quincy"
       & info [ "policy" ] ~docv:"POLICY"
-          ~doc:"Scheduling policy: $(b,quincy), $(b,load-spread) or $(b,network-aware).")
+          ~doc:("Scheduling policy: " ^ doc_alts_enum Firmament.Policies.all ^ "."))
   in
   let mode =
     Arg.(

@@ -6,10 +6,8 @@
 
 open Cmdliner
 
-type policy = Quincy | Load_spread | Network_aware
-
 let policy_conv =
-  Arg.enum [ ("quincy", Quincy); ("load-spread", Load_spread); ("network-aware", Network_aware) ]
+  Arg.enum (List.map (fun (name, _) -> (name, name)) Firmament.Policies.all)
 
 let mode_conv = Arg.enum Mcmf.Race.modes
 
@@ -52,17 +50,11 @@ let run machines util horizon speedup seed policy mode max_rounds deadline
         seed;
       }
   in
-  let policy_factory ~drain net st =
-    match policy with
-    | Quincy -> Firmament.Policy_quincy.make ~drain net st
-    | Load_spread -> Firmament.Policy_load_spread.make ~drain net st
-    | Network_aware -> Firmament.Policy_network_aware.make ~drain net st
-  in
   let config =
     {
       Dcsim.Replay.default_config with
       scheduler = { Firmament.Scheduler.default_config with mode; deadline };
-      policy = policy_factory;
+      policy = List.assoc policy Firmament.Policies.all;
       max_rounds = Some max_rounds;
     }
   in
@@ -124,9 +116,9 @@ let cmd =
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Workload seed.") in
   let policy =
     Arg.(
-      value & opt policy_conv Quincy
+      value & opt policy_conv "quincy"
       & info [ "policy" ] ~docv:"POLICY"
-          ~doc:"Scheduling policy: $(b,quincy), $(b,load-spread) or $(b,network-aware).")
+          ~doc:("Scheduling policy: " ^ doc_alts_enum Firmament.Policies.all ^ "."))
   in
   let mode =
     Arg.(

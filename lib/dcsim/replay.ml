@@ -26,8 +26,7 @@ let m_idle_jumps =
 
 type config = {
   scheduler : Firmament.Scheduler.config;
-  policy :
-    drain:bool -> Firmament.Flow_network.t -> Cluster.State.t -> Firmament.Policy.t;
+  policy : Firmament.Policy.factory;
   solver_time : [ `Measured | `Fixed of float ];
   max_sim_time : float option;
   max_rounds : int option;

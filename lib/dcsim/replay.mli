@@ -14,8 +14,7 @@
 
 type config = {
   scheduler : Firmament.Scheduler.config;
-  policy :
-    drain:bool -> Firmament.Flow_network.t -> Cluster.State.t -> Firmament.Policy.t;
+  policy : Firmament.Policy.factory;
   solver_time : [ `Measured | `Fixed of float ];
       (** [`Measured] charges the solver's measured wall-clock runtime
           {e and} the measured cost of applying each event batch to

@@ -255,18 +255,33 @@ let drain_task_flow t node =
   in
   walk node
 
-(* The sink arc of the unscheduled aggregator that task arc [a] enters. *)
-let holder_sink_arc t a =
+(* The job whose unscheduled aggregator task arc [a] enters. *)
+let holder_job t a =
   match Hashtbl.find t.kinds (G.dst t.g a) with
-  | Unscheduled_agg j -> Hashtbl.find t.unsched_arcs j
+  | Unscheduled_agg j -> j
   | _ -> invalid_arg "Flow_network: cached unscheduled arc leaves its aggregator"
+
+(* One task of job [j] let go of its unscheduled arc. The last one takes
+   the aggregator with it; [ensure_unscheduled] makes a new one when the
+   job has a task again. *)
+let release_unscheduled t j =
+  let s = Hashtbl.find t.unsched_arcs j in
+  let cap = G.capacity t.g s - 1 in
+  if cap > 0 then G.set_capacity t.g s cap
+  else begin
+    let u = Hashtbl.find t.unscheduled j in
+    G.remove_node t.g u;
+    Hashtbl.remove t.unscheduled j;
+    Hashtbl.remove t.unsched_arcs j;
+    Hashtbl.remove t.kinds u
+  end
 
 let remove_task t tid ~drain =
   match Hashtbl.find_opt t.tasks tid with
   | None -> invalid_arg (Printf.sprintf "Flow_network.remove_task: unknown task %d" tid)
   | Some n ->
-      (* Find the aggregator's sink arc while the task's arc is live. *)
-      let held = Option.map (holder_sink_arc t) (Hashtbl.find_opt t.task_unsched tid) in
+      (* Find the aggregator while the task's arc is live. *)
+      let held = Option.map (holder_job t) (Hashtbl.find_opt t.task_unsched tid) in
       if drain then drain_task_flow t n;
       G.remove_node t.g n;
       Hashtbl.remove t.tasks tid;
@@ -274,7 +289,7 @@ let remove_task t tid ~drain =
       Hashtbl.remove t.kinds n;
       t.n_tasks <- t.n_tasks - 1;
       G.set_supply t.g t.sink (- t.n_tasks);
-      Option.iter (fun s -> G.set_capacity t.g s (G.capacity t.g s - 1)) held
+      Option.iter (release_unscheduled t) held
 
 (* Move the task's unit onto the direct task->machine arc. The task's own
    first hop is cancelled, and one unit of any flow-decomposition path from
@@ -467,6 +482,11 @@ let remove_request_agg t b =
       G.remove_node t.g n;
       Hashtbl.remove t.request_aggs b;
       Hashtbl.remove t.kinds n
+
+let iter_request_aggs t f =
+  List.iter
+    (fun (b, n) -> f b n)
+    (Hashtbl.fold (fun b n acc -> (b, n) :: acc) t.request_aggs [])
 
 let iter_task_nodes t f = Hashtbl.iter f t.tasks
 let task_log_end t = t.added_start + Flowgraph.Vec.length t.added

@@ -15,7 +15,8 @@
       [-(number of task nodes)], adjusted on task addition/removal;
     - every task node has exactly one arc to an unscheduled aggregator,
       and each aggregator's arc to the sink has one unit of capacity per
-      task holding such an arc;
+      task holding such an arc; {!remove_task} removes an aggregator
+      that no task holds an arc into any more;
     - machine nodes' only outgoing arc leads to the sink (checked by the
       placement extractor);
     - node handles remain valid across {!set_graph} because {!Race} deals
@@ -74,8 +75,9 @@ val kind_opt : t -> Flowgraph.Graph.node -> node_kind option
 val add_task : t -> Cluster.Types.task_id -> Flowgraph.Graph.node
 
 (** [remove_task t tid ~drain] removes the task node, shrinks the sink
-    demand and releases the task's unscheduled arc (its aggregator's sink
-    capacity drops by one). With [~drain:true] (the efficient-task-removal heuristic,
+    demand and releases the task's unscheduled arc: its aggregator's sink
+    capacity drops by one, and the job's last such arc takes the
+    aggregator with it. With [~drain:true] (the efficient-task-removal heuristic,
     paper §5.3.2) the task's unit of flow is first walked to the sink and
     retired, leaving the solution balanced; with [false] the node is
     dropped directly, leaving demand at the downstream node for the next
@@ -129,12 +131,17 @@ val ensure_unscheduled : t -> Cluster.Types.job_id -> Flowgraph.Graph.node
 val unscheduled_node : t -> Cluster.Types.job_id -> Flowgraph.Graph.node option
 
 (** [unscheduled_sink_arc t j] is job [j]'s cached unscheduled-aggregator
-    →sink arc (created by {!ensure_unscheduled}; an aggregator lives as
-    long as the network), or [None] for a job without an aggregator.
+    →sink arc (created by {!ensure_unscheduled}; an aggregator lives
+    while some task holds an arc into it), or [None] for a job without
+    an aggregator.
     O(1), valid across {!set_graph} like {!machine_sink_arc}. *)
 val unscheduled_sink_arc : t -> Cluster.Types.job_id -> Flowgraph.Graph.arc option
 val ensure_request_agg : t -> int -> Flowgraph.Graph.node
 val remove_request_agg : t -> int -> unit
+
+(** [iter_request_aggs t f] applies [f] to each request aggregator's
+    bandwidth class and node; [f] may remove the aggregator it is given. *)
+val iter_request_aggs : t -> (int -> Flowgraph.Graph.node -> unit) -> unit
 
 (** {1 Task arcs} *)
 

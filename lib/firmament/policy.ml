@@ -8,3 +8,5 @@ type t = {
   machine_restored : Cluster.Types.machine_id -> unit;
   refresh : now:float -> unit;
 }
+
+type factory = drain:bool -> Flow_network.t -> Cluster.State.t -> t

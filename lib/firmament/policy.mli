@@ -31,3 +31,10 @@ type t = {
   machine_restored : Cluster.Types.machine_id -> unit;
   refresh : now:float -> unit;
 }
+
+(** How the scheduler builds a policy: over the network it owns and the
+    cluster it schedules. [drain] enables the efficient-task-removal
+    heuristic (paper §5.3.2). A policy keeps no state the network or the
+    cluster does not hold, so a factory run over a restored network
+    rebuilds the same policy. *)
+type factory = drain:bool -> Flow_network.t -> Cluster.State.t -> t

@@ -13,25 +13,32 @@ let default_config =
 let make ?(config = default_config) ~drain net cluster =
   let topo = Cluster.State.topology cluster in
   let x = FN.ensure_cluster_agg net in
-  let machine_arcs = Hashtbl.create 64 in
   (* X -> machine is a convex cost: the k-th concurrent task on a machine
      costs more than the (k-1)-th, so spreading happens even within one
      batch. Decomposed into [slots] parallel unit arcs with increasing
-     cost, refreshed per round as tasks start and finish. *)
+     cost, refreshed per round as tasks start and finish. The graph is
+     their only record: [iter_unit_arcs mn f] finds them as the reverse
+     arcs in [mn]'s out-list whose head is X. *)
+  let iter_unit_arcs mn f =
+    let g = FN.graph net in
+    G.iter_out g mn (fun a -> if (not (G.is_forward a)) && G.dst g a = x then f (G.rev a))
+  in
   let ensure_machine m =
     let slots = (Cluster.Topology.machine topo m).Cluster.Topology.slots in
     let mn = FN.ensure_machine net m ~slots in
-    if not (Hashtbl.mem machine_arcs m) then begin
-      let arcs =
-        Array.init slots (fun i ->
-            G.add_arc (FN.graph net) ~src:x ~dst:mn
-              ~cost:(config.cost_per_running_task * i)
-              ~cap:1)
-      in
-      Hashtbl.replace machine_arcs m arcs
-    end
+    let have = ref 0 in
+    iter_unit_arcs mn (fun _ -> incr have);
+    if !have = 0 then
+      for i = 0 to slots - 1 do
+        ignore
+          (G.add_arc (FN.graph net) ~src:x ~dst:mn
+             ~cost:(config.cost_per_running_task * i)
+             ~cap:1)
+      done
   in
-  Cluster.Topology.iter_machines topo (fun m -> ensure_machine m.Cluster.Topology.id);
+  Cluster.Topology.iter_machines topo (fun m ->
+      if Cluster.State.machine_is_live cluster m.Cluster.Topology.id then
+        ensure_machine m.Cluster.Topology.id);
   let unsched_cost (task : Cluster.Workload.task) ~now =
     config.unscheduled_base
     + (config.wait_cost_per_second
@@ -58,25 +65,19 @@ let make ?(config = default_config) ~drain net cluster =
     FN.prune_task_arcs net task.Cluster.Workload.tid ~keep:(fun n ->
         FN.machine_of_node net n = None)
   in
-  let machine_failed m =
-    Hashtbl.remove machine_arcs m;
-    FN.remove_machine net m
-  in
+  let machine_failed m = FN.remove_machine net m in
   let machine_restored m = ensure_machine m in
   let refresh ~now =
     let g = FN.graph net in
-    (* First traversal: per-machine statistics (running task counts);
-       second: cost updates on the X->machine and unscheduled arcs. The
-       i-th spare unit on a machine with r running tasks costs (r + i). *)
-    Hashtbl.iter
-      (fun m arcs ->
+    (* The i-th unit arc into a machine with r running tasks costs
+       (r + i); a restored graph may list the units in another order,
+       which only permutes the same costs. *)
+    FN.iter_machine_nodes net (fun m mn ->
         let r = Cluster.State.running_count cluster m in
-        Array.iteri
-          (fun i a ->
-            if G.arc_is_live g a then
-              G.set_cost g a (config.cost_per_running_task * (r + i)))
-          arcs)
-      machine_arcs;
+        let i = ref 0 in
+        iter_unit_arcs mn (fun a ->
+            G.set_cost g a (config.cost_per_running_task * (r + !i));
+            incr i));
     List.iter (price_unscheduled ~now) (Cluster.State.waiting_tasks cluster)
   in
   {

@@ -18,7 +18,8 @@ val default_config : config
 
 (** [make ?config ~drain net cluster] wires the policy to a flow network
     and cluster state. [drain] enables the efficient-task-removal
-    heuristic (paper §5.3.2). Creates the aggregator and all machine
-    nodes up front. *)
+    heuristic (paper §5.3.2). Creates the aggregator and the live
+    machines' nodes up front, keeping the X→machine arcs already in a
+    restored network. *)
 val make :
   ?config:config -> drain:bool -> Flow_network.t -> Cluster.State.t -> Policy.t

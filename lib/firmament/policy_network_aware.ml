@@ -24,12 +24,9 @@ let make ?(config = default_config) ?bandwidth_used ~drain net cluster =
       (Cluster.State.running_tasks_on cluster m)
   in
   let used = Option.value ~default:default_used bandwidth_used in
-  let bucket_refcount : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  (* Unit arcs currently installed from request aggregator [b] to machine
-     [m] (convex bandwidth pricing; see refresh). *)
-  let ra_arcs : (int * int, G.arc array) Hashtbl.t = Hashtbl.create 64 in
   Cluster.Topology.iter_machines topo (fun m ->
-      ignore (FN.ensure_machine net m.Cluster.Topology.id ~slots:m.Cluster.Topology.slots));
+      if Cluster.State.machine_is_live cluster m.Cluster.Topology.id then
+        ignore (FN.ensure_machine net m.Cluster.Topology.id ~slots:m.Cluster.Topology.slots));
   let unsched_cost (task : Cluster.Workload.task) ~now =
     config.unscheduled_base
     + (config.wait_cost_per_second
@@ -38,23 +35,12 @@ let make ?(config = default_config) ?bandwidth_used ~drain net cluster =
   let task_bucket (task : Cluster.Workload.task) =
     bucket_of ~config task.Cluster.Workload.net_demand_mbps
   in
-  let retain_bucket b =
-    Hashtbl.replace bucket_refcount b (1 + Option.value ~default:0 (Hashtbl.find_opt bucket_refcount b));
-    FN.ensure_request_agg net b
-  in
-  let drop_ra_arcs ~pred =
-    let stale = Hashtbl.fold (fun k _ acc -> if pred k then k :: acc else acc) ra_arcs [] in
-    List.iter (fun k -> Hashtbl.remove ra_arcs k) stale
-  in
-  let release_bucket b =
-    match Hashtbl.find_opt bucket_refcount b with
-    | None -> ()
-    | Some 1 ->
-        Hashtbl.remove bucket_refcount b;
-        FN.remove_request_agg net b;
-        (* Arc ids are recycled; forget handles that just died. *)
-        drop_ra_arcs ~pred:(fun (b', _) -> b' = b)
-    | Some n -> Hashtbl.replace bucket_refcount b (n - 1)
+  (* A task competes for machines through its bucket's request aggregator,
+     created on demand; [refresh] removes it once no task has an arc into
+     it. *)
+  let connect_to_bucket (task : Cluster.Workload.task) tn =
+    let ra = FN.ensure_request_agg net (task_bucket task) in
+    ignore (G.add_arc (FN.graph net) ~src:tn ~dst:ra ~cost:0 ~cap:1)
   in
   let price_unscheduled (task : Cluster.Workload.task) ~now =
     FN.ensure_unscheduled_arc net task.Cluster.Workload.tid ~job:task.Cluster.Workload.job
@@ -63,12 +49,10 @@ let make ?(config = default_config) ?bandwidth_used ~drain net cluster =
   let task_submitted (task : Cluster.Workload.task) =
     let tn = FN.add_task net task.Cluster.Workload.tid in
     price_unscheduled task ~now:task.Cluster.Workload.submit_time;
-    let ra = retain_bucket (task_bucket task) in
-    ignore (G.add_arc (FN.graph net) ~src:tn ~dst:ra ~cost:0 ~cap:1)
+    connect_to_bucket task tn
   in
   let task_finished (task : Cluster.Workload.task) =
-    FN.remove_task net task.Cluster.Workload.tid ~drain;
-    release_bucket (task_bucket task)
+    FN.remove_task net task.Cluster.Workload.tid ~drain
   in
   (* Exclude the task's own contribution to the bandwidth [used_mbps]
      observed on its machine, so a migration (which restarts the task) must
@@ -87,13 +71,9 @@ let make ?(config = default_config) ?bandwidth_used ~drain net cluster =
     | None -> ()
     | Some tn ->
         FN.prune_task_arcs net task.Cluster.Workload.tid ~keep:(fun _ -> false);
-        let ra = FN.ensure_request_agg net (task_bucket task) in
-        ignore (G.add_arc (FN.graph net) ~src:tn ~dst:ra ~cost:0 ~cap:1)
+        connect_to_bucket task tn
   in
-  let machine_failed m =
-    FN.remove_machine net m;
-    drop_ra_arcs ~pred:(fun (_, m') -> m' = m)
-  in
+  let machine_failed m = FN.remove_machine net m in
   let machine_restored m =
     let info = Cluster.Topology.machine topo m in
     ignore (FN.ensure_machine net m ~slots:info.Cluster.Topology.slots)
@@ -105,38 +85,38 @@ let make ?(config = default_config) ?bandwidth_used ~drain net cluster =
     Cluster.Topology.iter_machines topo (fun info ->
         let m = info.Cluster.Topology.id in
         if Cluster.State.machine_is_live cluster m then Hashtbl.replace observed m (used m));
-    (* Second traversal: re-derive the dynamic RA -> machine arcs. "One
+    (* Second traversal: re-derive the dynamic RA -> machine arcs from
+       each aggregator's out-list, dropping an aggregator no task has an
+       arc into (only tasks have arcs into one: its reverse arcs). "One
        arc for each task that fits" (Fig. 6c): parallel unit arcs whose
        costs rise by one request per additional task, so concurrent
        placements see the bandwidth they would add to each other. *)
-    Hashtbl.iter
-      (fun b _count ->
-        let ra = FN.ensure_request_agg net b in
-        Cluster.Topology.iter_machines topo (fun info ->
-          let m = info.Cluster.Topology.id in
-          match (FN.machine_node net m, Hashtbl.find_opt observed m) with
-          | Some mn, Some used_m ->
-              let sp = max 0 (info.Cluster.Topology.net_capacity_mbps - used_m) in
-              let fits = min (Cluster.State.free_slots_on cluster m) (sp / b) in
-              let existing =
-                Option.value ~default:[||] (Hashtbl.find_opt ra_arcs (b, m))
-                |> Array.to_list
-                |> List.filter (G.arc_is_live gr)
-              in
-              let keep = List.filteri (fun i _ -> i < fits) existing in
-              List.iteri (fun i a -> if i >= fits then G.remove_arc gr a) existing;
-              let added =
-                List.init
-                  (max 0 (fits - List.length keep))
-                  (fun _ -> G.add_arc gr ~src:ra ~dst:mn ~cost:0 ~cap:1)
-              in
-              let all = keep @ added in
-              List.iteri
-                (fun i a -> G.set_cost gr a (((i + 1) * b) + used_m))
-                all;
-              Hashtbl.replace ra_arcs (b, m) (Array.of_list all)
-          | _ -> ()))
-      bucket_refcount;
+    FN.iter_request_aggs net (fun b ra ->
+        let held = ref false in
+        let units = Hashtbl.create 64 in
+        G.iter_out gr ra (fun a ->
+            if not (G.is_forward a) then held := true
+            else Hashtbl.add units (G.dst gr a) a);
+        if not !held then FN.remove_request_agg net b
+        else
+          Cluster.Topology.iter_machines topo (fun info ->
+              let m = info.Cluster.Topology.id in
+              match (FN.machine_node net m, Hashtbl.find_opt observed m) with
+              | Some mn, Some used_m ->
+                  let sp = max 0 (info.Cluster.Topology.net_capacity_mbps - used_m) in
+                  let fits = min (Cluster.State.free_slots_on cluster m) (sp / b) in
+                  let cost i = ((i + 1) * b) + used_m in
+                  let rec price i = function
+                    | arcs when i >= fits -> List.iter (G.remove_arc gr) arcs
+                    | a :: rest ->
+                        G.set_cost gr a (cost i);
+                        price (i + 1) rest
+                    | [] ->
+                        ignore (G.add_arc gr ~src:ra ~dst:mn ~cost:(cost i) ~cap:1);
+                        price (i + 1) []
+                  in
+                  price 0 (Hashtbl.find_all units mn)
+              | _ -> ()));
     (* Keep continuation costs (of the tasks running on live machines) and
        unscheduled costs current. *)
     Hashtbl.iter

@@ -161,7 +161,6 @@ type t = {
   net : FN.t;
   policy : Policy.t;
   race : Mcmf.Race.t;
-  assigned : (Cluster.Types.task_id, Cluster.Types.machine_id) Hashtbl.t;
   (* Reusable extraction workspace: delta decomposition of the last
      adopted optimal flow plus scratch budgets for the pseudoflow walks. *)
   ws : Placement.workspace;
@@ -202,9 +201,17 @@ let size_hints cluster =
   let node_hint = (2 * (machines + slots)) + 64 in
   (node_hint, 2 * node_hint)
 
-let create ?(config = default_config) cluster ~policy =
+(* The network and the cluster are the scheduler's whole state (the
+   assignment is the cluster's running set; policies read their arcs
+   from the network), so a fresh scheduler and one rebuilt from a
+   snapshot differ only in where [net] comes from. A restore passes
+   [preallocate:false]: it must be live fast, and the eagerly
+   over-provisioned scratch-graph pool costs seconds of zeroing + GC
+   marking at large scale. The solver workspaces are still reserved;
+   only the first post-restore solve's working copies are allocated
+   lazily, at the actual graph size. *)
+let make ~preallocate ?(config = default_config) cluster ~net ~policy =
   let node_hint, arc_hint = size_hints cluster in
-  let net = FN.create ~node_hint ~arc_hint () in
   let p = policy ~drain:config.drain_on_removal net cluster in
   {
     config;
@@ -212,54 +219,20 @@ let create ?(config = default_config) cluster ~policy =
     net;
     policy = p;
     race =
-      Mcmf.Race.create ~alpha:config.alpha ~price_refine:config.price_refine ~node_hint
-        ~arc_hint ~mode:config.mode ();
-    assigned = Hashtbl.create 1024;
+      Mcmf.Race.create ~alpha:config.alpha ~price_refine:config.price_refine ~preallocate
+        ~node_hint ~arc_hint ~mode:config.mode ();
     ws = Placement.create_workspace ~node_hint ~arc_hint ();
     retry = Hashtbl.create 16;
     last_changes = Flowgraph.Graph.peek_changes (FN.graph net);
     observer = None;
   }
 
-(* Rebuild a scheduler around restored state: a cluster replayed from a
-   snapshot base image and the flow network parsed from its graph dump.
-   The assignment table is rederived from the cluster's running set (the
-   two are the same fact, so the snapshot does not store it twice); the
-   extraction workspace and retry set start empty — the first committed
-   round after restore reports every task, exactly like the first round
-   of a fresh scheduler. The policy factory runs over the restored
-   network, where its ensure-style installers find every structure
-   already present and leave the warm graph untouched. *)
-let of_restored ?(config = default_config) cluster ~net ~policy =
+let create ?config cluster ~policy =
   let node_hint, arc_hint = size_hints cluster in
-  let p = policy ~drain:config.drain_on_removal net cluster in
-  let assigned = Hashtbl.create 1024 in
-  Cluster.State.iter_tasks cluster (fun task ->
-      match Cluster.Workload.machine_of task with
-      | Some mm -> Hashtbl.replace assigned task.Cluster.Workload.tid mm
-      | None -> ());
-  (* [preallocate:false]: a restore must be live fast, and the eagerly
-     over-provisioned scratch-graph pool costs seconds of zeroing + GC
-     marking at large scale. The solver workspaces are still reserved;
-     only the first post-restore solve's working copies are allocated
-     lazily, at the actual graph size. *)
-  let race =
-    Mcmf.Race.create ~alpha:config.alpha ~price_refine:config.price_refine
-      ~preallocate:false ~node_hint ~arc_hint ~mode:config.mode ()
-  in
-  let ws = Placement.create_workspace ~node_hint ~arc_hint () in
-  {
-    config;
-    cluster;
-    net;
-    policy = p;
-    race;
-    assigned;
-    ws;
-    retry = Hashtbl.create 16;
-    last_changes = Flowgraph.Graph.peek_changes (FN.graph net);
-    observer = None;
-  }
+  make ~preallocate:true ?config cluster ~net:(FN.create ~node_hint ~arc_hint ()) ~policy
+
+let of_restored ?config cluster ~net ~policy =
+  make ~preallocate:false ?config cluster ~net ~policy
 
 (* Arm the incremental-repair path on the restored warm start: certify
    the canonical graph (potentials + flow from the snapshot) exactly as
@@ -277,16 +250,13 @@ let submit_job t job =
 
 let finish_task t tid ~now =
   Cluster.State.finish t.cluster tid ~now;
-  t.policy.Policy.task_finished (Cluster.State.task t.cluster tid);
-  Hashtbl.remove t.assigned tid
+  t.policy.Policy.task_finished (Cluster.State.task t.cluster tid)
 
 let fail_machine t m =
   let victims = Cluster.State.fail_machine t.cluster m in
   t.policy.Policy.machine_failed m;
   List.iter
-    (fun tid ->
-      Hashtbl.remove t.assigned tid;
-      t.policy.Policy.task_preempted (Cluster.State.task t.cluster tid))
+    (fun tid -> t.policy.Policy.task_preempted (Cluster.State.task t.cluster tid))
     victims
 
 let restore_machine t m =
@@ -297,22 +267,22 @@ let restore_machine t m =
    event, not a solver decision). *)
 let preempt_task t tid =
   Cluster.State.preempt t.cluster tid;
-  Hashtbl.remove t.assigned tid;
   t.policy.Policy.task_preempted (Cluster.State.task t.cluster tid)
 
 let set_round_observer t obs = t.observer <- obs
 
+(* Where [tid] runs: the cluster's running set is the assignment. *)
+let machine_of t tid = Cluster.Workload.machine_of (Cluster.State.task t.cluster tid)
+
 (* Start [tid] on [mm] if the authoritative cluster state still allows
-   it — the task is unassigned and waiting, the machine live with a free
-   slot — moving the cluster, the policy and the assignment table
-   together. [false] means the placement was refused. *)
+   it — the task is waiting, the machine live with a free slot — moving
+   the cluster and the policy together. [false] means the placement was
+   refused. *)
 let start_if_free t tid mm ~now =
-  (not (Hashtbl.mem t.assigned tid))
-  && Cluster.Workload.is_waiting (Cluster.State.task t.cluster tid)
+  Cluster.Workload.is_waiting (Cluster.State.task t.cluster tid)
   && Cluster.State.free_slots_on t.cluster mm > 0
   && begin
        Cluster.State.place t.cluster tid mm ~now;
-       Hashtbl.replace t.assigned tid mm;
        t.policy.Policy.task_started (Cluster.State.task t.cluster tid) mm;
        true
      end
@@ -320,7 +290,7 @@ let start_if_free t tid mm ~now =
 (* Replay one committed placement from a snapshot journal through the
    same apply path a live commit uses: cluster transition, policy
    notification (so the warm graph absorbs the reroute exactly as it did
-   originally), assignment table. Each step is guarded by the same
+   originally). Each step is guarded by the same
    authoritative re-checks commit performs, so a corrupt or re-ordered
    journal degrades to skipped records rather than exceptions. *)
 let replay_placement t ~now action =
@@ -362,7 +332,7 @@ let commit_starts t ~now placements =
   List.iter
     (fun { Placement.task; machine } ->
       match machine with
-      | Some mm when not (Hashtbl.mem t.assigned task) ->
+      | Some mm when machine_of t task = None ->
           if start_if_free t task mm ~now then starts := (task, mm) :: !starts
           else begin
             discarded := task :: !discarded;
@@ -385,7 +355,7 @@ let commit_diff t ~now placements =
   in
   List.iter
     (fun { Placement.task; machine } ->
-      match (Hashtbl.find_opt t.assigned task, machine) with
+      match (machine_of t task, machine) with
       | None, Some mm -> starts := (task, mm) :: !starts
       | Some m_old, Some m_new when m_old <> m_new ->
           migrations := (task, m_old, m_new) :: !migrations
@@ -399,14 +369,12 @@ let commit_diff t ~now placements =
     (fun (tid, m_old, m_new) ->
       if Cluster.State.free_slots_on t.cluster m_new > 0 then begin
         Cluster.State.place t.cluster tid m_new ~now;
-        Hashtbl.replace t.assigned tid m_new;
         t.policy.Policy.task_started (Cluster.State.task t.cluster tid) m_new;
         placed_migrations := (tid, m_old, m_new) :: !placed_migrations
       end
       else begin
         (* The slot vanished under the migration; the task was already
            preempted above and returns to the wait queue. *)
-        Hashtbl.remove t.assigned tid;
         t.policy.Policy.task_preempted (Cluster.State.task t.cluster tid);
         discard tid
       end)
@@ -660,8 +628,6 @@ let schedule ?stop t ~now =
           unscheduled;
           discarded;
         }
-
-let assignments t = t.assigned
 
 (* Debug/oracle access to the delta decomposition: what the workspace
    believes the last adopted flow assigned, or [None] before the first

@@ -5,7 +5,11 @@
     {!schedule} call performs one flow-based scheduling round (paper
     Fig. 2b): refresh policy statistics, run the solver(s), adopt the
     winning solution, extract placements, and apply the diff against the
-    current assignment (task starts, migrations, preemptions).
+    current assignment (task starts, migrations, preemptions). The
+    network and the cluster are the whole scheduling state: the current
+    assignment is the cluster's running set
+    ({!Cluster.Workload.machine_of}), and the policy keeps no arcs the
+    network does not hold.
 
     Rounds degrade instead of crashing. Every round lands on one rung of
     the degradation ladder ({!type:degraded}):
@@ -99,13 +103,9 @@ type round = {
 type t
 
 (** [create ?config cluster ~policy] builds a scheduler. [policy] is a
-    factory ({!Policy_quincy.make}-style) invoked with the network this
-    scheduler owns. *)
-val create :
-  ?config:config ->
-  Cluster.State.t ->
-  policy:(drain:bool -> Flow_network.t -> Cluster.State.t -> Policy.t) ->
-  t
+    factory (e.g. an entry of {!Policies.all}) invoked with the network
+    this scheduler owns. *)
+val create : ?config:config -> Cluster.State.t -> policy:Policy.factory -> t
 
 (** [network t] is the scheduler's flow network. *)
 val network : t -> Flow_network.t
@@ -116,25 +116,19 @@ val policy_name : t -> string
 (** {1 Snapshot restore}
 
     The constructor half of crash recovery ({!Snapshot} drives it):
-    [of_restored cluster ~net ~policy] rebuilds a scheduler around a
-    cluster replayed from a snapshot base image and the flow network
-    parsed from its graph dump. The task → machine assignment table is
-    rederived from the cluster's running set; extraction workspace and
-    retry state start empty, so the first committed round reports every
-    task like the first round of a fresh scheduler. The policy factory
-    runs over the restored network, where its ensure-style installers
-    find the structure already present and leave the warm graph
-    untouched. *)
+    [of_restored cluster ~net ~policy] is {!create} around a cluster
+    replayed from a snapshot base image and the flow network parsed from
+    its graph dump, without the eager scratch-graph pool. Nothing else
+    is rebuilt: the assignment is the restored cluster's running set,
+    and the policy reads its arcs from the restored network. Extraction
+    workspace and retry state start empty, so the first committed round
+    reports every task like the first round of a fresh scheduler. *)
 val of_restored :
-  ?config:config ->
-  Cluster.State.t ->
-  net:Flow_network.t ->
-  policy:(drain:bool -> Flow_network.t -> Cluster.State.t -> Policy.t) ->
-  t
+  ?config:config -> Cluster.State.t -> net:Flow_network.t -> policy:Policy.factory -> t
 
 (** [replay_placement t ~now action] re-applies one committed placement
     from a snapshot journal through the live commit path (cluster
-    transition + policy notification + assignment table), guarded by the
+    transition + policy notification), guarded by the
     same authoritative re-checks a live commit performs — a corrupt
     journal degrades to skipped records, never exceptions. *)
 val replay_placement :
@@ -175,10 +169,6 @@ val preempt_task : t -> Cluster.Types.task_id -> unit
     [round.degraded] (see the ladder above). [stop] is combined with the
     configured round deadline, if any. *)
 val schedule : ?stop:Mcmf.Solver_intf.stop -> t -> now:float -> round
-
-(** Current task → machine assignment (running tasks only). *)
-val assignments :
-  t -> (Cluster.Types.task_id, Cluster.Types.machine_id) Hashtbl.t
 
 (** [decomposition t] is the incremental extractor's current view of the
     solved flow — the full per-task decomposition stored in the delta

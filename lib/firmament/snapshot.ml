@@ -107,9 +107,7 @@ let parse_task ~prefix toks =
    to every task it has ever run;
    the flow network is stored as a DIMACS state dump (structure + flow +
    potentials — the warm start) plus side-band node-kind records keyed by
-   the same dense renumbering {!Flowgraph.Dimacs.emit_state} uses. The
-   task → machine assignment table is deliberately absent: it is the same
-   fact as the cluster's running set. *)
+   the same dense renumbering {!Flowgraph.Dimacs.emit_state} uses. *)
 let emit_base sched ~now =
   let buf = Buffer.create 65536 in
   let cluster = Scheduler.cluster sched in

@@ -14,18 +14,19 @@
     {- the flow network as a {!Flowgraph.Dimacs.emit_state} dump —
        structure {e plus} flow and potentials, i.e. the warm start — with
        side-band [node] records mapping the dump's dense node ids back to
-       their scheduler roles;}}
-    and deliberately {e not} the task → machine assignment table (the
-    cluster's running set is the same fact).
+       their scheduler roles.}}
+    That is the scheduler's whole state: the task → machine assignment
+    is the cluster's running set, and every policy reads its arcs from
+    the network.
 
     Restore replays the base image through the normal constructors,
     parses the graph dump, rebuilds the network id maps from the [node]
-    records ({!Flow_network.restore}), derives the assignment table from
-    the cluster ({!Scheduler.of_restored}), replays the journal through
-    the live event/commit entry points, and finally certifies the
-    restored warm start ({!Scheduler.prepare_warm}) so the first
-    post-restore round can take the O(changes) incremental-repair path —
-    the reason recovery is far cheaper than a cold re-solve.
+    records ({!Flow_network.restore}), builds the scheduler around the
+    two ({!Scheduler.of_restored}), replays the journal through the live
+    event/commit entry points, and finally certifies the restored warm
+    start ({!Scheduler.prepare_warm}) so the first post-restore round can
+    take the O(changes) incremental-repair path — the reason recovery is
+    far cheaper than a cold re-solve.
 
     Journal appends are flushed per record; a torn final record (the
     process died mid-append) silently ends replay, WAL-style. Limits: the
@@ -95,12 +96,12 @@ type restored = {
     not configuration. @raise Corrupt on an unloadable snapshot. *)
 val restore_file :
   ?config:Scheduler.config ->
-  policy:(drain:bool -> Flow_network.t -> Cluster.State.t -> Policy.t) ->
+  policy:Policy.factory ->
   string ->
   restored
 
 val restore_string :
   ?config:Scheduler.config ->
-  policy:(drain:bool -> Flow_network.t -> Cluster.State.t -> Policy.t) ->
+  policy:Policy.factory ->
   string ->
   restored

@@ -378,11 +378,7 @@ type crash_report = {
   cr_cold_ns : int;
 }
 
-let assignment_list sched =
-  Hashtbl.fold (fun tid m acc -> (tid, m) :: acc) (S.assignments sched) []
-  |> List.sort compare
-
-let cluster_running_list cluster =
+let running_list cluster =
   let acc = ref [] in
   Cluster.State.iter_tasks cluster (fun t ->
       if W.is_running t then
@@ -395,12 +391,11 @@ let pp_asg lst =
   String.concat ","
     (List.map (fun (tid, m) -> Printf.sprintf "%d@%d" tid m) lst)
 
-let run_crash_recovery config ~seed events =
+let crash_recovery_under config ~seed ~policy events =
   let mode =
     match config.modes with m :: _ -> m | [] -> Mcmf.Race.Race
   in
   let scfg = { S.default_config with mode } in
-  let policy ~drain net cl = Firmament.Policy_quincy.make ~drain net cl in
   let path = Filename.temp_file "firmament-crash" ".snap" in
   let rng = Random.State.make [| 0x6b696c6c; seed |] in
   let topo =
@@ -450,7 +445,7 @@ let run_crash_recovery config ~seed events =
   let crash_and_restore () =
     incr kills;
     let s = !st in
-    let committed = assignment_list s.sched in
+    let committed = running_list s.cluster in
     let waiting_before = Cluster.State.waiting_count s.cluster in
     let live_before = Cluster.State.live_task_count s.cluster in
     Snapshot.Writer.close !writer;
@@ -481,17 +476,13 @@ let run_crash_recovery config ~seed events =
         in
         st := st';
         install_observer ();
-        let restored = assignment_list sched' in
+        let restored = running_list cluster' in
         if restored <> committed then
           record st' "crash-lost-placement"
             (Printf.sprintf
                "committed placements before the crash [%s] differ from the \
                 restored set [%s]"
                (pp_asg committed) (pp_asg restored));
-        if cluster_running_list cluster' <> restored then
-          record st' "crash-lost-placement"
-            "restored assignment table disagrees with the restored cluster's \
-             running set";
         if Cluster.State.waiting_count cluster' <> waiting_before then
           record st' "crash-lost-placement"
             (Printf.sprintf "waiting set changed across the crash: %d -> %d"
@@ -554,3 +545,25 @@ let run_crash_recovery config ~seed events =
               cr_restore_ns = !restore_ns;
               cr_cold_ns = !cold_ns;
             })
+
+(* Every seed runs under every policy, each from a fresh cluster; the
+   first failure names its policy. *)
+let run_crash_recovery config ~seed events =
+  List.fold_left
+    (fun acc (name, policy) ->
+      match acc with
+      | Error _ -> acc
+      | Ok r -> (
+          match crash_recovery_under config ~seed ~policy events with
+          | Ok r' ->
+              Ok
+                {
+                  cr_kills = r.cr_kills + r'.cr_kills;
+                  cr_rounds = r.cr_rounds + r'.cr_rounds;
+                  cr_restore_ns = r.cr_restore_ns + r'.cr_restore_ns;
+                  cr_cold_ns = r.cr_cold_ns + r'.cr_cold_ns;
+                }
+          | Error f ->
+              Error { f with f_detail = Printf.sprintf "%s policy: %s" name f.f_detail }))
+    (Ok { cr_kills = 0; cr_rounds = 0; cr_restore_ns = 0; cr_cold_ns = 0 })
+    Firmament.Policies.all

@@ -82,16 +82,17 @@ type crash_report = {
 }
 
 (** [run_crash_recovery config ~seed events] interprets the trace under
-    the first configured mode while mirroring every resolved event into a
-    {!Firmament.Snapshot} journal, and — at seed-determined points: after
-    round boundaries and after arbitrary cluster events — kills the
+    the first configured mode, once per policy of
+    {!Firmament.Policies.all}, while mirroring every resolved event into
+    a {!Firmament.Snapshot} journal, and — at seed-determined points:
+    after round boundaries and after arbitrary cluster events — kills the
     scheduler and restores it from the snapshot. Each restore asserts no
     committed placement was lost or invented ([crash-lost-placement]),
-    the restored assignment table matches the restored cluster's running
-    set, waiting/live task counts survive, and then drives a recovery
-    round through the same observer battery as {!run} — so the SSP oracle
-    certifies every post-restore committed round. A snapshot that fails to load reports
-    [crash-restore]. At least one kill always happens, even on traces
-    where the seed never fires. *)
+    waiting/live task counts survive, and then drives a recovery round
+    through the same observer battery as {!run} — so the SSP oracle
+    certifies every post-restore committed round. A snapshot that fails
+    to load reports [crash-restore]. At least one kill always happens per
+    policy, even on traces where the seed never fires. A failure's
+    [f_detail] names its policy; the report sums over the policies. *)
 val run_crash_recovery :
   config -> seed:int -> Dcsim.Churn.event list -> (crash_report, failure) result

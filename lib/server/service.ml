@@ -126,8 +126,7 @@ type config = {
   machines_per_rack : int;
   slots_per_machine : int;
   scheduler : S.config;
-  policy :
-    drain:bool -> Firmament.Flow_network.t -> Cluster.State.t -> Firmament.Policy.t;
+  policy : Firmament.Policy.factory;
   batch_max : int;
   queue_capacity : int;
   max_out_buffer : int;

@@ -53,8 +53,7 @@ type config = {
   machines_per_rack : int;
   slots_per_machine : int;
   scheduler : Firmament.Scheduler.config;
-  policy :
-    drain:bool -> Firmament.Flow_network.t -> Cluster.State.t -> Firmament.Policy.t;
+  policy : Firmament.Policy.factory;
   batch_max : int;  (** most events applied per round *)
   queue_capacity : int;  (** admission-queue bound; overflow → NACK *)
   max_out_buffer : int;

@@ -213,6 +213,12 @@ let test_fn_restore_unscheduled_arcs () =
   let restored = FN.restore ~graph ~kinds in
   checkb "handle rederived" true (FN.unscheduled_arc restored 0 = FN.unscheduled_arc net 0);
   Alcotest.(check (list string)) "restored valid" [] (FN.validate_structure restored);
+  (* An aggregator no task holds an arc into is still a valid image. *)
+  let empty = FN.create () in
+  ignore (FN.ensure_unscheduled empty 3);
+  let graph, kinds = restore_input empty in
+  checkb "an empty aggregator restores" true
+    (FN.unscheduled_node (FN.restore ~graph ~kinds) 3 <> None);
   let bare = FN.create () in
   ignore (FN.add_task bare 0);
   ignore (FN.ensure_unscheduled bare 0);
@@ -867,14 +873,6 @@ let test_quincy_refresh_wait_cost_bucketing () =
 
 (* {1 Task-arc ownership under churn, every policy} *)
 
-let all_policies : (string * (drain:bool -> FN.t -> Cluster.State.t -> Firmament.Policy.t)) list
-    =
-  [
-    ("quincy", fun ~drain net st -> Firmament.Policy_quincy.make ~drain net st);
-    ("load-spread", fun ~drain net st -> Firmament.Policy_load_spread.make ~drain net st);
-    ("network-aware", fun ~drain net st -> Firmament.Policy_network_aware.make ~drain net st);
-  ]
-
 (* Forward arcs from task node [tn] into any unscheduled aggregator. *)
 let unscheduled_arc_count net tn =
   let g = FN.graph net in
@@ -964,7 +962,30 @@ let test_policies_keep_task_arcs_under_churn () =
       round "second preemptions";
       round "steady";
       checkb (name ^ ": rounds were certified") true (!certified > 0))
-    all_policies
+    Firmament.Policies.all
+
+(* A job's unscheduled aggregator goes with its last task, so a cluster
+   that has run many short jobs keeps no node for each of them. *)
+let test_finished_jobs_leave_no_aggregator () =
+  let cluster = mk_cluster ~machines:4 ~slots:2 in
+  let sched =
+    Firmament.Scheduler.create cluster ~policy:(List.assoc "quincy" Firmament.Policies.all)
+  in
+  let g () = FN.graph (Firmament.Scheduler.network sched) in
+  let nodes0 = G.node_count (g ()) in
+  for jid = 0 to 99 do
+    let now = float_of_int jid in
+    Firmament.Scheduler.submit_job sched (simple_job ~jid ~n:1 ~submit:now ~duration:1.);
+    let r = solve_sched sched ~now in
+    checki "placed" 1 (List.length r.Firmament.Scheduler.started);
+    Firmament.Scheduler.finish_task sched (jid * 1000) ~now:(now +. 0.5)
+  done;
+  ignore (solve_sched sched ~now:100.);
+  checki "live nodes back to the start" nodes0 (G.node_count (g ()));
+  checkb "no aggregator of a finished job" true
+    (FN.unscheduled_node (Firmament.Scheduler.network sched) 99 = None);
+  Alcotest.(check (list string)) "structure valid" []
+    (FN.validate_structure (Firmament.Scheduler.network sched))
 
 (* {1 Placement flow audit}
 
@@ -1236,23 +1257,24 @@ module Snapshot = Firmament.Snapshot
 
 let quincy_policy ~drain net st = Firmament.Policy_quincy.make ~drain net st
 
+(* The scheduler's assignment is its cluster's running set. *)
 let sorted_assignments sched =
-  Hashtbl.fold
-    (fun tid m acc -> (tid, m) :: acc)
-    (Firmament.Scheduler.assignments sched)
-    []
-  |> List.sort compare
+  let acc = ref [] in
+  Cluster.State.iter_tasks (Firmament.Scheduler.cluster sched) (fun t ->
+      Option.iter (fun m -> acc := (t.W.tid, m) :: !acc) (W.machine_of t));
+  List.sort compare !acc
 
-let test_snapshot_round_trip () =
+let snapshot_round_trip ~name ~policy =
+  let l what = Printf.sprintf "%s: %s" name what in
   let cluster = mk_cluster ~machines:4 ~slots:2 in
-  let sched = Firmament.Scheduler.create cluster ~policy:quincy_policy in
+  let sched = Firmament.Scheduler.create cluster ~policy in
   Firmament.Scheduler.submit_job sched
     (job_of_tasks ~jid:0 ~submit:0.
        (List.init 6 (fun i ->
             quincy_task ~tid:i ~job:0 ~submit:0. ~duration:100. ~input_mb:200.
               ~input_machines:[ i mod 4; (i + 1) mod 4 ])));
   let r1 = solve_sched sched ~now:0. in
-  checki "six running" 6 (List.length r1.Firmament.Scheduler.started);
+  checki (l "six running") 6 (List.length r1.Firmament.Scheduler.started);
   (* History the base image must carry: completions, a dead machine, and
      fresh waiting work. *)
   Firmament.Scheduler.finish_task sched 0 ~now:0.5;
@@ -1264,22 +1286,20 @@ let test_snapshot_round_trip () =
            ~input_machines:[ 0; 1 ] ]);
   let _r2 = solve_sched sched ~now:1. in
   let base = Snapshot.emit_base sched ~now:2. in
-  let { Snapshot.scheduler = restored; now } =
-    Snapshot.restore_string ~policy:quincy_policy base
-  in
-  Alcotest.(check (float 0.)) "clock restored" 2. now;
+  let { Snapshot.scheduler = restored; now } = Snapshot.restore_string ~policy base in
+  Alcotest.(check (float 0.)) (l "clock restored") 2. now;
   Alcotest.(check (list (pair int int)))
-    "assignments survive the crash" (sorted_assignments sched)
+    (l "assignments survive the crash") (sorted_assignments sched)
     (sorted_assignments restored);
   let rc = Firmament.Scheduler.cluster restored in
-  checki "waiting set restored"
+  checki (l "waiting set restored")
     (Cluster.State.waiting_count cluster)
     (Cluster.State.waiting_count rc);
-  checki "live tasks restored"
+  checki (l "live tasks restored")
     (Cluster.State.live_task_count cluster)
     (Cluster.State.live_task_count rc);
-  checkb "dead machine stays dead" false (Cluster.State.machine_is_live rc 3);
-  checkb "restored network structurally valid" true
+  checkb (l "dead machine stays dead") false (Cluster.State.machine_is_live rc 3);
+  checkb (l "restored network structurally valid") true
     (FN.validate_structure (Firmament.Scheduler.network restored) = []);
   (* The restored structure and flow are byte-identical to the live
      ones. Potentials may be renormalized by warm-start certification
@@ -1289,7 +1309,7 @@ let test_snapshot_round_trip () =
     |> List.filter (fun l -> not (String.length l > 4 && String.sub l 0 4 = "c pi"))
     |> String.concat "\n"
   in
-  Alcotest.(check string) "graph structure and flow round-trip"
+  Alcotest.(check string) (l "graph structure and flow round-trip")
     (strip_pi
        (Flowgraph.Dimacs.emit_state (FN.graph (Firmament.Scheduler.network sched))))
     (strip_pi
@@ -1305,12 +1325,54 @@ let test_snapshot_round_trip () =
     [ sched; restored ];
   let ra = solve_sched sched ~now:3. in
   let rb = solve_sched restored ~now:3. in
-  Alcotest.check degraded_t "restored round clean" `None rb.Firmament.Scheduler.degraded;
-  checki "same starts" (List.length ra.Firmament.Scheduler.started)
+  Alcotest.check degraded_t (l "restored round clean") `None rb.Firmament.Scheduler.degraded;
+  checki (l "same starts") (List.length ra.Firmament.Scheduler.started)
     (List.length rb.Firmament.Scheduler.started);
-  checki "same optimal cost"
+  checki (l "same optimal cost")
     (G.total_cost (FN.graph (Firmament.Scheduler.network sched)))
     (G.total_cost (FN.graph (Firmament.Scheduler.network restored)))
+
+(* Every policy restores to the same scheduler: the graph and the cluster
+   are its whole state. *)
+let test_snapshot_round_trip () =
+  List.iter (fun (name, policy) -> snapshot_round_trip ~name ~policy) Firmament.Policies.all
+
+(* Under the network-aware policy a request aggregator lives while a task
+   has an arc into it. A task of a restored waiting task's bucket that
+   starts and finishes after the restore must not take that aggregator,
+   and the waiting task's arc into it, away. *)
+let test_snapshot_network_aware_keeps_bucket () =
+  let cluster = mk_cluster ~machines:1 ~slots:1 in
+  let policy = List.assoc "network-aware" Firmament.Policies.all in
+  let sched = Firmament.Scheduler.create cluster ~policy in
+  Firmament.Scheduler.submit_job sched (simple_job ~jid:0 ~n:3 ~submit:0. ~duration:100.);
+  ignore (solve_sched sched ~now:0.);
+  let { Snapshot.scheduler = restored; now } =
+    Snapshot.restore_string ~policy (Snapshot.emit_base sched ~now:1.)
+  in
+  let net = Firmament.Scheduler.network restored in
+  let rc = Firmament.Scheduler.cluster restored in
+  checki "two restored waiting tasks" 2 (Cluster.State.waiting_count rc);
+  (* Free the slot, then start and finish a new task of the same bucket. *)
+  List.iter
+    (fun (tid, _) -> Firmament.Scheduler.finish_task restored tid ~now)
+    (sorted_assignments restored);
+  Firmament.Scheduler.submit_job restored (simple_job ~jid:1 ~n:1 ~submit:now ~duration:1.);
+  Firmament.Scheduler.replay_placement restored ~now (`Start (1000, 0));
+  checkb "new task started" true (sorted_assignments restored = [ (1000, 0) ]);
+  Firmament.Scheduler.finish_task restored 1000 ~now:(now +. 1.);
+  let r = solve_sched restored ~now:(now +. 2.) in
+  checki "a restored waiting task placed" 1 (List.length r.Firmament.Scheduler.started);
+  let ra = ref None in
+  FN.iter_request_aggs net (fun _ n -> ra := Some n);
+  match (Cluster.State.waiting_tasks rc, !ra) with
+  | [ t ], Some ra ->
+      let tn = Option.get (FN.task_node net t.W.tid) in
+      checkb "waiting task keeps its arc into its request aggregator" true
+        (FN.find_arc net tn ra <> None)
+  | l, _ ->
+      Alcotest.failf "expected one waiting task and its aggregator, got %d waiting"
+        (List.length l)
 
 let test_snapshot_restore_reprices_unscheduled_arc () =
   (* Restore rederives each waiting task's unscheduled-arc handle from the
@@ -1553,6 +1615,8 @@ let () =
         [
           Alcotest.test_case "every policy keeps one unscheduled arc per task" `Quick
             test_policies_keep_task_arcs_under_churn;
+          Alcotest.test_case "finished jobs leave no aggregator" `Quick
+            test_finished_jobs_leave_no_aggregator;
         ] );
       ( "quincy-policy",
         [
@@ -1573,6 +1637,8 @@ let () =
             test_snapshot_journal_replay;
           Alcotest.test_case "restore re-prices the kept unscheduled arc" `Quick
             test_snapshot_restore_reprices_unscheduled_arc;
+          Alcotest.test_case "network-aware restore keeps a waiting task's bucket" `Quick
+            test_snapshot_network_aware_keeps_bucket;
         ] );
       ( "repair-path",
         [
