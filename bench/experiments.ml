@@ -746,9 +746,9 @@ let measure_sched_rounds s ~rounds ~frac =
   in
   (* One unmeasured warm-up round: the first post-settle round still pays
      history-dependent workspace growth (the scratch graphs' arc
-     freelists are sized by the settle-time churn, which topology hints
-     cannot predict), and that one-time cost would otherwise land in the
-     first sample and dominate a 10-round allocation mean. *)
+     freelists are sized by the settle-time churn), and that one-time
+     cost would otherwise land in the first sample and dominate a
+     10-round allocation mean. *)
   Setup.churn s ~frac ~now:0.;
   ignore (Setup.schedule s ~now:0.);
   let phase_sum0 =
@@ -1208,6 +1208,71 @@ let recovery ~scale () =
             ]))
     points
 
+(* {1 Soak: memory under steady churn} *)
+
+(* A scheduler that runs for months must hold memory in proportion to
+   the live cluster. On a settled cluster at 50% utilization (2,500
+   machines at --scale 1, the perfbench steady-churn cluster), runs
+   [3 * interval] rounds of 1% churn (that many running tasks finish and
+   one job of as many tasks arrives per round) and at the end of each
+   third records the live heap after a full major collection, with the
+   cluster's task and job tables against the tasks waiting or running
+   and the jobs that have one. A flat live heap, and tables equal to the
+   live counts, show that nothing grows with the tasks that came and
+   went. *)
+let soak ~scale () =
+  header "Soak: live heap under steady 1% churn";
+  let machines = max 50 (int_of_float (2500. *. scale)) in
+  let interval = 1200 in
+  let s = Setup.settle ~machines ~util:0.5 ~policy:Setup.Quincy ~seed:42 () in
+  let cluster = s.Setup.cluster in
+  row
+    [
+      "checkpoint"; "rounds"; "events"; "live heap"; "state tasks"; "live tasks";
+      "state jobs"; "live jobs";
+    ];
+  let rounds = ref 0 and events = ref 0 in
+  for checkpoint = 1 to 3 do
+    for _ = 1 to interval do
+      rounds := !rounds + 1;
+      let now = float_of_int !rounds in
+      let n = max 1 (int_of_float (0.01 *. float_of_int (Cluster.State.live_task_count cluster))) in
+      Setup.churn s ~frac:0.01 ~now;
+      events := !events + (2 * n);
+      ignore (Setup.schedule s ~now)
+    done;
+    Gc.full_major ();
+    let live_words = (Gc.stat ()).Gc.live_words in
+    let state_tasks = ref 0 and live_tasks = ref 0 and state_jobs = ref 0 in
+    let live_jobs = Hashtbl.create 64 in
+    Cluster.State.iter_tasks cluster (fun t ->
+        state_tasks := !state_tasks + 1;
+        if Cluster.Workload.(is_waiting t || is_running t) then begin
+          live_tasks := !live_tasks + 1;
+          Hashtbl.replace live_jobs t.Cluster.Workload.job ()
+        end);
+    Cluster.State.iter_jobs cluster (fun _ -> state_jobs := !state_jobs + 1);
+    row
+      [
+        string_of_int checkpoint; string_of_int !rounds; string_of_int !events;
+        Printf.sprintf "%.1f MB" (float_of_int live_words *. 8. /. 1e6);
+        string_of_int !state_tasks; string_of_int !live_tasks; string_of_int !state_jobs;
+        string_of_int (Hashtbl.length live_jobs);
+      ];
+    Json_out.record ~experiment:"soak" ~scale
+      [
+        ("machines", float_of_int machines);
+        ("checkpoint", float_of_int checkpoint);
+        ("rounds", float_of_int !rounds);
+        ("events", float_of_int !events);
+        ("live_words", float_of_int live_words);
+        ("state_tasks", float_of_int !state_tasks);
+        ("live_tasks", float_of_int !live_tasks);
+        ("state_jobs", float_of_int !state_jobs);
+        ("live_jobs", float_of_int (Hashtbl.length live_jobs));
+      ]
+  done
+
 (* {1 Registry} *)
 
 let all =
@@ -1235,4 +1300,5 @@ let all =
     ("sweep", "Scale sweep across the machine ladder", sweep);
     ("incr", "Incremental delta-solve vs full race", incr);
     ("recovery", "Snapshot restore + warm failover vs cold re-solve", recovery);
+    ("soak", "Live heap under steady churn", soak);
   ]

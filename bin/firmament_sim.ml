@@ -163,7 +163,7 @@ let cmd =
           ~doc:
             "Resume from a snapshot instead of an empty cluster: the snapshot's \
              topology and clock are authoritative, the scheduler restarts \
-             warm-started, and trace arrivals already carried by the snapshot \
+             warm-started, and trace events at or before the snapshot's clock \
              are skipped — replaying the same $(b,--seed) with a longer \
              $(b,--horizon) continues the snapshotted run.")
   in

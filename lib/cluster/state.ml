@@ -1,14 +1,19 @@
+(* A live job: its header, with the task array emptied so the record
+   pins no task, and how many of its tasks are still live. *)
+type job_entry = { header : Workload.job; mutable live : int }
+
 type t = {
   topology : Topology.t;
+  (* Live tasks and jobs only: a task leaves when it finishes, a job
+     with its last live task, so both tables track the live cluster. *)
   tasks : (Types.task_id, Workload.task) Hashtbl.t;
-  jobs : (Types.job_id, Workload.job) Hashtbl.t;
+  jobs : (Types.job_id, job_entry) Hashtbl.t;
   (* Waiting set plus an insertion-ordered list (lazily compacted). *)
   waiting : (Types.task_id, unit) Hashtbl.t;
   mutable waiting_order : Types.task_id list;  (* newest first *)
   running_on : (Types.task_id, unit) Hashtbl.t array;  (* per machine *)
   machine_live : bool array;
   mutable used_slots : int;
-  mutable live_tasks : int;
 }
 
 let create topology =
@@ -22,34 +27,45 @@ let create topology =
     running_on = Array.init n (fun _ -> Hashtbl.create 8);
     machine_live = Array.make n true;
     used_slots = 0;
-    live_tasks = 0;
   }
 
 let topology t = t.topology
+let task_opt t tid = Hashtbl.find_opt t.tasks tid
 
 let task t tid =
   match Hashtbl.find_opt t.tasks tid with
   | Some task -> task
   | None -> invalid_arg (Printf.sprintf "State.task: unknown task %d" tid)
 
+let job_opt t jid = Option.map (fun e -> e.header) (Hashtbl.find_opt t.jobs jid)
+
 let job t jid =
   match Hashtbl.find_opt t.jobs jid with
-  | Some j -> j
+  | Some e -> e.header
   | None -> invalid_arg (Printf.sprintf "State.job: unknown job %d" jid)
-
-let job_of_task t tid = job t (task t tid).Workload.job
 
 let submit_job t (j : Workload.job) =
   if Hashtbl.mem t.jobs j.Workload.jid then
     invalid_arg (Printf.sprintf "State.submit_job: duplicate job %d" j.Workload.jid);
-  Hashtbl.add t.jobs j.Workload.jid j;
+  let live = Array.length j.Workload.tasks in
+  if live > 0 then
+    Hashtbl.add t.jobs j.Workload.jid { header = { j with Workload.tasks = [||] }; live };
   Array.iter
     (fun (task : Workload.task) ->
       Hashtbl.add t.tasks task.Workload.tid task;
       Hashtbl.replace t.waiting task.Workload.tid ();
-      t.waiting_order <- task.Workload.tid :: t.waiting_order;
-      t.live_tasks <- t.live_tasks + 1)
+      t.waiting_order <- task.Workload.tid :: t.waiting_order)
     j.Workload.tasks
+
+(* Drop a task that is neither waiting nor running, and its job with it
+   if it was the job's last live task. *)
+let retire t (task : Workload.task) =
+  Hashtbl.remove t.tasks task.Workload.tid;
+  match Hashtbl.find_opt t.jobs task.Workload.job with
+  | Some e ->
+      e.live <- e.live - 1;
+      if e.live = 0 then Hashtbl.remove t.jobs task.Workload.job
+  | None -> ()
 
 let machine_is_live t m = t.machine_live.(m)
 let running_count t m = Hashtbl.length t.running_on.(m)
@@ -98,7 +114,7 @@ let finish t tid ~now =
       Workload.finish task ~now;
       Hashtbl.remove t.running_on.(m) tid;
       t.used_slots <- t.used_slots - 1;
-      t.live_tasks <- t.live_tasks - 1
+      retire t task
 
 let fail_machine t m =
   if not t.machine_live.(m) then []
@@ -137,7 +153,7 @@ let waiting_count t = Hashtbl.length t.waiting
 
 let running_tasks_on t m = Hashtbl.fold (fun tid () acc -> tid :: acc) t.running_on.(m) []
 
-let live_task_count t = t.live_tasks
+let live_task_count t = Hashtbl.length t.tasks
 
 let utilization t =
   let live_slots = ref 0 in
@@ -146,15 +162,15 @@ let utilization t =
   if !live_slots = 0 then 1. else float_of_int t.used_slots /. float_of_int !live_slots
 
 let iter_tasks t f = Hashtbl.iter (fun _ task -> f task) t.tasks
-let iter_jobs t f = Hashtbl.iter (fun _ j -> f j) t.jobs
+let iter_jobs t f = Hashtbl.iter (fun _ e -> f e.header) t.jobs
 
-(* Snapshot restore: a task recorded as finished in the base image is
-   resubmitted waiting and then moved straight to Finished here, with no
-   machine transit. *)
+(* Snapshot restore: a task recorded as finished in an image written
+   before finished tasks were left out is resubmitted waiting and then
+   retired here, with no machine transit. *)
 let restore_finished t tid ~response_time =
   let task = task t tid in
   if not (Workload.is_waiting task) then
     invalid_arg (Printf.sprintf "State.restore_finished: task %d is not waiting" tid);
   task.Workload.state <- Types.Finished { response_time };
   Hashtbl.remove t.waiting tid;
-  t.live_tasks <- t.live_tasks - 1
+  retire t task

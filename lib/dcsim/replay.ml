@@ -69,8 +69,9 @@ let run_with ?(config = default_config) ?restore_snapshot ?snapshot_out ~trace
     ~on_round () =
   (* [restore_snapshot] resumes a previous run: the snapshot's cluster and
      warm-started graph replace the fresh ones, simulated time resumes at
-     the recorded clock, and trace arrivals whose job the snapshot already
-     carries are skipped as already-applied — so replaying the same seed
+     the recorded clock, and trace events at or before that clock are
+     skipped as already applied (a run writing [snapshot_out] applies
+     every event due by its clock first) — so replaying the same seed
      over a longer horizon continues where the snapshotted run stopped. *)
   let sched, sim0 =
     match restore_snapshot with
@@ -87,17 +88,17 @@ let run_with ?(config = default_config) ?restore_snapshot ?snapshot_out ~trace
           0. )
   in
   let cluster = Firmament.Scheduler.cluster sched in
-  let restored_jids = Hashtbl.create 64 in
-  if restore_snapshot <> None then
-    Cluster.State.iter_jobs cluster (fun j ->
-        Hashtbl.replace restored_jids j.W.jid ());
+  let pending t = restore_snapshot = None || t > sim0 in
   let events = Cluster.Event_queue.create () in
   (* Clone at intake: traces are reusable descriptions, tasks are mutable. *)
   List.iter
-    (fun (t, job) -> Cluster.Event_queue.add events ~time:t (Job_submit (W.clone_job job)))
+    (fun (t, job) ->
+      if pending t then
+        Cluster.Event_queue.add events ~time:t (Job_submit (W.clone_job job)))
     trace.Cluster.Trace.arrivals;
   List.iter
-    (fun (t, ev) -> Cluster.Event_queue.add events ~time:t (Machine_event ev))
+    (fun (t, ev) ->
+      if pending t then Cluster.Event_queue.add events ~time:t (Machine_event ev))
     trace.Cluster.Trace.machine_events;
   (* Epochs invalidate completion events of preempted/migrated tasks. *)
   let epochs : (Cluster.Types.task_id, int) Hashtbl.t = Hashtbl.create 1024 in
@@ -108,7 +109,13 @@ let run_with ?(config = default_config) ?restore_snapshot ?snapshot_out ~trace
      from that moment, not from its submission, so its earlier run is not
      counted as waiting. *)
   let requeued : (Cluster.Types.task_id, float) Hashtbl.t = Hashtbl.create 64 in
-  (* Metrics accumulators. *)
+  (* Metrics accumulators. The cluster drops a task as it finishes, so
+     response times are recorded at the finish: per batch task, and per
+     batch job its worst task so far, until the job leaves the cluster
+     with its last task. *)
+  let response_times = ref [] in
+  let job_responses = ref [] in
+  let job_worst : (Cluster.Types.job_id, float) Hashtbl.t = Hashtbl.create 64 in
   let placement_latencies = ref [] in
   let algorithm_runtimes = ref [] in
   let timeline = ref [] in
@@ -157,18 +164,29 @@ let run_with ?(config = default_config) ?restore_snapshot ?snapshot_out ~trace
   let apply_event (time, ev) =
     match ev with
     | Job_submit job ->
-        if Hashtbl.mem restored_jids job.W.jid then false
-        else begin
-          Firmament.Scheduler.submit_job sched job;
-          true
-        end
-    | Task_finish (tid, e) ->
-        let task = Cluster.State.task cluster tid in
-        if e = epoch tid && W.is_running task then begin
-          Firmament.Scheduler.finish_task sched tid ~now:time;
-          true
-        end
-        else false
+        Firmament.Scheduler.submit_job sched job;
+        true
+    | Task_finish (tid, e) -> (
+        match Cluster.State.task_opt cluster tid with
+        | Some task when e = epoch tid && W.is_running task ->
+            let jid = task.W.job in
+            let batch = (Cluster.State.job cluster jid).W.klass = Cluster.Types.Batch in
+            Firmament.Scheduler.finish_task sched tid ~now:time;
+            Hashtbl.remove epochs tid;
+            if batch then begin
+              let rt = time -. task.W.submit_time in
+              response_times := rt :: !response_times;
+              let worst =
+                Float.max rt (Option.value ~default:0. (Hashtbl.find_opt job_worst jid))
+              in
+              if Cluster.State.job_opt cluster jid = None then begin
+                Hashtbl.remove job_worst jid;
+                job_responses := worst :: !job_responses
+              end
+              else Hashtbl.replace job_worst jid worst
+            end;
+            true
+        | Some _ | None -> false)
     | Machine_event (Cluster.Trace.Machine_fails m) ->
         if Cluster.State.machine_is_live cluster m then begin
           (* Victims return to the wait queue; their completions are
@@ -294,27 +312,12 @@ let run_with ?(config = default_config) ?restore_snapshot ?snapshot_out ~trace
   done;
   Option.iter
     (fun path ->
+      (* The image holds every event due by its clock, so a resumed run
+         skips exactly the events at or before it. *)
+      List.iter (fun ev -> ignore (apply ev)) (Cluster.Event_queue.pop_until events !sim);
       Firmament.Snapshot.Writer.close
         (Firmament.Snapshot.Writer.to_file ~path sched ~now:!sim))
     snapshot_out;
-  (* Collect response times from finished tasks. *)
-  let response_times = ref [] in
-  let job_responses = ref [] in
-  Cluster.State.iter_jobs cluster (fun job ->
-      if job.W.klass = Cluster.Types.Batch then begin
-        let all_done = ref true and worst = ref 0. in
-        Array.iter
-          (fun (task : W.task) ->
-            match task.W.state with
-            | Cluster.Types.Finished { response_time } ->
-                response_times := response_time :: !response_times;
-                worst := Float.max !worst response_time
-            | Cluster.Types.Waiting | Cluster.Types.Running _ | Cluster.Types.Failed ->
-                all_done := false)
-          job.W.tasks;
-        if !all_done && Array.length job.W.tasks > 0 then
-          job_responses := !worst :: !job_responses
-      end);
   {
     placement_latencies = List.rev !placement_latencies;
     response_times = !response_times;

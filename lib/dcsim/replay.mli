@@ -34,8 +34,11 @@ type metrics = {
           that placed the task, or, for a task placed again after a
           preemption or a machine failure, from that return to the wait
           queue *)
-  response_times : float list;  (** per finished batch task *)
-  job_response_times : float list;  (** per finished batch job: max task response *)
+  response_times : float list;
+      (** per batch task finished in this run, recorded at its finish *)
+  job_response_times : float list;
+      (** per batch job whose last task finished in this run: its worst
+          task response among those finished in this run *)
   algorithm_runtimes : float list;  (** per scheduling round *)
   runtime_timeline : (float * float) list;  (** (sim time, algorithm runtime) *)
   rounds : int;
@@ -69,11 +72,12 @@ val run : config -> Cluster.Trace.t -> metrics
     {!Firmament.Snapshot}: the snapshot's cluster and warm-started graph
     replace the fresh ones (the trace's topology is ignored), simulated
     time resumes at the recorded clock, completions are re-scheduled for
-    the restored running tasks, and trace arrivals whose job the snapshot
-    already carries are skipped — replaying the same seed over a longer
-    horizon continues where the snapshotted run stopped, warm-started
-    within one round. [snapshot_out] writes a base image of the final
-    scheduler state when the replay ends. *)
+    the restored running tasks, and trace events at or before that clock
+    are skipped, since the image already holds them — replaying the same
+    seed over a longer horizon continues where the snapshotted run
+    stopped, warm-started within one round. [snapshot_out] writes a base
+    image of the final scheduler state when the replay ends, after
+    applying every event due by then. *)
 val run_with :
   ?config:config ->
   ?restore_snapshot:string ->

@@ -68,7 +68,9 @@ let run ?(max_sim_time = 10_000.) ~topology ~arrivals ~background kind =
       let epoch tid = Option.value ~default:0 (Hashtbl.find_opt epochs tid) in
       let bump tid = Hashtbl.replace epochs tid (epoch tid + 1) in
       let placement_latencies = ref [] in
-      let finished = ref 0 in
+      (* The cluster drops a task as it finishes: its response time is
+         recorded then. *)
+      let responses = ref [] in
       let sim = ref 0. in
       (* Per-machine worker-side queues (Sparrow late binding). *)
       let worker_queues : (Cluster.Types.machine_id, Cluster.Types.task_id Queue.t) Hashtbl.t =
@@ -195,28 +197,28 @@ let run ?(max_sim_time = 10_000.) ~topology ~arrivals ~background kind =
                     if not (try_place_baseline task.W.tid) then
                       Queue.add task.W.tid central_queue)
                   job.W.tasks)
-        | Compute_done (tid, e) ->
-            if e = epoch tid && W.is_running (Cluster.State.task cluster tid) then begin
-              let m = Option.get (W.machine_of (Cluster.State.task cluster tid)) in
-              (match sched_and_policy with
-              | Some sched ->
-                  Firmament.Scheduler.finish_task sched tid ~now:!sim;
-                  incr finished;
-                  run_firmament_round ()
-              | None ->
-                  Cluster.State.finish cluster tid ~now:!sim;
-                  incr finished;
-                  pop_worker_queue m;
-                  drain_central_queue ())
-            end
+        | Compute_done (tid, e) -> (
+            match Cluster.State.task_opt cluster tid with
+            | Some task when e = epoch tid && W.is_running task ->
+                let m = Option.get (W.machine_of task) in
+                (match sched_and_policy with
+                | Some sched ->
+                    Firmament.Scheduler.finish_task sched tid ~now:!sim;
+                    run_firmament_round ()
+                | None ->
+                    Cluster.State.finish cluster tid ~now:!sim;
+                    pop_worker_queue m;
+                    drain_central_queue ());
+                responses := (!sim -. task.W.submit_time) :: !responses
+            | Some _ | None -> ())
       in
       let transfer_done (time, tid) =
         sim := Float.max !sim time;
-        if W.is_running (Cluster.State.task cluster tid) then begin
-          let task = Cluster.State.task cluster tid in
-          Cluster.Event_queue.add events ~time:(!sim +. task.W.duration)
-            (Compute_done (tid, epoch tid))
-        end
+        match Cluster.State.task_opt cluster tid with
+        | Some task when W.is_running task ->
+            Cluster.Event_queue.add events ~time:(!sim +. task.W.duration)
+              (Compute_done (tid, epoch tid))
+        | Some _ | None -> ()
       in
       let running = ref true in
       while !running && !sim < max_sim_time do
@@ -237,16 +239,9 @@ let run ?(max_sim_time = 10_000.) ~topology ~arrivals ~background kind =
               List.iter handle_event (Cluster.Event_queue.pop_until events te)
             end
       done;
-      let responses = ref [] in
-      let unfinished = ref 0 in
-      Cluster.State.iter_tasks cluster (fun task ->
-          match task.W.state with
-          | Cluster.Types.Finished { response_time } -> responses := response_time :: !responses
-          | Cluster.Types.Waiting | Cluster.Types.Running _ -> incr unfinished
-          | Cluster.Types.Failed -> ());
       {
         response_times = !responses;
         placement_latencies = !placement_latencies;
-        finished = !finished;
-        unfinished = !unfinished;
+        finished = List.length !responses;
+        unfinished = Cluster.State.live_task_count cluster;
       }

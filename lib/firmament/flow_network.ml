@@ -78,8 +78,8 @@ let empty g ~sink ~kinds =
     added_start = 0;
   }
 
-let create ?node_hint ?arc_hint () =
-  let g = G.create ?node_hint ?arc_hint () in
+let create () =
+  let g = G.create () in
   let sink = G.add_node g ~supply:0 in
   let kinds = Hashtbl.create 256 in
   Hashtbl.replace kinds sink Sink;

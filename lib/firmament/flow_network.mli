@@ -35,10 +35,9 @@ val pp_node_kind : Format.formatter -> node_kind -> unit
 
 type t
 
-(** [create ()] builds a network containing only the sink.
-    [node_hint]/[arc_hint] pre-size the graph's storage (pass
-    cluster-sized estimates to avoid growth doublings mid-round). *)
-val create : ?node_hint:int -> ?arc_hint:int -> unit -> t
+(** [create ()] builds a network containing only the sink. The graph
+    grows geometrically with what the policy adds. *)
+val create : unit -> t
 
 (** [restore ~graph ~kinds] rebuilds a network around a graph parsed
     from a snapshot: [kinds] assigns every live node its role (the one

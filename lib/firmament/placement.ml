@@ -10,7 +10,7 @@ let fail fmt = Format.kasprintf failwith fmt
 
 (* Stored decomposition paths are shallow: the deepest policy graph is
    task -> request-agg -> rack -> machine -> sink, four hops. The cap only
-   bounds the preallocated per-task path storage (three ints per hop);
+   bounds the per-task path storage (three ints per hop);
    exceeding it means the graph is not the layered DAG the policies build
    and extraction fails. *)
 let max_hops = 8
@@ -85,14 +85,10 @@ type workspace = {
   mutable budget_epoch : int;
 }
 
-(* [node_hint]/[arc_hint] pre-size the slot- and arc-indexed arrays from
-   the topology (one forward-arc slot per arc pair, and one tracked task
-   per two hinted nodes: the scheduler hints two nodes per slot and
-   machine), so the first adopted round syncs steady-state instead of
-   growth-doubling through the whole cluster. *)
-let create_workspace ?(node_hint = 0) ?(arc_hint = 0) () =
-  let slot_cap = max 64 (node_hint / 2) in
-  let arc_cap = max 0 ((arc_hint + 1) / 2) in
+(* Every array starts small and doubles as the graph and the task
+   population grow. *)
+let create_workspace () =
+  let slot_cap = 64 and arc_cap = 64 in
   {
     used = Array.make arc_cap 0;
     gen = Array.make arc_cap 0;

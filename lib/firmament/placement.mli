@@ -22,7 +22,7 @@
     paths crossing it, so only those paths are revisited. A full
     {!extract} is the same machinery run from an empty workspace; it
     reads every pair and leaves the graph's log alone.
-    All hot-path state lives in preallocated int arrays (epoch-stamped
+    All hot-path state lives in reused int arrays (epoch-stamped
     marks, an {!Int_table} for task slots) — steady-state syncs allocate
     only the returned change list. *)
 
@@ -38,10 +38,9 @@ type assignment = {
     Not thread-safe. *)
 type workspace
 
-(** [node_hint]/[arc_hint] (the {!Flow_network.create} topology hints)
-    pre-size the tracked-task and per-arc arrays so the first adopted
-    round builds the decomposition without growth doublings. *)
-val create_workspace : ?node_hint:int -> ?arc_hint:int -> unit -> workspace
+(** [create_workspace ()] is an empty workspace. Its tracked-task and
+    per-arc arrays grow by doubling to the largest network extracted. *)
+val create_workspace : unit -> workspace
 
 (** [extract ?workspace net] reads the current (feasible) flow in [net]
     and returns one assignment per task node, sorted by task id. Resets

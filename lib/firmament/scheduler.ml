@@ -183,35 +183,14 @@ type t = {
     option;
 }
 
-(* Pre-size the flow graph from the cluster's shape so steady-state
-   rounds rarely pay growth doublings: one node per machine/rack plus
-   roughly one task per slot (with aggregator and churn headroom), and two
-   arcs per hinted node. That covers Quincy and load-spread graphs up to
-   full utilization (1.0 and 1.8 arcs per hinted node at 95%, 1,000
-   machines); network-aware graphs can reach 2.8 and grow once. The hint
-   sizes the canonical graph and both pooled scratch copies, and a
-   forward arc of headroom is ~20 resident words in each (two residual
-   slots across ten per-arc arrays): at 4 arcs per hinted node the
-   2,500-machine Quincy cluster carried ~65 MB of never-used arc
-   storage. *)
-let size_hints cluster =
-  let topo = Cluster.State.topology cluster in
-  let machines = Cluster.Topology.machine_count topo in
-  let slots = Cluster.Topology.total_slots topo in
-  let node_hint = (2 * (machines + slots)) + 64 in
-  (node_hint, 2 * node_hint)
-
 (* The network and the cluster are the scheduler's whole state (the
    assignment is the cluster's running set; policies read their arcs
    from the network), so a fresh scheduler and one rebuilt from a
-   snapshot differ only in where [net] comes from. A restore passes
-   [preallocate:false]: it must be live fast, and the eagerly
-   over-provisioned scratch-graph pool costs seconds of zeroing + GC
-   marking at large scale. The solver workspaces are still reserved;
-   only the first post-restore solve's working copies are allocated
-   lazily, at the actual graph size. *)
-let make ~preallocate ?(config = default_config) cluster ~net ~policy =
-  let node_hint, arc_hint = size_hints cluster in
+   snapshot differ only in where [net] comes from. Every structure here
+   starts small and grows geometrically from its contents: the graph,
+   the race's scratch copies (the first solve copies the graph at its
+   actual size) and the extraction workspace. *)
+let make ?(config = default_config) cluster ~net ~policy =
   let p = policy ~drain:config.drain_on_removal net cluster in
   {
     config;
@@ -219,20 +198,16 @@ let make ~preallocate ?(config = default_config) cluster ~net ~policy =
     net;
     policy = p;
     race =
-      Mcmf.Race.create ~alpha:config.alpha ~price_refine:config.price_refine ~preallocate
-        ~node_hint ~arc_hint ~mode:config.mode ();
-    ws = Placement.create_workspace ~node_hint ~arc_hint ();
+      Mcmf.Race.create ~alpha:config.alpha ~price_refine:config.price_refine
+        ~mode:config.mode ();
+    ws = Placement.create_workspace ();
     retry = Hashtbl.create 16;
     last_changes = Flowgraph.Graph.peek_changes (FN.graph net);
     observer = None;
   }
 
-let create ?config cluster ~policy =
-  let node_hint, arc_hint = size_hints cluster in
-  make ~preallocate:true ?config cluster ~net:(FN.create ~node_hint ~arc_hint ()) ~policy
-
-let of_restored ?config cluster ~net ~policy =
-  make ~preallocate:false ?config cluster ~net ~policy
+let create ?config cluster ~policy = make ?config cluster ~net:(FN.create ()) ~policy
+let of_restored = make
 
 (* Arm the incremental-repair path on the restored warm start: certify
    the canonical graph (potentials + flow from the snapshot) exactly as
@@ -248,9 +223,11 @@ let submit_job t job =
   Cluster.State.submit_job t.cluster job;
   Array.iter (fun task -> t.policy.Policy.task_submitted task) job.Cluster.Workload.tasks
 
+(* The cluster drops a task as it finishes it, so read it first. *)
 let finish_task t tid ~now =
+  let task = Cluster.State.task t.cluster tid in
   Cluster.State.finish t.cluster tid ~now;
-  t.policy.Policy.task_finished (Cluster.State.task t.cluster tid)
+  t.policy.Policy.task_finished task
 
 let fail_machine t m =
   let victims = Cluster.State.fail_machine t.cluster m in
@@ -271,15 +248,19 @@ let preempt_task t tid =
 
 let set_round_observer t obs = t.observer <- obs
 
-(* Where [tid] runs: the cluster's running set is the assignment. *)
-let machine_of t tid = Cluster.Workload.machine_of (Cluster.State.task t.cluster tid)
+(* Where [tid] runs: the cluster's running set is the assignment. A
+   finished task runs nowhere. *)
+let machine_of t tid =
+  Option.bind (Cluster.State.task_opt t.cluster tid) Cluster.Workload.machine_of
 
 (* Start [tid] on [mm] if the authoritative cluster state still allows
    it — the task is waiting, the machine live with a free slot — moving
    the cluster and the policy together. [false] means the placement was
    refused. *)
 let start_if_free t tid mm ~now =
-  Cluster.Workload.is_waiting (Cluster.State.task t.cluster tid)
+  (match Cluster.State.task_opt t.cluster tid with
+  | Some task -> Cluster.Workload.is_waiting task
+  | None -> false)
   && Cluster.State.free_slots_on t.cluster mm > 0
   && begin
        Cluster.State.place t.cluster tid mm ~now;
@@ -295,10 +276,7 @@ let start_if_free t tid mm ~now =
    journal degrades to skipped records rather than exceptions. *)
 let replay_placement t ~now action =
   let place tid mm = ignore (start_if_free t tid mm ~now) in
-  let preempt tid =
-    if Cluster.Workload.is_running (Cluster.State.task t.cluster tid) then
-      preempt_task t tid
-  in
+  let preempt tid = if Option.is_some (machine_of t tid) then preempt_task t tid in
   match action with
   | `Start (tid, mm) -> place tid mm
   | `Migrate (tid, mm) ->

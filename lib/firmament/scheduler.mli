@@ -118,7 +118,7 @@ val policy_name : t -> string
     The constructor half of crash recovery ({!Snapshot} drives it):
     [of_restored cluster ~net ~policy] is {!create} around a cluster
     replayed from a snapshot base image and the flow network parsed from
-    its graph dump, without the eager scratch-graph pool. Nothing else
+    its graph dump. Nothing else
     is rebuilt: the assignment is the restored cluster's running set,
     and the policy reads its arcs from the restored network. Extraction
     workspace and retry state start empty, so the first committed round
@@ -150,6 +150,10 @@ val prepare_warm : t -> unit
 (** {1 Cluster events} — keep the policy's graph in sync. *)
 
 val submit_job : t -> Cluster.Workload.job -> unit
+
+(** [finish_task t tid ~now] completes running task [tid]; the cluster
+    drops it (see {!Cluster.State.finish}) and the policy removes its
+    node. *)
 val finish_task : t -> Cluster.Types.task_id -> now:float -> unit
 
 (** [fail_machine t m] kills the machine; its tasks return to the wait

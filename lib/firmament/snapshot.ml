@@ -98,13 +98,13 @@ let parse_task ~prefix toks =
 
 (* The base image: everything needed to rebuild scheduler state at the
    moment of the dump. Cluster state is stored as facts (topology
-   parameters, every job with the attributes of its live tasks, who runs
-   where, which machines are dead) and replayed through the normal
-   constructors. Finished tasks are history, not state: the image lists
-   each job (so a resumed replay still knows it was submitted) but only
-   its waiting and running tasks, which keeps the image, and the time and
-   memory a restore takes, proportional to the live cluster rather than
-   to every task it has ever run;
+   parameters, every live job with the attributes of its live tasks, who
+   runs where, which machines are dead) and replayed through the normal
+   constructors. Finished tasks are history, not state: the cluster
+   holds neither them nor a job whose tasks have all finished, which
+   keeps the image, and the time and memory a restore takes,
+   proportional to the live cluster rather than to every task it has
+   ever run;
    the flow network is stored as a DIMACS state dump (structure + flow +
    potentials — the warm start) plus side-band node-kind records keyed by
    the same dense renumbering {!Flowgraph.Dimacs.emit_state} uses. *)
@@ -125,18 +125,22 @@ let emit_base sched ~now =
     if not (Cluster.State.machine_is_live cluster m) then
       Buffer.add_string buf (Printf.sprintf "dead %d\n" m)
   done;
+  (* The cluster holds only live tasks, and a job only while one of them
+     is live: group the task table by job, in submission (tid) order. *)
+  let by_job = Hashtbl.create 64 in
+  Cluster.State.iter_tasks cluster (fun task ->
+      let j = task.Cluster.Workload.job in
+      Hashtbl.replace by_job j
+        (task :: Option.value ~default:[] (Hashtbl.find_opt by_job j)));
   Cluster.State.iter_jobs cluster (fun j ->
-      let live =
-        List.filter
-          (fun (task : Cluster.Workload.task) ->
-            match task.Cluster.Workload.state with
-            | Cluster.Types.Finished _ -> false
-            | Cluster.Types.Waiting | Cluster.Types.Running _ | Cluster.Types.Failed ->
-                true)
-          (Array.to_list j.Cluster.Workload.tasks)
+      let tasks =
+        List.sort
+          (fun (a : Cluster.Workload.task) b ->
+            compare a.Cluster.Workload.tid b.Cluster.Workload.tid)
+          (Option.value ~default:[] (Hashtbl.find_opt by_job j.Cluster.Workload.jid))
       in
       Buffer.add_string buf
-        (job_lines ~prefix:"" { j with Cluster.Workload.tasks = Array.of_list live }));
+        (job_lines ~prefix:"" { j with Cluster.Workload.tasks = Array.of_list tasks }));
   Cluster.State.iter_tasks cluster (fun task ->
       match task.Cluster.Workload.state with
       | Cluster.Types.Running { machine; started_at } ->

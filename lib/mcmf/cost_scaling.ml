@@ -78,8 +78,6 @@ let ws_ensure st bound =
     st.nbound <- n
   end
 
-let reserve = ws_ensure
-
 let alpha st = st.alpha
 
 (* Fault injection for the differential fuzz harness: a floor > 1 truncates

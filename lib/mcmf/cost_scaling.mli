@@ -23,11 +23,6 @@ val create : ?alpha:int -> unit -> state
 
 val alpha : state -> int
 
-(** [reserve state bound] pre-sizes the node-indexed scratch for graphs
-    of node bound [bound], so the first solve runs steady-state instead
-    of growing mid-round. *)
-val reserve : state -> int -> unit
-
 (** [ensure_scale state g] adjusts the cost scale factor to track [g]'s
     live node count and returns it: it grows whenever the node count
     exceeds it, and shrinks back down when the cluster has contracted to

@@ -154,7 +154,7 @@ let create_workspace () =
     log_certs = 0;
   }
 
-let reserve ws bound =
+let ws_ensure ws bound =
   if bound > ws.nbound then begin
     let n = ref (max 64 ws.nbound) in
     while !n < bound do
@@ -584,7 +584,7 @@ let repair ?(stop = Solver_intf.never_stop) ?max_scan ~scale ?workspace g =
   let t0 = Telemetry.Clock.now_ns () in
   let ws = match workspace with Some w -> w | None -> create_workspace () in
   let bound = max 1 (G.node_bound g) in
-  reserve ws bound;
+  ws_ensure ws bound;
   let phases = ref 0 in
   let pushes = ref 0 in
   let relabels = ref 0 in

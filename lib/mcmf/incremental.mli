@@ -62,10 +62,6 @@ type workspace
 
 val create_workspace : unit -> workspace
 
-(** [reserve ws bound] pre-sizes the workspace for graphs of node bound
-    [bound] so first use doesn't grow mid-round. *)
-val reserve : workspace -> int -> unit
-
 (** [repair ~scale g] mutates [g] (flows {e and} potentials, in
     cost scaling's scaled units at [scale]) toward a certified optimal
     solution. On [Gave_up] the graph is rolled back to its entry state

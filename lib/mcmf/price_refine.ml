@@ -36,8 +36,6 @@ let ws_ensure ws bound =
     ws.nbound <- n
   end
 
-let reserve = ws_ensure
-
 (* Read-only dual-feasibility check at an arbitrary scale: every residual
    arc must have nonnegative scaled reduced cost
    [cost·scale − p(src) + p(dst)]. With [scale = 1] and unscaled

@@ -19,10 +19,6 @@ type workspace
 
 val create_workspace : unit -> workspace
 
-(** [reserve ws bound] pre-sizes the SPFA scratch for graphs of node
-    bound [bound], so the first run grows nothing mid-round. *)
-val reserve : workspace -> int -> unit
-
 (** [certified ?scale g] is a read-only dual-feasibility check: [true] iff
     every residual arc has nonnegative {e scaled} reduced cost
     [cost·scale − p(src) + p(dst)] under [g]'s current potentials

@@ -126,51 +126,29 @@ and result = {
   cost_scaling_stats : Solver_intf.stats option;
 }
 
-let create ?(alpha = 9) ?(price_refine = true) ?(preallocate = true) ?node_hint
-    ?arc_hint ~mode () =
-  let t =
-    {
-      mode;
-      price_refine;
-      cs_state = Cost_scaling.create ~alpha ();
-      rx_ws = Relaxation.create_workspace ();
-      pr_ws = Price_refine.create_workspace ();
-      inc_ws = Incremental.create_workspace ();
-      scratch_a = None;
-      scratch_b = None;
-      rx_ring = Array.make hedge_window 0;
-      rx_sorted = Array.make hedge_window 0;
-      rx_len = 0;
-      rx_next = 0;
-      cs_won = false;
-      pot_graph = None;
-      pot_scale = 1;
-      repaired_graph = None;
-      repaired_scale = 1;
-    }
-  in
-  (* First-round warmup: pre-size the solver workspaces and pre-build the
-     scratch pool from the topology hints, so round 1 runs steady-state
-     instead of paying workspace growth. The workspace reserves are
-     cheap O(nodes) arrays and always worth it; the two scratch graphs
-     are sized to the over-provisioned hints (growth headroom), so on a
-     large cluster they cost seconds of zeroing + GC marking up front —
-     [preallocate:false] skips just that pool build, deferring to the
-     first [take], which falls back to a [G.copy] sized to the actual
-     graph. Restart paths that must be live fast (snapshot restore) use
-     it. *)
-  (match node_hint with
-  | Some n when n > 0 ->
-      Relaxation.reserve t.rx_ws n;
-      Cost_scaling.reserve t.cs_state n;
-      Price_refine.reserve t.pr_ws n;
-      Incremental.reserve t.inc_ws n;
-      if preallocate then begin
-        t.scratch_a <- Some (G.create ~node_hint:n ?arc_hint ());
-        t.scratch_b <- Some (G.create ~node_hint:n ?arc_hint ())
-      end
-  | _ -> ());
-  t
+(* Everything starts empty and grows from the graphs it meets: the
+   workspaces double to the largest node bound seen, and the first
+   [take] of each scratch slot copies the graph at its actual size. *)
+let create ?(alpha = 9) ?(price_refine = true) ~mode () =
+  {
+    mode;
+    price_refine;
+    cs_state = Cost_scaling.create ~alpha ();
+    rx_ws = Relaxation.create_workspace ();
+    pr_ws = Price_refine.create_workspace ();
+    inc_ws = Incremental.create_workspace ();
+    scratch_a = None;
+    scratch_b = None;
+    rx_ring = Array.make hedge_window 0;
+    rx_sorted = Array.make hedge_window 0;
+    rx_len = 0;
+    rx_next = 0;
+    cs_won = false;
+    pot_graph = None;
+    pot_scale = 1;
+    repaired_graph = None;
+    repaired_scale = 1;
+  }
 
 let mode t = t.mode
 

@@ -76,23 +76,10 @@ type t
     tries to resolve the round by {!Incremental.repair} instead of running
     any solver. No other mode ever repairs.
 
-    [node_hint]/[arc_hint] pre-size the solver workspaces and the two
-    pooled scratch graphs so the first round runs steady-state (no
-    workspace growth mid-round). [preallocate:false] still reserves the
-    (cheap, O(nodes)) solver workspaces but skips the eager scratch-pool
-    build — the hints over-provision for growth headroom, so on a large
-    cluster the two pooled graphs cost seconds of zeroing + GC marking;
-    a restart that must be live fast (snapshot restore) defers that to
-    the first solve, which allocates at the actual graph size instead. *)
-val create :
-  ?alpha:int ->
-  ?price_refine:bool ->
-  ?preallocate:bool ->
-  ?node_hint:int ->
-  ?arc_hint:int ->
-  mode:mode ->
-  unit ->
-  t
+    Nothing is pre-sized: the solver workspaces grow by doubling to the
+    largest graph they meet, and the two pooled scratch graphs are first
+    allocated by the solve that needs them, as copies of its graph. *)
+val create : ?alpha:int -> ?price_refine:bool -> mode:mode -> unit -> t
 
 val mode : t -> mode
 

@@ -147,8 +147,6 @@ let ws_ensure ws bound =
     ws.nbound <- n
   end
 
-let reserve = ws_ensure
-
 (* One RELAX solve. The dual-ascent set S grows from a surplus node along
    balanced residual arcs; price rises are applied lazily (rise_total and
    per-member join marks) so a rise costs O(|S|)-free heap work instead of

@@ -32,11 +32,6 @@ type workspace
 
 val create_workspace : unit -> workspace
 
-(** [reserve ws bound] pre-sizes the node-indexed arrays for graphs of
-    node bound [bound], so the first solve runs steady-state instead of
-    growing mid-round. *)
-val reserve : workspace -> int -> unit
-
 (** [solve g] runs RELAX to completion on [g]. Without [?workspace] a
     fresh one is allocated for the call. *)
 val solve :

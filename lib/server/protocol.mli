@@ -47,6 +47,8 @@ type frame =
   | Submit_job of {
       seq : int;
       jid : int;
+          (** the server drops the submit while a job with this id has a
+              live task; the id is free again once they have all finished *)
       task_count : int;  (** 1..1000 (decoder-enforced) *)
       duration : float;  (** task runtime in seconds *)
       locality : int;  (** seeds the synthetic input-block machines *)

@@ -188,7 +188,6 @@ type t = {
   t0_ns : int;
   mutable last_round_ns : int;
   mutable last_round_wall_ns : int;
-  jids : (int, unit) Hashtbl.t;
   submit_ns : (int, int) Hashtbl.t;  (* tid -> admission ns, until first start *)
   writer : Firmament.Snapshot.Writer.t option;
   now_offset : float;  (* restored snapshot clock; the service clock resumes here *)
@@ -256,8 +255,6 @@ let create cfg =
         Cluster.Topology.machine_count (Cluster.State.topology clu);
     }
   in
-  let jids = Hashtbl.create 4096 in
-  Cluster.State.iter_jobs clu (fun j -> Hashtbl.replace jids j.W.jid ());
   (* A fresh base image on every start: for a restored server this is the
      rebase folding the old journal in; for a fresh one it is the initial
      (empty-cluster) snapshot. *)
@@ -284,7 +281,6 @@ let create cfg =
     t0_ns = t0;
     last_round_ns = t0;
     last_round_wall_ns = 0;
-    jids;
     submit_ns = Hashtbl.create 4096;
     writer;
     now_offset;
@@ -356,11 +352,13 @@ let flush_conn t conn =
 (* {1 Event application} *)
 
 (* Mirrors the fuzz harness's churn interpretation: synthetic locality
-   blocks derived from the submit's locality seed, tid = jid*1000+i. *)
+   blocks derived from the submit's locality seed, tid = jid*1000+i. A
+   submit is a duplicate while the cluster holds a live job with its id;
+   once every task of that job has finished, the id is free again. *)
 let apply_submit t ~jid ~tasks ~duration ~locality ~t_admit_ns =
-  if Hashtbl.mem t.jids jid then Telemetry.Metrics.incr m m_events_dropped
+  if Option.is_some (Cluster.State.job_opt t.clu jid) then
+    Telemetry.Metrics.incr m m_events_dropped
   else begin
-    Hashtbl.add t.jids jid ();
     let now = now_s t in
     let machines = t.cfg.machines in
     let task_arr =
@@ -382,9 +380,9 @@ let apply_submit t ~jid ~tasks ~duration ~locality ~t_admit_ns =
   end
 
 let task_running t tid =
-  match Cluster.State.task t.clu tid with
-  | task -> W.is_running task
-  | exception _ -> false
+  match Cluster.State.task_opt t.clu tid with
+  | Some task -> W.is_running task
+  | None -> false
 
 let apply_event t (a : admitted) =
   Telemetry.Metrics.observe m m_admission_wait_ns (now_ns () - a.t_admit_ns);

@@ -60,13 +60,6 @@ let json_lines ppf metrics =
           Format.fprintf ppf "]}@.")
     views
 
-let trace_json_lines ppf trace =
-  Trace.iter_recent trace (fun ~phase ~round ~t0 ~t1 ->
-      Format.fprintf ppf
-        "{\"phase\":%S,\"round\":%d,\"t0_ns\":%d,\"t1_ns\":%d,\"dur_ns\":%d}@."
-        (Trace.phase_name trace phase)
-        round t0 t1 (t1 - t0))
-
 let default_pp_duration ppf s = Format.fprintf ppf "%.6gs" s
 
 let pp_summary ?(pp_duration = default_pp_duration) ppf metrics =

@@ -24,10 +24,6 @@ val json_lines : Format.formatter -> Metrics.t -> unit
     [{"name":...,"kind":"histogram","count":N,"sum":N,"buckets":[[le,n],...]}]
     for histograms (non-cumulative counts, empty buckets omitted). *)
 
-val trace_json_lines : Format.formatter -> Trace.t -> unit
-(** Retained spans oldest-first, one JSON object per line:
-    [{"phase":...,"round":N,"t0_ns":N,"t1_ns":N,"dur_ns":N}]. *)
-
 val pp_summary :
   ?pp_duration:(Format.formatter -> float -> unit) ->
   Format.formatter ->

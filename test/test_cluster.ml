@@ -147,6 +147,43 @@ let test_state_duplicate_job_rejected () =
   Alcotest.check_raises "duplicate" (Invalid_argument "State.submit_job: duplicate job 0")
     (fun () -> submit_simple st ~jid:0 ~n:1)
 
+(* The state holds the live cluster only: a finished task leaves, a job
+   leaves with its last live task, and neither iterator visits them. *)
+let test_state_retires_finished () =
+  let st = mk_state () in
+  submit_simple st ~jid:0 ~n:2;
+  submit_simple st ~jid:1 ~n:1;
+  Cluster.State.place st 0 0 ~now:1.;
+  Cluster.State.place st 1 1 ~now:1.;
+  let t0 = Cluster.State.task st 0 in
+  Cluster.State.finish st 0 ~now:3.;
+  checkb "finished task is gone" true (Cluster.State.task_opt st 0 = None);
+  (match t0.W.state with
+  | T.Finished { response_time } -> checkf "record keeps its response time" 3. response_time
+  | s -> Alcotest.failf "finished task reads %a" T.pp_task_state s);
+  checkb "job stays while a task is live" true (Cluster.State.job_opt st 0 <> None);
+  checki "job record pins no task" 0 (Array.length (Cluster.State.job st 0).W.tasks);
+  Cluster.State.finish st 1 ~now:4.;
+  checkb "job leaves with its last live task" true (Cluster.State.job_opt st 0 = None);
+  let jobs = ref [] and tasks = ref [] in
+  Cluster.State.iter_jobs st (fun j -> jobs := j.W.jid :: !jobs);
+  Cluster.State.iter_tasks st (fun t -> tasks := t.W.tid :: !tasks);
+  Alcotest.(check (list int)) "iter_jobs visits only live jobs" [ 1 ] !jobs;
+  Alcotest.(check (list int)) "iter_tasks visits only live tasks" [ 100 ] !tasks;
+  checki "live" 1 (Cluster.State.live_task_count st);
+  checki "slots freed" 2 (Cluster.State.free_slots_on st 0);
+  (* A snapshot reader's finish retires the same way. *)
+  Cluster.State.restore_finished st 100 ~response_time:2.;
+  checkb "restored-finished job leaves" true (Cluster.State.job_opt st 1 = None);
+  checki "nothing live" 0 (Cluster.State.live_task_count st);
+  checki "nothing waiting" 0 (Cluster.State.waiting_count st);
+  (* A retired job's id is free again. *)
+  submit_simple st ~jid:0 ~n:1;
+  checki "resubmitted" 1 (Cluster.State.live_task_count st);
+  (* A job without tasks has nothing live, so it is not kept. *)
+  Cluster.State.submit_job st (W.make_job ~jid:7 ~klass:T.Batch ~submit_time:0. ~tasks:[||]);
+  checkb "empty job not kept" true (Cluster.State.job_opt st 7 = None)
+
 (* {1 Trace generator} *)
 
 let test_trace_steady_state_size () =
@@ -371,6 +408,8 @@ let () =
           Alcotest.test_case "preempt returns to queue" `Quick test_state_preempt_returns_to_queue;
           Alcotest.test_case "machine failure" `Quick test_state_machine_failure;
           Alcotest.test_case "duplicate job rejected" `Quick test_state_duplicate_job_rejected;
+          Alcotest.test_case "finished tasks and jobs retire" `Quick
+            test_state_retires_finished;
         ] );
       ( "resources",
         [

@@ -314,6 +314,51 @@ let test_replay_times_restarts_from_machine_failure () =
   | [ l ] -> checkb (Printf.sprintf "timed from the failure (%.2f s)" l) true (l > 9.9 && l < 10.1)
   | ls -> Alcotest.failf "expected one re-placement, got %d" (List.length ls)
 
+(* A replay resumed from its image continues where it stopped: job 1
+   finished before the image was taken and left the cluster, so it must
+   not be submitted again; job 2 came due at the image's clock and is in
+   the image; job 3 arrives after it and comes from the trace. *)
+let test_replay_resumes_without_finished_jobs () =
+  let topology = Cluster.Topology.make ~machines:2 ~machines_per_rack:2 ~slots_per_machine:1 () in
+  let job jid ~at ~duration =
+    ( at,
+      W.make_job ~jid ~klass:Cluster.Types.Batch ~submit_time:at
+        ~tasks:[| W.make_task ~tid:(jid * 1000) ~job:jid ~submit_time:at ~duration () |] )
+  in
+  let trace =
+    {
+      Cluster.Trace.topology;
+      initial_jobs = [];
+      arrivals = [ job 1 ~at:1. ~duration:2.; job 2 ~at:100. ~duration:5.; job 3 ~at:200. ~duration:5. ];
+      machine_events = [];
+      params = Cluster.Trace.default_params ~machines:2 ();
+    }
+  in
+  let config = { Dcsim.Replay.default_config with solver_time = `Fixed 0.01 } in
+  let snap = Filename.temp_file "fmt_test_replay" ".snap" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove snap with Sys_error _ -> ())
+    (fun () ->
+      let placed = ref [] in
+      let on_round ~sim:_ (r : Firmament.Scheduler.round) =
+        List.iter (fun (tid, _) -> placed := tid :: !placed) r.Firmament.Scheduler.started
+      in
+      let first =
+        Dcsim.Replay.run_with
+          ~config:{ config with max_sim_time = Some 50. }
+          ~snapshot_out:snap ~trace ~on_round ()
+      in
+      Alcotest.(check (list int)) "first run places job 1" [ 1000 ] !placed;
+      checki "job 1's response recorded at its finish" 1
+        (List.length first.Dcsim.Replay.response_times);
+      checki "job 1 completed" 1 (List.length first.Dcsim.Replay.job_response_times);
+      placed := [];
+      let resumed = Dcsim.Replay.run_with ~config ~restore_snapshot:snap ~trace ~on_round () in
+      Alcotest.(check (list int)) "resumed run places jobs 2 and 3 once each" [ 2000; 3000 ]
+        (List.sort compare !placed);
+      checki "both finish" 2 (List.length resumed.Dcsim.Replay.job_response_times);
+      checki "nothing left waiting" 0 resumed.Dcsim.Replay.unfinished_waiting)
+
 let test_replay_survives_machine_failures () =
   (* Failure injection: machines die and return mid-replay; victims are
      rescheduled and the replay still drains. *)
@@ -589,6 +634,8 @@ let () =
           Alcotest.test_case "survives machine failures" `Quick
             test_replay_survives_machine_failures;
           Alcotest.test_case "places all and finishes" `Quick test_replay_places_all_and_finishes;
+          Alcotest.test_case "resumes without finished jobs" `Quick
+            test_replay_resumes_without_finished_jobs;
           Alcotest.test_case "only race mode repairs" `Quick test_replay_only_race_repairs;
           Alcotest.test_case "solver time enters latency" `Quick
             test_replay_fixed_solver_time_enters_latency;

@@ -1332,6 +1332,35 @@ let snapshot_round_trip ~name ~policy =
     (G.total_cost (FN.graph (Firmament.Scheduler.network sched)))
     (G.total_cost (FN.graph (Firmament.Scheduler.network restored)))
 
+(* The image lists live jobs with their live tasks only: a job whose
+   tasks have all finished has no [job] line, a job with one task left
+   lists that task, and the restored cluster matches. *)
+let test_snapshot_drops_finished_jobs () =
+  let cluster = mk_cluster ~machines:2 ~slots:2 in
+  let sched = Firmament.Scheduler.create cluster ~policy:quincy_policy in
+  Firmament.Scheduler.submit_job sched (simple_job ~jid:3 ~n:2 ~submit:0. ~duration:10.);
+  Firmament.Scheduler.submit_job sched (simple_job ~jid:4 ~n:2 ~submit:0. ~duration:10.);
+  checki "all four run" 4 (List.length (solve_sched sched ~now:0.).Firmament.Scheduler.started);
+  List.iter (fun tid -> Firmament.Scheduler.finish_task sched tid ~now:1.) [ 3000; 3001; 4000 ];
+  ignore (solve_sched sched ~now:1.);
+  let base = Snapshot.emit_base sched ~now:2. in
+  let lines = String.split_on_char '\n' base in
+  let starts p l = String.length l >= String.length p && String.sub l 0 (String.length p) = p in
+  checkb "finished job has no job line" false (List.exists (starts "job 3 ") lines);
+  checkb "live job keeps its line" true (List.exists (starts "job 4 ") lines);
+  Alcotest.(check (list int)) "only the live task is listed" [ 4001 ]
+    (List.filter_map
+       (fun l ->
+         match String.split_on_char ' ' l with
+         | "task" :: tid :: _ -> Some (int_of_string tid)
+         | _ -> None)
+       lines);
+  let { Snapshot.scheduler = restored; _ } = Snapshot.restore_string ~policy:quincy_policy base in
+  let rc = Firmament.Scheduler.cluster restored in
+  checkb "restored cluster has no finished job" true (Cluster.State.job_opt rc 3 = None);
+  checkb "restored cluster keeps the live job" true (Cluster.State.job_opt rc 4 <> None);
+  checki "one live task restored" 1 (Cluster.State.live_task_count rc)
+
 (* Every policy restores to the same scheduler: the graph and the cluster
    are its whole state. *)
 let test_snapshot_round_trip () =
@@ -1635,6 +1664,8 @@ let () =
             test_snapshot_round_trip;
           Alcotest.test_case "journal replay reconverges" `Quick
             test_snapshot_journal_replay;
+          Alcotest.test_case "finished jobs leave the image" `Quick
+            test_snapshot_drops_finished_jobs;
           Alcotest.test_case "restore re-prices the kept unscheduled arc" `Quick
             test_snapshot_restore_reprices_unscheduled_arc;
           Alcotest.test_case "network-aware restore keeps a waiting task's bucket" `Quick

@@ -455,6 +455,57 @@ let test_e2e_backpressure () =
       Alcotest.(check int) "overflow NACKed" 4 !nacks;
       Unix.close c.fd)
 
+(* A submit is a duplicate only while the cluster holds a live job with
+   its id: job 9's id is refused while one of its tasks runs and accepted
+   again once both have finished and the job has left the cluster. A
+   finish for a task that already finished is dropped, not applied. *)
+let test_e2e_jid_free_after_job_retires () =
+  let path = tmp_sock "fmt_test_jid.sock" in
+  with_server path (fun srv ->
+      let reg = Telemetry.Metrics.global () in
+      let dropped_id = Option.get (Telemetry.Metrics.find reg "srv_events_dropped_total") in
+      let dropped () = Telemetry.Metrics.value reg dropped_id in
+      let clu = Svc.cluster srv in
+      let step_until ~what cond =
+        let rec go n =
+          if not (cond ()) then
+            if n = 0 then Alcotest.failf "timed out waiting for %s" what
+            else begin
+              Svc.step srv ~timeout_s:0.002;
+              go (n - 1)
+            end
+        in
+        go 2000
+      in
+      let running tid =
+        match Cluster.State.task_opt clu tid with
+        | Some t -> Cluster.Workload.is_running t
+        | None -> false
+      in
+      let c = client_connect path in
+      client_send c (P.Subscribe { seq = 1 });
+      ignore (await srv c ~what:"subscribe ack" (fun _ -> true));
+      let submit seq n =
+        client_send c
+          (P.Submit_job { seq; jid = 9; task_count = n; duration = 60.; locality = 1 })
+      in
+      submit 2 2;
+      step_until ~what:"job 9 placed" (fun () -> running 9000 && running 9001);
+      let d0 = dropped () in
+      client_send c (P.Finish_task { seq = 3; tid = 9000 });
+      step_until ~what:"task 9000 finished" (fun () -> Cluster.State.task_opt clu 9000 = None);
+      submit 4 1;
+      step_until ~what:"duplicate submit dropped" (fun () -> dropped () = d0 + 1);
+      Alcotest.(check int) "duplicate added nothing" 1 (Cluster.State.live_task_count clu);
+      client_send c (P.Finish_task { seq = 5; tid = 9000 });
+      step_until ~what:"finish of a finished task dropped" (fun () -> dropped () = d0 + 2);
+      client_send c (P.Finish_task { seq = 6; tid = 9001 });
+      step_until ~what:"job 9 retired" (fun () -> Cluster.State.job_opt clu 9 = None);
+      submit 7 1;
+      step_until ~what:"job 9 accepted again" (fun () -> running 9000);
+      Alcotest.(check int) "nothing else dropped" (d0 + 2) (dropped ());
+      Unix.close c.fd)
+
 (* Work-conserving rounds: an idle server with the default config runs
    the round in the step that admits the event, so the ACK and the
    placement arrive together. *)
@@ -742,6 +793,8 @@ let () =
             test_e2e_malformed_isolation;
           Alcotest.test_case "admission overflow NACKs with retry hint" `Quick
             test_e2e_backpressure;
+          Alcotest.test_case "job id is free again once its job retires" `Quick
+            test_e2e_jid_free_after_job_retires;
           Alcotest.test_case "idle server places in the admitting step" `Quick
             test_e2e_place_in_admitting_step;
           Alcotest.test_case "queue beyond batch_max drains over steps" `Quick
