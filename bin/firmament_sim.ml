@@ -165,7 +165,10 @@ let cmd =
              topology and clock are authoritative, the scheduler restarts \
              warm-started, and trace events at or before the snapshot's clock \
              are skipped — replaying the same $(b,--seed) with a longer \
-             $(b,--horizon) continues the snapshotted run.")
+             $(b,--horizon) continues the snapshotted run. $(docv) must be an \
+             image written by $(b,--snapshot-out), which applies every event \
+             due by its clock first; events another image had not yet applied \
+             are lost.")
   in
   let metrics_out =
     Arg.(

@@ -77,7 +77,13 @@ val run : config -> Cluster.Trace.t -> metrics
     seed over a longer horizon continues where the snapshotted run
     stopped, warm-started within one round. [snapshot_out] writes a base
     image of the final scheduler state when the replay ends, after
-    applying every event due by then. *)
+    applying every event due by then.
+
+    The image passed as [restore_snapshot] must be one written by
+    [snapshot_out]: the skip assumes every trace event due by the
+    image's clock was applied before it was written, so an image taken
+    elsewhere (a daemon's, or one written mid-batch) silently loses the
+    events it had not yet applied. *)
 val run_with :
   ?config:config ->
   ?restore_snapshot:string ->

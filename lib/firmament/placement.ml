@@ -85,10 +85,12 @@ type workspace = {
   mutable budget_epoch : int;
 }
 
-(* Every array starts small and doubles as the graph and the task
-   population grow. *)
-let create_workspace () =
-  let slot_cap = 64 and arc_cap = 64 in
+(* The arrays start at [net]'s current size (small for an empty network,
+   the restored size after a restore) and double as the graph and the
+   task population grow. *)
+let create_workspace net =
+  let slot_cap = max 64 (FN.task_count net) in
+  let arc_cap = max 64 ((G.arc_bound (FN.graph net) + 1) / 2) in
   {
     used = Array.make arc_cap 0;
     gen = Array.make arc_cap 0;
@@ -423,7 +425,7 @@ let extract ?workspace net =
   G.iter_nodes g (fun n ->
       if G.excess g n <> 0 then
         fail "Placement.extract: infeasible flow (node %d has excess %d)" n (G.excess g n));
-  let ws = match workspace with Some w -> w | None -> create_workspace () in
+  let ws = match workspace with Some w -> w | None -> create_workspace net in
   ensure_arc_capacity ws ((G.arc_bound g + 1) / 2);
   reset ws;
   sync_with_rebuild ws net ~delta:false ~emit:(fun _ _ -> ());
@@ -454,7 +456,7 @@ let refund ws g a =
 let extract_partial ?workspace net =
   let g = FN.graph net in
   let sink = FN.sink net in
-  let ws = match workspace with Some w -> w | None -> create_workspace () in
+  let ws = match workspace with Some w -> w | None -> create_workspace net in
   arm_budgets ws g;
   (* Walk one unit of flow from [n] toward a machine, consuming it from
      the per-arc budget so two tasks never claim the same unit. The walk

@@ -38,9 +38,10 @@ type assignment = {
     Not thread-safe. *)
 type workspace
 
-(** [create_workspace ()] is an empty workspace. Its tracked-task and
-    per-arc arrays grow by doubling to the largest network extracted. *)
-val create_workspace : unit -> workspace
+(** [create_workspace net] is an empty workspace whose tracked-task and
+    per-arc arrays fit [net] as it is now; they grow by doubling to the
+    largest network extracted. *)
+val create_workspace : Flow_network.t -> workspace
 
 (** [extract ?workspace net] reads the current (feasible) flow in [net]
     and returns one assignment per task node, sorted by task id. Resets

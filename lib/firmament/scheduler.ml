@@ -187,9 +187,10 @@ type t = {
    assignment is the cluster's running set; policies read their arcs
    from the network), so a fresh scheduler and one rebuilt from a
    snapshot differ only in where [net] comes from. Every structure here
-   starts small and grows geometrically from its contents: the graph,
-   the race's scratch copies (the first solve copies the graph at its
-   actual size) and the extraction workspace. *)
+   grows geometrically from its contents: the graph, the race's scratch
+   copies (the first solve copies the graph at its actual size) and the
+   extraction workspace, which starts at [net]'s size, so a restored
+   scheduler's first round does not grow it. *)
 let make ?(config = default_config) cluster ~net ~policy =
   let p = policy ~drain:config.drain_on_removal net cluster in
   {
@@ -200,7 +201,7 @@ let make ?(config = default_config) cluster ~net ~policy =
     race =
       Mcmf.Race.create ~alpha:config.alpha ~price_refine:config.price_refine
         ~mode:config.mode ();
-    ws = Placement.create_workspace ();
+    ws = Placement.create_workspace net;
     retry = Hashtbl.create 16;
     last_changes = Flowgraph.Graph.peek_changes (FN.graph net);
     observer = None;
@@ -211,8 +212,9 @@ let of_restored = make
 
 (* Arm the incremental-repair path on the restored warm start: certify
    the canonical graph (potentials + flow from the snapshot) exactly as
-   an adopted optimal round would. Called once, after snapshot replay
-   has finished mutating the graph. *)
+   an adopted optimal round would, which also sizes the repair
+   workspace for it. Called once, after snapshot replay has finished
+   mutating the graph. *)
 let prepare_warm t = Mcmf.Race.prepare t.race (FN.graph t.net)
 
 let network t = t.net

@@ -78,9 +78,10 @@ let no_changes =
    anyone else's without holding the graph. *)
 let log_counter = Atomic.make 1
 
-let create ?(node_hint = 16) ?(arc_hint = 64) () =
-  (* Residual storage holds two entries per arc pair. *)
-  let n = max 8 node_hint and r = max 16 (2 * arc_hint) in
+let create () =
+  (* Starting capacities; every [Vec] grows geometrically from here.
+     Residual storage holds two entries per arc pair. *)
+  let n = 16 and r = 128 in
   {
     supply = Vec.create ~capacity:n ~dummy:0 ();
     excess = Vec.create ~capacity:n ~dummy:0 ();

@@ -34,9 +34,9 @@ type arc = int
 
 type t
 
-(** [create ()] is an empty graph. [node_hint]/[arc_hint] pre-size internal
-    storage. *)
-val create : ?node_hint:int -> ?arc_hint:int -> unit -> t
+(** [create ()] is an empty graph. Its storage starts small and grows
+    geometrically with its nodes and arcs. *)
+val create : unit -> t
 
 (** {1 Nodes} *)
 

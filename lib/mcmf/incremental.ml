@@ -172,6 +172,8 @@ let ws_ensure ws bound =
     ws.nbound <- n
   end
 
+let fit_workspace ws g = ws_ensure ws (max 1 (G.node_bound g))
+
 let m = Telemetry.Metrics.global ()
 
 let m_repairs =

@@ -62,6 +62,10 @@ type workspace
 
 val create_workspace : unit -> workspace
 
+(** [fit_workspace ws g] sizes [ws]'s per-node arrays for [g] now, so the
+    first {!repair} of [g] does not grow them. *)
+val fit_workspace : workspace -> Flowgraph.Graph.t -> unit
+
 (** [repair ~scale g] mutates [g] (flows {e and} potentials, in
     cost scaling's scaled units at [scale]) toward a certified optimal
     solution. On [Gave_up] the graph is rolled back to its entry state

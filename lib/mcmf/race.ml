@@ -228,7 +228,12 @@ let prepare t g =
       t.pot_scale <- 1
     end
     else t.pot_graph <- None
-  end
+  end;
+  (* The next round of an armed graph is a repair: size its workspace
+     now, at the graph's size, rather than inside that round. *)
+  match t.pot_graph with
+  | Some p when p == g -> Incremental.fit_workspace t.inc_ws g
+  | _ -> ()
 
 (* Assemble a result so that [graph] is always coherent: the winner's copy
    when it solved to optimality, otherwise the untouched input graph (the
